@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
-from .core import AlgebraElement, GradedQuiver, Path
+from .core import AlgebraElement, GradedQuiver, Path, Scalar
 from .errors import InvalidInputError
 
 
@@ -31,23 +32,36 @@ class Differential:
         da = self.on_arrows.get(name)
         return da if da is not None else self.quiver.zero()
 
-    def apply_to_path(self, p: Path) -> dict[Path, Fraction]:
-        q = self.quiver
-        out: dict[Path, Fraction] = {}
+    @cached_property
+    def _compiled(self) -> tuple[dict[str, tuple[tuple[tuple[str, ...], Scalar], ...]], frozenset[str]]:
+        """({arrow: ((mid arrows, coeff), ...)}, odd arrows), with every
+        integral coefficient stored as an int."""
+        images = {
+            name: tuple((mid.arrows, c.numerator if c.denominator == 1 else c) for mid, c in da.terms.items())
+            for name, da in self.on_arrows.items()
+            if da.terms
+        }
+        return images, frozenset(a.name for a in self.quiver.arrows if a.hdeg % 2)
+
+    def apply_to_path(self, p: Path) -> dict[Path, Scalar]:
+        """d(p) by the Leibniz rule; coefficients stay int while integral."""
+        images, odd = self._compiled
+        arrows = p.arrows
+        out: dict[Path, Scalar] = {}
         sign = 1
-        for i, name in enumerate(p.arrows):
-            da = self.on_arrows.get(name)
-            if da is not None and da.terms:
-                pre = p.arrows[:i]
-                post = p.arrows[i + 1 :]
-                for mid, c in da.terms.items():
-                    key = Path(p.start, pre + mid.arrows + post)
-                    acc = out.get(key, Fraction(0)) + sign * c
+        for i, name in enumerate(arrows):
+            image = images.get(name)
+            if image:
+                pre = arrows[:i]
+                post = arrows[i + 1 :]
+                for mid, c in image:
+                    key = Path(p.start, pre + mid + post)
+                    acc = out.get(key, 0) + (c if sign > 0 else -c)
                     if acc:
                         out[key] = acc
                     else:
-                        out.pop(key, None)
-            if q.arrow(name).hdeg % 2:
+                        del out[key]
+            if name in odd:
                 sign = -sign
         return out
 

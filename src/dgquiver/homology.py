@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .core import AlgebraElement, GradedQuiver, Path, Vertex, vertex_key
@@ -28,7 +27,15 @@ def path_cap(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get("DGQ_PATH_CAP")
-    return int(env) if env else DEFAULT_PATH_CAP
+    if not env:
+        return DEFAULT_PATH_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise InvalidInputError(f"DGQ_PATH_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -48,21 +55,22 @@ def bigraded_slices(
     cap = path_cap(cap)
     buckets: dict[SliceKey, list[Path]] = defaultdict(list)
 
-    def visit(p: Path, h: int, a: int):
-        key = (h, a, p.start, quiver.path_target(p))
+    # depth-first with an explicit stack, children pushed in reverse so
+    # paths are visited in the same preorder as a recursive walk
+    stack = [(Path(v), v, 0, 0) for v in reversed(quiver.vertices)]
+    while stack:
+        p, end, h, a = stack.pop()
+        key = (h, a, p.start, end)
         bucket = buckets[key]
         if len(bucket) >= cap:
             raise ResourceLimitError(
                 f"slice {key} exceeds the path cap {cap}; raise DGQ_PATH_CAP to override"
             )
         bucket.append(p)
-        for arr in quiver.out_arrows(quiver.path_target(p)):
+        for arr in reversed(quiver.out_arrows(end)):
             h2, a2 = h + arr.hdeg, a + arr.adeg
             if h2 >= hmin and a2 <= nadams:
-                visit(Path(p.start, p.arrows + (arr.name,)), h2, a2)
-
-    for v in quiver.vertices:
-        visit(Path(v), 0, 0)
+                stack.append((Path(p.start, p.arrows + (arr.name,)), arr.target, h2, a2))
     return {
         key: BigradedSlice(*key, tuple(sorted(paths, key=Path.sort_key)))
         for key, paths in buckets.items()
@@ -79,13 +87,8 @@ def _outgoing_rank(model: DGModel, slices: dict[SliceKey, BigradedSlice], key: S
     if tgt is None:
         return 0
     index = {p: i for i, p in enumerate(tgt.basis)}
-    d = model.differential
-    rows = []
-    for p in sl.basis:
-        img = d.apply_to_path(p)
-        if img:
-            rows.append({index[r]: c for r, c in img.items()})
-    return linalg.rank(rows)
+    images = map(model.differential.apply_to_path, sl.basis)
+    return linalg.rank({index[r]: c for r, c in img.items()} for img in images if img)
 
 
 def cohomology_dims(
@@ -161,19 +164,16 @@ def truncated_dims(
     q = pres.quiver
     by_adeg: dict[int, list[Path]] = defaultdict(list)
     total = 0
-
-    def visit(p: Path, a: int):
-        nonlocal total
+    stack = [(Path(v), v, 0) for v in reversed(q.vertices)]
+    while stack:
+        p, end, a = stack.pop()
         total += 1
         if total > cap:
             raise ResourceLimitError(f"path count exceeds cap {cap}; raise DGQ_PATH_CAP")
         by_adeg[a].append(p)
-        for arr in q.out_arrows(q.path_target(p)):
+        for arr in reversed(q.out_arrows(end)):
             if a + arr.adeg <= nadams:
-                visit(Path(p.start, p.arrows + (arr.name,)), a + arr.adeg)
-
-    for v in q.vertices:
-        visit(Path(v), 0)
+                stack.append((Path(p.start, p.arrows + (arr.name,)), arr.target, a + arr.adeg))
 
     dims: dict[tuple[Vertex, Vertex, int], int] = {}
     for a in range(nadams + 1):
@@ -237,7 +237,8 @@ def compare_h0(
         for frm, to in ((g.source, b.source), (g.target, b.target)):
             if vmap.setdefault(frm, to) != to:
                 raise InvalidInputError(f"inconsistent vertex map at {frm!r}")
-    if len(set(arrow_map.values())) != len(pres.quiver.arrows):
+    image = {arrow_map[name] for name in gen_names}
+    if len(image) != len(gen_names) or len(image) != len(pres.quiver.arrows):
         raise InvalidInputError("generator map is not a bijection onto the presentation's arrows")
     for v in h0.quiver.vertices:
         if v not in vmap:

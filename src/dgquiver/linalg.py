@@ -1,67 +1,110 @@
-"""Sparse exact-rational linear algebra.
+"""Sparse exact linear algebra over Q by fraction-free elimination.
 
-Vectors are dicts ``{column index: Fraction}`` holding only nonzero
-entries.  Pivoting is always on the smallest column index, so every
-result is deterministic given the column indexing.
+Vectors are dicts ``{column index: coefficient}`` holding only nonzero
+entries; coefficients may be ``int`` or ``Fraction``.  Each incoming row
+is first cleared of denominators, and elimination then runs on integer
+rows: a pivot entry of 1 gives a plain integer axpy, any other pivot
+entry a gcd-scaled cross-multiplication (Bareiss, Math. Comp. 22, 1968),
+and every pivot row is divided by its content gcd.  Integral input thus
+never builds a ``Fraction``; results that carry coefficients are
+converted to ``Fraction`` only at the output.  There is no floating
+point anywhere.  Pivoting is always on the smallest column index, so
+every result is deterministic given the column indexing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable
 
 SparseVec = dict[int, Fraction]
+IntVec = dict[int, int]
 
 
-def _reduce_against(r: SparseVec, pivots: dict[int, SparseVec]) -> SparseVec:
-    """Eliminate every pivot column present in r.  Mutates and returns r."""
+def _integral(row: SparseVec) -> tuple[IntVec, int]:
+    """(den * row, den) with den the lcm of the row's denominators."""
+    den = 1
+    for v in row.values():
+        if v.denominator != 1:
+            den = lcm(den, v.denominator)
+    if den == 1:
+        return {c: v.numerator for c, v in row.items() if v}, 1
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}, den
+
+
+def _eliminate(r: IntVec, c: int, p: IntVec) -> int:
+    """Clear column c of r with the row p (p[c] > 0) in place; r is
+    first scaled by a positive factor, which is returned."""
+    a, b = r[c], p[c]
+    s = 1
+    if b != 1:
+        g = gcd(a, b)
+        s, a = b // g, a // g
+        if s != 1:
+            for k in r:
+                r[k] *= s
+    get = r.get
+    for k, v in p.items():
+        nv = get(k, 0) - a * v
+        if nv:
+            r[k] = nv
+        else:
+            del r[k]
+    return s
+
+
+def _reduce(r: IntVec, pivots: dict[int, IntVec]) -> int:
+    """Clear every pivot column from r, smallest first, in place; return
+    the positive factor r was scaled by."""
+    scale = 1
     while r:
         c = min(r)
-        pr = pivots.get(c)
-        if pr is None:
-            return r
-        coef = r[c]
-        for cc, vv in pr.items():
-            nv = r.get(cc, 0) - coef * vv
-            if nv:
-                r[cc] = nv
-            else:
-                r.pop(cc, None)
-    return r
+        p = pivots.get(c)
+        if p is None:
+            break
+        scale *= _eliminate(r, c, p)
+    return scale
 
 
-def _forward_eliminate(rows: Iterable[SparseVec]) -> dict[int, SparseVec]:
-    """Echelon pivots {pivot column: row with pivot entry 1}."""
-    pivots: dict[int, SparseVec] = {}
+def _primitive(r: IntVec) -> IntVec:
+    """r divided by its content gcd, signed so its leading entry is > 0."""
+    g = gcd(*r.values())
+    if r[min(r)] < 0:
+        g = -g
+    return r if g == 1 else {k: v // g for k, v in r.items()}
+
+
+def _echelon(rows: Iterable[SparseVec]) -> dict[int, IntVec]:
+    """Echelon pivots {pivot column: primitive integer row}."""
+    pivots: dict[int, IntVec] = {}
     for row in rows:
-        r = _reduce_against(dict(row), pivots)
+        r, _ = _integral(row)
+        _reduce(r, pivots)
         if r:
-            c = min(r)
-            inv = Fraction(1) / r[c]
-            pivots[c] = {cc: vv * inv for cc, vv in r.items()}
+            pivots[min(r)] = _primitive(r)
     return pivots
 
 
 def rank(rows: Iterable[SparseVec]) -> int:
-    return len(_forward_eliminate(rows))
+    return len(_echelon(rows))
 
 
 def row_reduce(rows: Iterable[SparseVec]) -> list[SparseVec]:
     """Reduced row echelon basis of the row space, sorted by pivot column."""
-    pivots = _forward_eliminate(rows)
+    pivots = _echelon(rows)
+    # Back-substitution, last pivot first: each row with a larger pivot is
+    # already reduced, so clearing its pivot column adds only non-pivot
+    # columns to r.
     for c in sorted(pivots, reverse=True):
-        pr = pivots[c]
-        for c2, r2 in pivots.items():
-            if c2 >= c or c not in r2:
-                continue
-            coef = r2[c]
-            for cc, vv in pr.items():
-                nv = r2.get(cc, 0) - coef * vv
-                if nv:
-                    r2[cc] = nv
-                else:
-                    r2.pop(cc, None)
-    return [pivots[c] for c in sorted(pivots)]
+        r = pivots[c]
+        later = [k for k in r if k != c and k in pivots]
+        for k in later:
+            _eliminate(r, k, pivots[k])
+        if later:
+            pivots[c] = _primitive(r)
+    return [{k: Fraction(v, r[c]) for k, v in r.items()} for c, r in sorted(pivots.items())]
 
 
 def intersect_rowspaces(u_rows: list[SparseVec], w_rows: list[SparseVec], ncols: int) -> list[SparseVec]:
@@ -70,16 +113,10 @@ def intersect_rowspaces(u_rows: list[SparseVec], w_rows: list[SparseVec], ncols:
     Zassenhaus: reduce rows (u | u) and (w | 0); echelon rows supported
     entirely in the right block give the intersection.
     """
-    stacked: list[SparseVec] = []
-    for u in u_rows:
-        r = dict(u)
-        r.update({c + ncols: v for c, v in u.items()})
-        stacked.append(r)
-    stacked.extend(dict(w) for w in w_rows)
-    pivots = _forward_eliminate(stacked)
+    stacked = chain(({**u, **{c + ncols: v for c, v in u.items()}} for u in u_rows), w_rows)
     inter = [
         {c - ncols: v for c, v in row.items()}
-        for piv, row in pivots.items()
+        for piv, row in _echelon(stacked).items()
         if piv >= ncols
     ]
     return row_reduce(inter)
@@ -88,46 +125,26 @@ def intersect_rowspaces(u_rows: list[SparseVec], w_rows: list[SparseVec], ncols:
 def solve_in_span(vectors: list[SparseVec], target: SparseVec) -> list[Fraction] | None:
     """Coefficients x with sum(x_i * vectors[i]) == target, or None.
 
-    When the vectors are dependent an arbitrary valid solution is returned.
+    When the vectors are dependent the solution returned is the unique one
+    supported on the greedy basis: the vectors outside the span of those
+    before them.  Each vector i carries its combination as an extra unit
+    column ``offset + i`` past every real column, so pivots only ever sit
+    on real columns and the reduced target reads off its coefficients.
     """
-    pivots: dict[int, SparseVec] = {}
-    combos: dict[int, SparseVec] = {}  # pivot col -> combination over vector indices
+    offset = 1 + max(chain.from_iterable(chain(vectors, (target,))), default=-1)
+    pivots: dict[int, IntVec] = {}
+    dens = []
     for i, vec in enumerate(vectors):
-        r = dict(vec)
-        comb: SparseVec = {i: Fraction(1)}
-        while r:
-            c = min(r)
-            if c not in pivots:
-                inv = Fraction(1) / r[c]
-                pivots[c] = {cc: vv * inv for cc, vv in r.items()}
-                combos[c] = {cc: vv * inv for cc, vv in comb.items()}
-                break
-            coef = r[c]
-            for cc, vv in pivots[c].items():
-                nv = r.get(cc, 0) - coef * vv
-                if nv:
-                    r[cc] = nv
-                else:
-                    r.pop(cc, None)
-            for cc, vv in combos[c].items():
-                nv = comb.get(cc, 0) - coef * vv
-                if nv:
-                    comb[cc] = nv
-                else:
-                    comb.pop(cc, None)
-    r = dict(target)
-    sol: SparseVec = {}
-    while r:
+        r, den = _integral(vec)
+        dens.append(den)
+        r[offset + i] = 1
+        _reduce(r, pivots)
         c = min(r)
-        if c not in pivots:
-            return None
-        coef = r[c]
-        for cc, vv in pivots[c].items():
-            nv = r.get(cc, 0) - coef * vv
-            if nv:
-                r[cc] = nv
-            else:
-                r.pop(cc, None)
-        for cc, vv in combos[c].items():
-            sol[cc] = sol.get(cc, Fraction(0)) + coef * vv
-    return [sol.get(i, Fraction(0)) for i in range(len(vectors))]
+        if c < offset:
+            pivots[c] = _primitive(r)
+    # now scale * den * target = sum_i -r[offset + i] * dens[i] * vectors[i]
+    r, den = _integral(target)
+    scale = _reduce(r, pivots)
+    if r and min(r) < offset:
+        return None
+    return [Fraction(-r.get(offset + i, 0) * dens[i], scale * den) for i in range(len(vectors))]

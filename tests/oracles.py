@@ -2,13 +2,16 @@
 
 Everything here takes a second, slower route (dense sympy matrices,
 direct monomial enumeration) so that agreement with the library is a
-genuine cross-check rather than the same code run twice.
+genuine cross-check rather than the same code run twice.  The one
+exception is the Fraction elimination at the end, which is the library's
+former kernel, kept to pin the fraction-free kernel to identical results.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import sympy
@@ -109,3 +112,122 @@ def mckay_h0_oracle(m: int, weights: tuple[int, ...], nadams: int) -> dict:
             for s in range(m):
                 dims[(s, (s + d) % m, a)] += 1
     return dict(dims)
+
+
+# ---------------------------------------------------------------------------
+# The original Fraction elimination, kept verbatim as an oracle for the
+# fraction-free kernel in dgquiver.linalg: every entry is a Fraction and
+# every pivot row is scaled to pivot entry 1 as soon as it is found.
+
+
+def _fraction_reduce_against(r, pivots):
+    """Eliminate every pivot column present in r.  Mutates and returns r."""
+    while r:
+        c = min(r)
+        pr = pivots.get(c)
+        if pr is None:
+            return r
+        coef = r[c]
+        for cc, vv in pr.items():
+            nv = r.get(cc, 0) - coef * vv
+            if nv:
+                r[cc] = nv
+            else:
+                r.pop(cc, None)
+    return r
+
+
+def fraction_forward_eliminate(rows):
+    """Echelon pivots {pivot column: row with pivot entry 1}."""
+    pivots = {}
+    for row in rows:
+        r = _fraction_reduce_against(dict(row), pivots)
+        if r:
+            c = min(r)
+            inv = Fraction(1) / r[c]
+            pivots[c] = {cc: vv * inv for cc, vv in r.items()}
+    return pivots
+
+
+def fraction_rank(rows) -> int:
+    return len(fraction_forward_eliminate(rows))
+
+
+def fraction_row_reduce(rows):
+    """Reduced row echelon basis of the row space, sorted by pivot column."""
+    pivots = fraction_forward_eliminate(rows)
+    for c in sorted(pivots, reverse=True):
+        pr = pivots[c]
+        for c2, r2 in pivots.items():
+            if c2 >= c or c not in r2:
+                continue
+            coef = r2[c]
+            for cc, vv in pr.items():
+                nv = r2.get(cc, 0) - coef * vv
+                if nv:
+                    r2[cc] = nv
+                else:
+                    r2.pop(cc, None)
+    return [pivots[c] for c in sorted(pivots)]
+
+
+def fraction_intersect_rowspaces(u_rows, w_rows, ncols: int):
+    """RREF basis of the intersection of two row spaces (Zassenhaus)."""
+    stacked = []
+    for u in u_rows:
+        r = dict(u)
+        r.update({c + ncols: v for c, v in u.items()})
+        stacked.append(r)
+    stacked.extend(dict(w) for w in w_rows)
+    pivots = fraction_forward_eliminate(stacked)
+    inter = [
+        {c - ncols: v for c, v in row.items()}
+        for piv, row in pivots.items()
+        if piv >= ncols
+    ]
+    return fraction_row_reduce(inter)
+
+
+def fraction_solve_in_span(vectors, target):
+    """Coefficients x with sum(x_i * vectors[i]) == target, or None."""
+    pivots = {}
+    combos = {}  # pivot col -> combination over vector indices
+    for i, vec in enumerate(vectors):
+        r = dict(vec)
+        comb = {i: Fraction(1)}
+        while r:
+            c = min(r)
+            if c not in pivots:
+                inv = Fraction(1) / r[c]
+                pivots[c] = {cc: vv * inv for cc, vv in r.items()}
+                combos[c] = {cc: vv * inv for cc, vv in comb.items()}
+                break
+            coef = r[c]
+            for cc, vv in pivots[c].items():
+                nv = r.get(cc, 0) - coef * vv
+                if nv:
+                    r[cc] = nv
+                else:
+                    r.pop(cc, None)
+            for cc, vv in combos[c].items():
+                nv = comb.get(cc, 0) - coef * vv
+                if nv:
+                    comb[cc] = nv
+                else:
+                    comb.pop(cc, None)
+    r = dict(target)
+    sol = {}
+    while r:
+        c = min(r)
+        if c not in pivots:
+            return None
+        coef = r[c]
+        for cc, vv in pivots[c].items():
+            nv = r.get(cc, 0) - coef * vv
+            if nv:
+                r[cc] = nv
+            else:
+                r.pop(cc, None)
+        for cc, vv in combos[c].items():
+            sol[cc] = sol.get(cc, Fraction(0)) + coef * vv
+    return [sol.get(i, Fraction(0)) for i in range(len(vectors))]

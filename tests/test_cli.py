@@ -158,3 +158,35 @@ def test_resource_cap_exit_3(capsys, tmp_path, monkeypatch):
     run(capsys, "model-poly", "--n", "3", "--out", str(path))
     monkeypatch.setenv("DGQ_PATH_CAP", "2")
     assert run(capsys, "cohomology", "--model", str(path), "--hmin", "-3", "--adams-max", "6")[0] == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_path_cap_exits_2(capsys, tmp_path, monkeypatch, value):
+    path = tmp_path / "model.json"
+    run(capsys, "model-poly", "--n", "2", "--out", str(path))
+    monkeypatch.setenv("DGQ_PATH_CAP", value)
+    code, out, err = run(capsys, "cohomology", "--model", str(path), "--hmin", "-1", "--adams-max", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: DGQ_PATH_CAP")
+
+
+def test_cohomology_of_a_long_loop_exits_0(capsys, tmp_path):
+    """One vertex, one loop of hdeg 0 and adeg 1: paths up to length 1500
+    used to overflow the recursive path enumeration."""
+    model = {
+        "quiver": {"vertices": [0], "arrows": [{"id": "a", "source": 0, "target": 0, "hdeg": 0, "adeg": 1}]},
+        "differential": {},
+    }
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(model))
+    code, out, _ = run(capsys, "cohomology", "--model", str(path), "--hmin", "0", "--adams-max", "1500")
+    assert code == 0
+    dims = json.loads(out)["dims"]
+    assert dims == {f"0,{a}": 1 for a in range(1501)}
+    code, out, _ = run(
+        capsys, "cohomology", "--model", str(path), "--hmin", "0", "--adams-max", "1500", "--format", "table"
+    )
+    assert code == 0
+    header, row = out.splitlines()
+    assert header.split()[-1] == "1500" and row.split() == ["0"] + ["1"] * 1501

@@ -1,0 +1,105 @@
+"""CLI and serializer output pinned byte for byte.
+
+The files under ``golden/`` were written by the Fraction-only
+implementation.  Any change to the arithmetic or elimination kernels must
+leave these outputs unchanged.  To rebuild them after a deliberate change
+of output format, run ``python tests/test_golden.py --write`` from the
+repository root with ``src`` on the path.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from fractions import Fraction
+from pathlib import Path as FilePath
+
+import pytest
+
+from dgquiver import serialize
+from dgquiver.cli import main
+from dgquiver.core import Arrow, AlgebraElement, GradedQuiver, Path
+from dgquiver.koszul import (
+    McKayData,
+    delete_vertex,
+    mckay_commutation_presentation,
+    mckay_model,
+    minimal_model_general,
+    polynomial_model,
+)
+from dgquiver.presentations import QuadraticPresentation
+
+GOLDEN = FilePath(__file__).parent / "golden"
+
+QUANTUM_Q = {(1, 2): Fraction(3, 7), (1, 3): Fraction(-5, 11), (2, 3): Fraction(13, 2)}
+
+
+def _cli(*argv: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0
+    return out.getvalue()
+
+
+def _write(path: FilePath, doc) -> str:
+    path.write_text(serialize.dumps(doc))
+    return str(path)
+
+
+def _quantum_model():
+    names = ("x1", "x2", "x3")
+    quiver = GradedQuiver((0,), tuple(Arrow(x, 0, 0, 0, 1) for x in names))
+    relators = tuple(
+        AlgebraElement(quiver, {Path(0, (f"x{i}", f"x{j}")): 1, Path(0, (f"x{j}", f"x{i}")): -q})
+        for (i, j), q in QUANTUM_Q.items()
+    )
+    return minimal_model_general(QuadraticPresentation(quiver, relators), 3)
+
+
+def golden_outputs(work: FilePath) -> dict[str, str]:
+    poly = _write(work / "poly3.json", serialize.model_to_json(polynomial_model(3)))
+    mckay = _write(work / "mckay3.json", serialize.model_to_json(mckay_model(McKayData(3, (1, 1, 1)))))
+    data = McKayData(5, (1, 1, 1, 2))
+    deleted = _write(work / "deleted5.json", serialize.model_to_json(delete_vertex(mckay_model(data), 0)))
+    quotient = _write(
+        work / "quotient5.json",
+        serialize.presentation_to_json(mckay_commutation_presentation(data).delete_vertex(0)),
+    )
+    window = ("--hmin", "-4", "--adams-max", "4")
+    return {
+        "cohomology_poly3.json": _cli("cohomology", "--model", poly, *window),
+        "cohomology_mckay3_111.json": _cli("cohomology", "--model", mckay, *window),
+        "compare_h0_mckay5_1112.json": _cli(
+            "compare-h0", "--model", deleted, "--presentation", quotient, "--adams-max", "5"
+        ),
+        "quantum3_model.json": serialize.dumps(serialize.model_to_json(_quantum_model())),
+    }
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return golden_outputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "cohomology_poly3.json",
+        "cohomology_mckay3_111.json",
+        "compare_h0_mckay5_1112.json",
+        "quantum3_model.json",
+    ],
+)
+def test_output_matches_golden_file(outputs, name):
+    assert outputs[name] == (GOLDEN / name).read_text()
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in golden_outputs(FilePath(tmp)).items():
+            (GOLDEN / name).write_text(text)

@@ -201,3 +201,36 @@ def test_path_cap_env_override(monkeypatch):
     assert path_cap(7) == 7
     monkeypatch.delenv("DGQ_PATH_CAP")
     assert path_cap() == 10**6
+
+
+def test_compare_h0_rejects_non_injective_map_padded_with_extra_keys():
+    model = polynomial_model(2)
+    pres = h0_presentation(model)
+    assert compare_h0(model, pres, 4)["status"] == "pass"
+    # x1 and x2 both land on x1; the unused key zzz covers x2, so the
+    # values of the whole map do cover the presentation's arrows
+    with pytest.raises(InvalidInputError, match="bijection"):
+        compare_h0(model, pres, 4, arrow_map={"x1": "x1", "x2": "x1", "zzz": "x2"})
+    # not surjective: a presentation with one more arrow than generators
+    q = pres.quiver
+    bigger = PresentedAlgebra(GradedQuiver(q.vertices, q.arrows + (Arrow("y", 0, 0, 0, 1),)), ())
+    with pytest.raises(InvalidInputError, match="bijection"):
+        compare_h0(model, bigger, 4)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+def test_path_cap_env_rejects_bad_values(monkeypatch, value):
+    from dgquiver.homology import path_cap
+
+    monkeypatch.setenv("DGQ_PATH_CAP", value)
+    with pytest.raises(InvalidInputError, match="DGQ_PATH_CAP"):
+        path_cap()
+
+
+def test_enumeration_is_not_recursive():
+    """Paths far longer than the interpreter's recursion limit."""
+    q = GradedQuiver((0,), (Arrow("a", 0, 0, 0, 1),))
+    model = DGModel(q, Differential(q, {}))
+    dims = cohomology_dims(model, 0, 1500)
+    assert all(dims[(0, a)] == 1 for a in range(1501))
+    assert truncated_dims(PresentedAlgebra(q, ()), 1500) == {(0, 0, a): 1 for a in range(1501)}

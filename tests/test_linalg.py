@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgquiver import linalg
+import oracles
 from oracles import dense, intersect_two, rowspace_basis, sympy_rank
 
 NCOLS = 6
@@ -90,3 +91,114 @@ def test_rref_examples():
         {2: Fraction(1)},
     ]
     assert linalg.rank(rows) == 2
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free kernel against the former Fraction kernel: equal rank,
+# equal RREF rows and the same exact solve_in_span solution vector.
+
+PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+entries = st.one_of(
+    st.integers(min_value=-3, max_value=3).filter(bool),
+    st.builds(
+        lambda sign, p, r: Fraction(sign * p, r),
+        st.sampled_from((-1, 1)),
+        st.sampled_from(PRIMES),
+        st.sampled_from(PRIMES),
+    ),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6).filter(bool),
+)
+
+oracle_rows = st.lists(
+    st.dictionaries(st.integers(min_value=0, max_value=NCOLS - 1), entries, max_size=NCOLS),
+    max_size=7,
+)
+
+
+@st.composite
+def redundant_rows(draw):
+    """Rows with zero rows, exact duplicates and rescaled copies mixed in."""
+    rows = draw(oracle_rows)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if rows:
+            row = draw(st.sampled_from(rows))
+            scale = draw(st.sampled_from((1, -1, 2, Fraction(-7, 3))))
+            rows.insert(draw(st.integers(0, len(rows))), {c: scale * v for c, v in row.items()})
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), {})
+    return rows
+
+
+def _as_fractions(rows):
+    return [{c: Fraction(v) for c, v in row.items()} for row in rows]
+
+
+def _assert_fraction_rows(ours, theirs):
+    assert ours == theirs
+    for row in ours:
+        assert all(type(v) is Fraction for v in row.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(redundant_rows())
+def test_rank_matches_fraction_kernel(rows):
+    expected = oracles.fraction_rank(_as_fractions(rows))
+    assert linalg.rank(rows) == expected
+    assert linalg.rank(iter(rows)) == expected
+    assert linalg.rank(dict(r) for r in rows) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(redundant_rows())
+def test_row_reduce_matches_fraction_kernel(rows):
+    expected = oracles.fraction_row_reduce(_as_fractions(rows))
+    _assert_fraction_rows(linalg.row_reduce(rows), expected)
+    _assert_fraction_rows(linalg.row_reduce(dict(r) for r in rows), expected)
+    for row in expected:
+        assert row[min(row)] == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(redundant_rows(), redundant_rows())
+def test_intersection_matches_fraction_kernel(u_rows, w_rows):
+    u = linalg.row_reduce(u_rows)
+    w = linalg.row_reduce(w_rows)
+    expected = oracles.fraction_intersect_rowspaces(u, w, NCOLS)
+    _assert_fraction_rows(linalg.intersect_rowspaces(u, w, NCOLS), expected)
+    # unreduced, redundant spanning sets give the same intersection
+    _assert_fraction_rows(linalg.intersect_rowspaces(u_rows, w_rows, NCOLS), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(redundant_rows(), st.lists(entries, max_size=8), st.booleans())
+def test_solve_in_span_matches_fraction_kernel(vectors, coeffs, inside):
+    if inside:
+        target: dict[int, Fraction] = {}
+        for vec, c in zip(vectors, coeffs):
+            for col, v in vec.items():
+                target[col] = target.get(col, 0) + c * v
+        target = {col: v for col, v in target.items() if v}
+    else:
+        target = {NCOLS - 1: coeffs[0]} if coeffs else {}
+    expected = oracles.fraction_solve_in_span(_as_fractions(vectors), _as_fractions([target])[0])
+    ours = linalg.solve_in_span(vectors, target)
+    assert ours == expected
+    if ours is not None:
+        assert all(type(x) is Fraction for x in ours)
+
+
+def test_kernel_examples_with_large_heights():
+    rows = [
+        {0: Fraction(-13, 999983), 1: Fraction(47, 11), 2: Fraction(1, 2)},
+        {0: Fraction(26, 999983), 1: Fraction(-94, 11), 2: Fraction(-1)},
+        {1: Fraction(29, 31), 2: Fraction(-41, 43)},
+        {},
+    ]
+    assert linalg.rank(rows) == oracles.fraction_rank(rows) == 2
+    assert linalg.row_reduce(rows) == oracles.fraction_row_reduce(rows)
+    target = {c: 3 * v for c, v in rows[0].items()}
+    for c, v in rows[2].items():
+        target[c] = target.get(c, 0) - Fraction(2, 7) * v
+    assert linalg.solve_in_span(rows, target) == [3, 0, Fraction(-2, 7), 0]
+    assert linalg.solve_in_span(rows, target) == oracles.fraction_solve_in_span(rows, target)
