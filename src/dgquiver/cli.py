@@ -47,6 +47,15 @@ def _max_adeg(model: DGModel) -> int:
     return max((a.adeg for a in model.quiver.arrows), default=0)
 
 
+def _failed_check(model: DGModel) -> dict | None:
+    """The report of the grading check, or else of the d^2 check, when it
+    fails on the model; None when both pass."""
+    report = check_grading(model.differential)
+    if report["status"] == "pass":
+        report = check_d_squared(model.differential, _max_adeg(model))
+    return None if report["status"] == "pass" else report
+
+
 def _run_verifications(model: DGModel, what: str, nadams: int | None) -> list[dict]:
     reports = []
     if what in ("grading", "all"):
@@ -114,6 +123,10 @@ def _coerce_vertex(quiver, text: str):
 
 def cmd_cohomology(args) -> int:
     model = serialize.model_from_json(_load(args.model))
+    failed = _failed_check(model)
+    if failed:
+        _emit(args, failed)
+        return 1
     table = cohomology_dims(model, args.hmin, args.adams_max)
     if args.format == "table":
         lines = ["h\\a " + " ".join(f"{a:>4}" for a in range(args.adams_max + 1))]
@@ -134,11 +147,22 @@ def cmd_cohomology(args) -> int:
 def cmd_compare_h0(args) -> int:
     model = serialize.model_from_json(_load(args.model))
     pres = serialize.presentation_from_json(_load(args.presentation))
+    failed = _failed_check(model)
+    if failed:
+        _emit(args, failed)
+        return 1
     arrow_map = vertex_map = None
     if args.map:
         doc = _load(args.map)
+        if not isinstance(doc, dict):
+            raise InvalidInputError("malformed map document: not an object")
         arrow_map = doc.get("arrows")
         vertex_map = doc.get("vertices")
+        for part in (arrow_map, vertex_map):
+            if part is not None and not (
+                isinstance(part, dict) and all(isinstance(v, (int, str)) for v in part.values())
+            ):
+                raise InvalidInputError("malformed map document: arrows and vertices must map ids to ids")
         if vertex_map is not None:
             vertex_map = {_intish(k): v for k, v in vertex_map.items()}
     report = compare_h0(model, pres, args.adams_max, arrow_map, vertex_map)

@@ -8,13 +8,14 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex
 from .differential import Differential, DGModel, check_d_squared, check_grading
 from .errors import InvalidInputError
 from .homology import cohomology_dims, truncated_dims
-from .koszul import McKayData, mckay_arrow_name, shuffle_sign, _subset_name
+from .koszul import McKayData, _jn_series, _subset_name, mckay_arrow_name, shuffle_sign
 from .presentations import PresentedAlgebra, QuadraticPresentation
 
 
@@ -39,6 +40,10 @@ class SplitModel:
     def ascending_model(self) -> DGModel:
         """The ascending sub-DG-algebra, valid once closure holds."""
         self.require_closure()
+        return self._ascending_model
+
+    @cached_property
+    def _ascending_model(self) -> DGModel:
         q = self.model.quiver
         arrows = tuple(a for a in q.arrows if a.name in self.ascending)
         sub = GradedQuiver(q.vertices, arrows)
@@ -144,13 +149,11 @@ def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
         }
         return _fail("c_koszul", {"h0_vs_C": diff})
 
-    from .koszul import compute_Jn
-
     pres = QuadraticPresentation(c.quiver, c.relators)
     n = len(s.data.weights)
-    for deg in range(1, n + 2):
+    for deg, basis in zip(range(1, n + 2), _jn_series(pres)):
         jn: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
-        for b in compute_Jn(pres, deg):
+        for b in basis:
             jn[b.endpoints()] += 1
         gens: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
         for a in asc.quiver.arrows:
@@ -196,7 +199,7 @@ class OmegaTilde:
     generators: tuple[OmegaGenerator, ...]
     d_on_generators: dict[str, BimoduleElement]
 
-    @property
+    @cached_property
     def by_name(self) -> dict[str, OmegaGenerator]:
         return {g.name: g for g in self.generators}
 
@@ -219,14 +222,14 @@ class OmegaTilde:
             else:
                 out.pop(term, None)
 
-        gen_hdeg = {g.name: g.hdeg for g in self.generators}
+        by_name = self.by_name
         for (u, g, v), c in el.items():
             for u2, cu in dd.apply_to_path(u).items():
                 add((u2, g, v), c * cu)
             sign_u = -1 if q.path_hdeg(u) % 2 else 1
             for (p, g2, r), cg in self.d_on_generators.get(g, {}).items():
                 add((Path(u.start, u.arrows + p.arrows), g2, Path(r.start, r.arrows + v.arrows)), c * sign_u * cg)
-            sign_ug = -1 if (q.path_hdeg(u) + gen_hdeg[g]) % 2 else 1
+            sign_ug = -1 if (q.path_hdeg(u) + by_name[g].hdeg) % 2 else 1
             for v2, cv in dd.apply_to_path(v).items():
                 add((u, g, v2), c * sign_u * sign_ug * cv)
         return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .core import AlgebraElement, GradedQuiver, Path, Vertex, vertex_key
@@ -154,59 +155,101 @@ def truncated_dims(
 ) -> dict[tuple[Vertex, Vertex, int], int]:
     """Graded dimensions of kQ/(relators) up to Adams degree nadams.
 
-    Keys (source, target, adeg); zero entries are dropped.  Ideal
-    membership per degree is the span of all u * r * v, which is exact
-    degreewise since relators are Adams-homogeneous.
+    Keys (source, target, adeg); zero entries are dropped.  Works degree
+    by degree on normal words, the paths not reduced by the ideal I.  The
+    candidate columns of degree a are the w*y with y an arrow and w a
+    normal word of degree a - |y| ending at source(y); the relation rows
+    are w*r for each relator r of degree d >= 1 and each normal word w of
+    degree a - d ending at source(r), rewritten into candidate columns by
+    pushing w through all but the last arrow of each term with the normal
+    forms of lower degrees.  Reducing the rows leaves the normal words of
+    degree a as the non-pivot columns, and the pivot rows give the normal
+    forms of the rest.  This is exact: every path of degree a is p*y with
+    p equal to its normal form modulo I, any u*r*v with v = v'*y lies in
+    I_{a-|y|}*y, and u*r equals (normal form of u)*r modulo I*y terms, so
+    kQ_a/I_a is the span of the candidates modulo the relation rows.  A
+    degree-0 relator c*e_v kills the vertex v.  The path cap bounds the
+    candidate columns summed over all degrees.
     """
     if nadams < 0:
         raise InvalidInputError("nadams must be >= 0")
     cap = path_cap(cap)
     q = pres.quiver
-    by_adeg: dict[int, list[Path]] = defaultdict(list)
+    killed = {r.endpoints()[0] for r in pres.relators if r.adeg() == 0}
+    relators = [(r.adeg(), r.endpoints()[0], r.terms) for r in pres.relators]
+    arrows = [y for y in q.arrows if y.target not in killed]
+    # normal[a][v]: normal words of degree a ending at v; nf[p]: the normal
+    # form {normal word: coeff} of every candidate column p
+    normal: list[dict[Vertex, list[Path]]] = [{v: [Path(v)] for v in q.vertices if v not in killed}]
+    nf: dict[Path, dict[Path, Fraction]] = {}
     total = 0
-    stack = [(Path(v), v, 0) for v in reversed(q.vertices)]
-    while stack:
-        p, end, a = stack.pop()
-        total += 1
+
+    def times(vec: dict[Path, Fraction], y: str) -> dict[Path, Fraction]:
+        out: dict[Path, Fraction] = {}
+        for u, c in vec.items():
+            for w, cw in nf.get(Path(u.start, u.arrows + (y,)), {}).items():
+                acc = out.get(w, 0) + c * cw
+                if acc:
+                    out[w] = acc
+                else:
+                    del out[w]
+        return out
+
+    for a in range(1, nadams + 1):
+        cols = sorted(
+            (
+                Path(w.start, w.arrows + (y.name,))
+                for y in arrows
+                if y.adeg <= a
+                for w in normal[a - y.adeg].get(y.source, ())
+            ),
+            key=Path.sort_key,
+        )
+        total += len(cols)
         if total > cap:
             raise ResourceLimitError(f"path count exceeds cap {cap}; raise DGQ_PATH_CAP")
-        by_adeg[a].append(p)
-        for arr in reversed(q.out_arrows(end)):
-            if a + arr.adeg <= nadams:
-                stack.append((Path(p.start, p.arrows + (arr.name,)), arr.target, a + arr.adeg))
+        index = {p: i for i, p in enumerate(cols)}
+        rows: list[linalg.SparseVec] = []
+        for d, src, terms in relators:
+            if not 1 <= d <= a:
+                continue
+            for w in normal[a - d].get(src, ()):
+                row: linalg.SparseVec = {}
+                for p, c in terms.items():
+                    vec = {w: c}
+                    for y in p.arrows[:-1]:
+                        vec = times(vec, y)
+                    for u, cu in vec.items():
+                        col = index.get(Path(u.start, u.arrows + p.arrows[-1:]))
+                        if col is not None:
+                            acc = row.get(col, 0) + cu
+                            if acc:
+                                row[col] = acc
+                            else:
+                                del row[col]
+                if row:
+                    rows.append(row)
+        level: dict[Vertex, list[Path]] = defaultdict(list)
+        pivots = {}
+        for row in linalg.row_reduce(rows):
+            piv = min(row)
+            pivots[piv] = {cols[k]: -c for k, c in row.items() if k != piv}
+        for i, p in enumerate(cols):
+            if i in pivots:
+                nf[p] = pivots[i]
+            else:
+                nf[p] = {p: Fraction(1)}
+                level[q.path_target(p)].append(p)
+        normal.append(level)
 
     dims: dict[tuple[Vertex, Vertex, int], int] = {}
-    for a in range(nadams + 1):
-        paths = sorted(by_adeg.get(a, ()), key=Path.sort_key)
-        if not paths:
-            continue
-        index: dict[Path, int] = {}
+    for a, level in enumerate(normal):
         blocks: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
-        for i, p in enumerate(paths):
-            index[p] = i
-            blocks[(p.start, q.path_target(p))] += 1
-        rows_by_block: dict[tuple[Vertex, Vertex], list[linalg.SparseVec]] = defaultdict(list)
-        for r in pres.relators:
-            src, tgt = r.endpoints()
-            dr = r.adeg()
-            if dr > a:
-                continue
-            for au in range(a - dr + 1):
-                for u in by_adeg.get(au, ()):
-                    if q.path_target(u) != src:
-                        continue
-                    for v in by_adeg.get(a - dr - au, ()):
-                        if v.start != tgt:
-                            continue
-                        row = {
-                            index[Path(u.start, u.arrows + p.arrows + v.arrows)]: c
-                            for p, c in r.terms.items()
-                        }
-                        rows_by_block[(u.start, q.path_target(v))].append(row)
-        for (s, t), count in sorted(blocks.items(), key=lambda kv: (vertex_key(kv[0][0]), vertex_key(kv[0][1]))):
-            dim = count - linalg.rank(rows_by_block.get((s, t), ()))
-            if dim:
-                dims[(s, t, a)] = dim
+        for t, words in level.items():
+            for w in words:
+                blocks[(w.start, t)] += 1
+        for (s, t), dim in sorted(blocks.items(), key=lambda kv: (vertex_key(kv[0][0]), vertex_key(kv[0][1]))):
+            dims[(s, t, a)] = dim
     return dims
 
 

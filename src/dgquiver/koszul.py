@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
+from typing import Iterator
 
 from . import linalg
 from .core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex
@@ -223,69 +224,66 @@ def delete_vertex(model: DGModel, v: Vertex) -> DGModel:
 # general quadratic algebras
 
 
-def _paths_of_length(quiver: GradedQuiver, n: int) -> list[Path]:
-    paths = [Path(v) for v in quiver.vertices]
-    for _ in range(n):
-        paths = [
-            Path(p.start, p.arrows + (a.name,))
-            for p in paths
-            for a in quiver.out_arrows(quiver.path_target(p))
-        ]
-    return sorted(paths, key=Path.sort_key)
+def _to_sparse(terms: dict[Path, Fraction], index: dict[Path, int]) -> linalg.SparseVec:
+    """terms as a sparse row; a path not yet in index gets the next column."""
+    return {index.setdefault(p, len(index)): c for p, c in terms.items()}
 
 
-def _to_sparse(el: AlgebraElement, index: dict[Path, int]) -> linalg.SparseVec:
-    return {index[p]: c for p, c in el.terms.items()}
+def _echelon_elements(
+    quiver: GradedQuiver, u_rows: list[dict[Path, Fraction]], w_rows: list[dict[Path, Fraction]] | None = None
+) -> list[AlgebraElement]:
+    """RREF basis of the span of u_rows, or of its intersection with the
+    span of w_rows, over the canonical ordering of the paths involved."""
+    cols = sorted({p for row in chain(u_rows, w_rows or ()) for p in row}, key=Path.sort_key)
+    index = {p: i for i, p in enumerate(cols)}
+    u = [_to_sparse(row, index) for row in u_rows]
+    if w_rows is None:
+        rows = linalg.row_reduce(u)
+    else:
+        rows = linalg.intersect_rowspaces(u, [_to_sparse(row, index) for row in w_rows], len(cols))
+    return [AlgebraElement(quiver, {cols[i]: c for i, c in row.items()}) for row in rows]
 
 
-def _from_sparse(quiver: GradedQuiver, row: linalg.SparseVec, paths: list[Path]) -> AlgebraElement:
-    return AlgebraElement(quiver, {paths[i]: c for i, c in row.items()})
+def _jn_series(pres: QuadraticPresentation) -> Iterator[list[AlgebraElement]]:
+    """The bases of J_1, J_2, J_3, ... in turn; see compute_Jn."""
+    q = pres.quiver
+    yield [q.gen(a.name) for a in sorted(q.arrows, key=lambda a: a.name)]
+    basis = _echelon_elements(q, [r.terms for r in pres.relators])
+    while True:
+        yield basis
+        if basis:
+            ends = [b.endpoints() for b in basis]
+            left = [
+                {Path(p.start, p.arrows + (y.name,)): c for p, c in b.terms.items()}
+                for b, (_s, t) in zip(basis, ends)
+                for y in q.out_arrows(t)
+            ]
+            right = [
+                {Path(x.source, (x.name,) + p.arrows): c for p, c in b.terms.items()}
+                for x in q.arrows
+                for b, (s, _t) in zip(basis, ends)
+                if s == x.target
+            ]
+            basis = _echelon_elements(q, left, right)
 
 
 def compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
     """Ordered rational basis of J_n = ∩_i V^{⊗i} ⊗ R ⊗ V^{⊗ n-2-i}.
 
     J_1 is the arrow span, J_2 the relator span; bases are returned in
-    reduced row echelon form over the canonical path ordering.
+    reduced row echelon form over the canonical path ordering.  For
+    n >= 3 the basis comes from the recursion
+    J_n = (J_{n-1} ⊗ V) ∩ (V ⊗ J_{n-1}), one intersection of the rows
+    b*y and x*b over the RREF rows b of J_{n-1} and the arrows x, y.  It
+    is exact because tensoring with V preserves intersections, so
+    J_{n-1} ⊗ V is the intersection over i <= n-3 of the factors
+    V^{⊗i} ⊗ R ⊗ V^{⊗ n-2-i} and V ⊗ J_{n-1} that over i >= 1.  An
+    RREF basis is unique for a fixed column order, so the bases are the
+    same as those of the full intersection.
     """
     if n < 1:
         raise InvalidInputError("need n >= 1")
-    q = pres.quiver
-    if n == 1:
-        return [q.gen(a.name) for a in sorted(q.arrows, key=lambda a: a.name)]
-    paths = _paths_of_length(q, n)
-    index = {p: i for i, p in enumerate(paths)}
-    if n == 2:
-        rows = linalg.row_reduce([_to_sparse(r, index) for r in pres.relators])
-        return [_from_sparse(q, row, paths) for row in rows]
-
-    def factor_space(i: int) -> list[linalg.SparseVec]:
-        """Spanning rows of V^{⊗i} ⊗ R ⊗ V^{⊗ n-2-i}."""
-        lefts = _paths_of_length(q, i)
-        rights = _paths_of_length(q, n - 2 - i)
-        rows = []
-        for r in pres.relators:
-            src, tgt = r.endpoints()
-            for u in lefts:
-                if q.path_target(u) != src:
-                    continue
-                for v in rights:
-                    if v.start != tgt:
-                        continue
-                    rows.append(
-                        {
-                            index[Path(u.start, u.arrows + p.arrows + v.arrows)]: c
-                            for p, c in r.terms.items()
-                        }
-                    )
-        return linalg.row_reduce(rows)
-
-    basis = factor_space(0)
-    for i in range(1, n - 1):
-        if not basis:
-            return []
-        basis = linalg.intersect_rowspaces(basis, factor_space(i), len(paths))
-    return [_from_sparse(q, row, paths) for row in basis]
+    return next(islice(_jn_series(pres), n - 1, None))
 
 
 def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
@@ -293,7 +291,7 @@ def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
     n <= nmax, and d(a) = sum_i (-1)^{i-1} delta_{i,n-i}(a)."""
     if nmax < 2:
         raise InvalidInputError("need nmax >= 2")
-    bases = {n: compute_Jn(pres, n) for n in range(1, nmax + 1)}
+    bases = dict(zip(range(1, nmax + 1), _jn_series(pres)))
 
     arrows: list[Arrow] = []
     gen_name: dict[tuple[int, int], str] = {}  # (n, basis position) -> arrow name
@@ -309,10 +307,10 @@ def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
     for n in range(2, nmax + 1):
         if not bases[n]:
             continue
-        paths = _paths_of_length(pres.quiver, n)
-        index = {p: i for i, p in enumerate(paths)}
+        # solve_in_span's answer does not depend on the column order
+        index: dict[Path, int] = {}
         for k, b in enumerate(bases[n]):
-            target_vec = _to_sparse(b, index)
+            target_vec = _to_sparse(b.terms, index)
             terms: dict[Path, Fraction] = {}
             for i in range(1, n):
                 prods: list[linalg.SparseVec] = []
@@ -321,7 +319,7 @@ def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
                     for kb, vb in enumerate(bases[n - i]):
                         if va.endpoints()[1] != vb.endpoints()[0]:
                             continue
-                        prods.append(_to_sparse(va * vb, index))
+                        prods.append(_to_sparse((va * vb).terms, index))
                         pairs.append((ka, kb))
                 sol = linalg.solve_in_span(prods, target_vec)
                 if sol is None:

@@ -8,6 +8,7 @@ parse -> serialize is byte-identical.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any
 
@@ -16,6 +17,20 @@ from .differential import Differential, DGModel
 from .errors import InvalidInputError
 from .ginzburg import Superpotential
 from .presentations import PresentedAlgebra
+
+
+# what a document of the wrong shape raises while it is read: a missing
+# key, a list where a dict belongs, a bad number, a zero denominator
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
+
+
+@contextmanager
+def _reading(what: str):
+    """Report a document of the wrong shape as invalid input."""
+    try:
+        yield
+    except _MALFORMED as exc:
+        raise InvalidInputError(f"malformed {what} document: {exc}") from exc
 
 
 def dumps(obj: Any) -> str:
@@ -40,14 +55,12 @@ def quiver_to_json(q: GradedQuiver) -> dict:
 
 
 def quiver_from_json(doc: dict) -> GradedQuiver:
-    try:
+    with _reading("quiver"):
         arrows = tuple(
             Arrow(a["id"], a["source"], a["target"], int(a["hdeg"]), int(a["adeg"]), a.get("label", ""))
             for a in doc["arrows"]
         )
         return GradedQuiver(tuple(doc["vertices"]), arrows)
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed quiver document: {exc}") from exc
 
 
 def element_to_json(el: AlgebraElement) -> list[dict]:
@@ -59,14 +72,12 @@ def element_to_json(el: AlgebraElement) -> list[dict]:
 
 def element_from_json(quiver: GradedQuiver, doc: list) -> AlgebraElement:
     terms = {}
-    try:
+    with _reading("element"):
         for t in doc:
             p = Path(t["start"], tuple(t["path"]))
             if not quiver.is_valid_path(p):
                 raise InvalidInputError(f"invalid path in element: {t}")
             terms[p] = terms.get(p, Fraction(0)) + Fraction(t["coeff"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed element document: {exc}") from exc
     return AlgebraElement(quiver, terms)
 
 
@@ -100,9 +111,10 @@ def model_to_json(m: DGModel) -> dict:
 
 
 def model_from_json(doc: dict) -> DGModel:
-    q = quiver_from_json(doc["quiver"])
-    d = differential_from_json(q, doc.get("differential", {}))
-    return DGModel(q, d, doc.get("provenance", "general"), doc.get("metadata", {}))
+    with _reading("model"):
+        q = quiver_from_json(doc["quiver"])
+        d = differential_from_json(q, doc.get("differential", {}))
+        return DGModel(q, d, doc.get("provenance", "general"), doc.get("metadata", {}))
 
 
 def presentation_to_json(p: PresentedAlgebra) -> dict:
@@ -113,8 +125,9 @@ def presentation_to_json(p: PresentedAlgebra) -> dict:
 
 
 def presentation_from_json(doc: dict) -> PresentedAlgebra:
-    q = quiver_from_json(doc["quiver"])
-    return PresentedAlgebra(q, tuple(element_from_json(q, r) for r in doc.get("relators", [])))
+    with _reading("presentation"):
+        q = quiver_from_json(doc["quiver"])
+        return PresentedAlgebra(q, tuple(element_from_json(q, r) for r in doc.get("relators", [])))
 
 
 def potential_to_json(w: Superpotential) -> list[dict]:
@@ -126,13 +139,11 @@ def potential_to_json(w: Superpotential) -> list[dict]:
 
 def potential_from_json(quiver: GradedQuiver, doc: list) -> Superpotential:
     terms = {}
-    try:
+    with _reading("potential"):
         for t in doc:
             cycle = tuple(t["cycle"])
             if not cycle:
                 raise InvalidInputError("empty cycle in potential")
             p = Path(quiver.arrow(cycle[0]).source, cycle)
             terms[p] = terms.get(p, Fraction(0)) + Fraction(t["coeff"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed potential document: {exc}") from exc
     return Superpotential(quiver, terms)

@@ -2,9 +2,11 @@
 
 Everything here takes a second, slower route (dense sympy matrices,
 direct monomial enumeration) so that agreement with the library is a
-genuine cross-check rather than the same code run twice.  The one
-exception is the Fraction elimination at the end, which is the library's
-former kernel, kept to pin the fraction-free kernel to identical results.
+genuine cross-check rather than the same code run twice.  The
+exceptions are the library's former routines at the end: the Fraction
+elimination kernel, which pins the fraction-free kernel to identical
+results, and the old span builders of ``truncated_dims`` and
+``compute_Jn``, which pin the normal-word and J_n recursions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,11 @@ from itertools import combinations_with_replacement
 
 import sympy
 
-from dgquiver.core import GradedQuiver, Path
+from dgquiver import linalg
+from dgquiver.core import AlgebraElement, GradedQuiver, Path, Vertex, vertex_key
+from dgquiver.errors import InvalidInputError, ResourceLimitError
+from dgquiver.homology import path_cap
+from dgquiver.presentations import PresentedAlgebra, QuadraticPresentation
 
 
 def dense(rows, ncols) -> sympy.Matrix:
@@ -231,3 +237,125 @@ def fraction_solve_in_span(vectors, target):
         for cc, vv in combos[c].items():
             sol[cc] = sol.get(cc, Fraction(0)) + coef * vv
     return [sol.get(i, Fraction(0)) for i in range(len(vectors))]
+
+
+# ---------------------------------------------------------------------------
+# The former span builders of dgquiver.homology.truncated_dims (every
+# u * r * v) and dgquiver.koszul.compute_Jn (the intersection of all
+# V^i R V^(n-2-i)), kept verbatim as oracles for the normal-word and J_n
+# recursions that replaced them.
+
+
+def old_truncated_dims(
+    pres: PresentedAlgebra, nadams: int, cap: int | None = None
+) -> dict[tuple[Vertex, Vertex, int], int]:
+    """Graded dimensions of kQ/(relators) up to Adams degree nadams.
+
+    Keys (source, target, adeg); zero entries are dropped.  Ideal
+    membership per degree is the span of all u * r * v, which is exact
+    degreewise since relators are Adams-homogeneous.
+    """
+    if nadams < 0:
+        raise InvalidInputError("nadams must be >= 0")
+    cap = path_cap(cap)
+    q = pres.quiver
+    by_adeg: dict[int, list[Path]] = defaultdict(list)
+    total = 0
+    stack = [(Path(v), v, 0) for v in reversed(q.vertices)]
+    while stack:
+        p, end, a = stack.pop()
+        total += 1
+        if total > cap:
+            raise ResourceLimitError(f"path count exceeds cap {cap}; raise DGQ_PATH_CAP")
+        by_adeg[a].append(p)
+        for arr in reversed(q.out_arrows(end)):
+            if a + arr.adeg <= nadams:
+                stack.append((Path(p.start, p.arrows + (arr.name,)), arr.target, a + arr.adeg))
+
+    dims: dict[tuple[Vertex, Vertex, int], int] = {}
+    for a in range(nadams + 1):
+        paths = sorted(by_adeg.get(a, ()), key=Path.sort_key)
+        if not paths:
+            continue
+        index: dict[Path, int] = {}
+        blocks: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
+        for i, p in enumerate(paths):
+            index[p] = i
+            blocks[(p.start, q.path_target(p))] += 1
+        rows_by_block: dict[tuple[Vertex, Vertex], list[linalg.SparseVec]] = defaultdict(list)
+        for r in pres.relators:
+            src, tgt = r.endpoints()
+            dr = r.adeg()
+            if dr > a:
+                continue
+            for au in range(a - dr + 1):
+                for u in by_adeg.get(au, ()):
+                    if q.path_target(u) != src:
+                        continue
+                    for v in by_adeg.get(a - dr - au, ()):
+                        if v.start != tgt:
+                            continue
+                        row = {
+                            index[Path(u.start, u.arrows + p.arrows + v.arrows)]: c
+                            for p, c in r.terms.items()
+                        }
+                        rows_by_block[(u.start, q.path_target(v))].append(row)
+        for (s, t), count in sorted(blocks.items(), key=lambda kv: (vertex_key(kv[0][0]), vertex_key(kv[0][1]))):
+            dim = count - linalg.rank(rows_by_block.get((s, t), ()))
+            if dim:
+                dims[(s, t, a)] = dim
+    return dims
+
+
+def _to_sparse(el: AlgebraElement, index: dict[Path, int]) -> linalg.SparseVec:
+    return {index[p]: c for p, c in el.terms.items()}
+
+
+def _from_sparse(quiver: GradedQuiver, row: linalg.SparseVec, paths: list[Path]) -> AlgebraElement:
+    return AlgebraElement(quiver, {paths[i]: c for i, c in row.items()})
+
+
+def old_compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
+    """Ordered rational basis of J_n = ∩_i V^{⊗i} ⊗ R ⊗ V^{⊗ n-2-i}.
+
+    J_1 is the arrow span, J_2 the relator span; bases are returned in
+    reduced row echelon form over the canonical path ordering.
+    """
+    if n < 1:
+        raise InvalidInputError("need n >= 1")
+    q = pres.quiver
+    if n == 1:
+        return [q.gen(a.name) for a in sorted(q.arrows, key=lambda a: a.name)]
+    paths = paths_of_length(q, n)
+    index = {p: i for i, p in enumerate(paths)}
+    if n == 2:
+        rows = linalg.row_reduce([_to_sparse(r, index) for r in pres.relators])
+        return [_from_sparse(q, row, paths) for row in rows]
+
+    def factor_space(i: int) -> list[linalg.SparseVec]:
+        """Spanning rows of V^{⊗i} ⊗ R ⊗ V^{⊗ n-2-i}."""
+        lefts = paths_of_length(q, i)
+        rights = paths_of_length(q, n - 2 - i)
+        rows = []
+        for r in pres.relators:
+            src, tgt = r.endpoints()
+            for u in lefts:
+                if q.path_target(u) != src:
+                    continue
+                for v in rights:
+                    if v.start != tgt:
+                        continue
+                    rows.append(
+                        {
+                            index[Path(u.start, u.arrows + p.arrows + v.arrows)]: c
+                            for p, c in r.terms.items()
+                        }
+                    )
+        return linalg.row_reduce(rows)
+
+    basis = factor_space(0)
+    for i in range(1, n - 1):
+        if not basis:
+            return []
+        basis = linalg.intersect_rowspaces(basis, factor_space(i), len(paths))
+    return [_from_sparse(q, row, paths) for row in basis]

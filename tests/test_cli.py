@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dgquiver import McKayData, serialize
+from dgquiver import McKayData, h0_presentation, polynomial_model, serialize
 from dgquiver.cli import main
 from dgquiver.koszul import mckay_commutation_presentation
 
@@ -190,3 +190,95 @@ def test_cohomology_of_a_long_loop_exits_0(capsys, tmp_path):
     assert code == 0
     header, row = out.splitlines()
     assert header.split()[-1] == "1500" and row.split() == ["0"] + ["1"] * 1501
+
+
+def _poly2_doc() -> dict:
+    return serialize.model_to_json(polynomial_model(2))
+
+
+def _with(doc: dict, edit) -> dict:
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+MALFORMED_MODELS = {
+    "missing quiver": {"foo": 1},
+    "not an object": [1],
+    "zero denominator": _with(_poly2_doc(), lambda d: d["differential"]["x12"][0].update(coeff="1/0")),
+    "differential as a list": _with(_poly2_doc(), lambda d: d.update(differential=[1])),
+    "non-integer hdeg": _with(_poly2_doc(), lambda d: d["quiver"]["arrows"][0].update(hdeg="x")),
+}
+
+
+def _h0_presentation_file(tmp_path) -> str:
+    path = tmp_path / "pres.json"
+    path.write_text(serialize.dumps(serialize.presentation_to_json(h0_presentation(polynomial_model(2)))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["cohomology", "compare-h0"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_exits_2(capsys, tmp_path, command, case):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MALFORMED_MODELS[case]))
+    if command == "cohomology":
+        argv = ["cohomology", "--model", str(path), "--hmin", "-2", "--adams-max", "2"]
+    else:
+        argv = ["compare-h0", "--model", str(path), "--presentation", _h0_presentation_file(tmp_path)]
+        argv += ["--adams-max", "2"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [[1], {"arrows": ["x1"]}, {"arrows": {"x1": ["x1"], "x2": "x2"}}, {"vertices": {"0": {}}}])
+def test_malformed_map_exits_2(capsys, tmp_path, doc):
+    model = tmp_path / "model.json"
+    model.write_text(serialize.dumps(_poly2_doc()))
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "compare-h0", "--model", str(model), "--presentation", _h0_presentation_file(tmp_path),
+        "--map", str(map_path), "--adams-max", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed map") and "Traceback" not in err
+
+
+def _verify_failure(capsys, path) -> dict:
+    code, out, _ = run(capsys, "verify", "--model", str(path))
+    assert code == 1
+    return next(r for r in json.loads(out)["checks"] if r["status"] != "pass")
+
+
+def test_cohomology_rejects_a_model_that_fails_the_grading_check(capsys, tmp_path):
+    """d(x12) rewritten to a length-1 path used to crash in the rank step."""
+    doc = _with(_poly2_doc(), lambda d: d["differential"].update(x12=[{"start": 0, "path": ["x1"], "coeff": "1"}]))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cohomology", "--model", str(path), "--hmin", "-2", "--adams-max", "2")
+    assert code == 1
+    report = json.loads(out)
+    assert report["check"] == "grading" and report["witness"]["arrow"] == "x12"
+    assert report == _verify_failure(capsys, path)
+    assert "Traceback" not in err
+
+
+def test_compare_h0_rejects_a_model_that_fails_the_d_squared_check(capsys, tmp_path):
+    doc = serialize.model_to_json(polynomial_model(3))
+    doc["differential"]["x123"][0]["coeff"] = "5"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    pres = tmp_path / "pres.json"
+    pres.write_text(serialize.dumps(serialize.presentation_to_json(h0_presentation(polynomial_model(3)))))
+    code, out, err = run(
+        capsys, "compare-h0", "--model", str(path), "--presentation", str(pres), "--adams-max", "3"
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["check"] == "d_squared" and report["status"] == "fail"
+    assert report == _verify_failure(capsys, path)
+    assert "Traceback" not in err

@@ -1,8 +1,11 @@
 """CLI and serializer output pinned byte for byte.
 
-The files under ``golden/`` were written by the Fraction-only
-implementation.  Any change to the arithmetic or elimination kernels must
-leave these outputs unchanged.  To rebuild them after a deliberate change
+The files under ``golden/`` were written before the changes they guard:
+the first four by the Fraction-only implementation, the McKay (7;11113)
+``compare-h0`` and (6;1^6) ``cy-check`` outputs by the span builders that
+the normal-word and J_n recursions replaced.  Any change to the
+arithmetic, elimination or span kernels must leave these outputs
+unchanged.  To rebuild them after a deliberate change
 of output format, run ``python tests/test_golden.py --write`` from the
 repository root with ``src`` on the path.
 """
@@ -67,6 +70,12 @@ def golden_outputs(work: FilePath) -> dict[str, str]:
         work / "quotient5.json",
         serialize.presentation_to_json(mckay_commutation_presentation(data).delete_vertex(0)),
     )
+    data7 = McKayData(7, (1, 1, 1, 1, 3))
+    deleted7 = _write(work / "deleted7.json", serialize.model_to_json(delete_vertex(mckay_model(data7), 0)))
+    quotient7 = _write(
+        work / "quotient7.json",
+        serialize.presentation_to_json(mckay_commutation_presentation(data7).delete_vertex(0)),
+    )
     window = ("--hmin", "-4", "--adams-max", "4")
     return {
         "cohomology_poly3.json": _cli("cohomology", "--model", poly, *window),
@@ -74,6 +83,10 @@ def golden_outputs(work: FilePath) -> dict[str, str]:
         "compare_h0_mckay5_1112.json": _cli(
             "compare-h0", "--model", deleted, "--presentation", quotient, "--adams-max", "5"
         ),
+        "compare_h0_mckay7_11113.json": _cli(
+            "compare-h0", "--model", deleted7, "--presentation", quotient7, "--adams-max", "6"
+        ),
+        "cy_check_mckay6_111111.json": _cli("cy-check", "--m", "6", "--weights", "1,1,1,1,1,1", "--adams-max", "4"),
         "quantum3_model.json": serialize.dumps(serialize.model_to_json(_quantum_model())),
     }
 
@@ -89,6 +102,8 @@ def outputs(tmp_path_factory):
         "cohomology_poly3.json",
         "cohomology_mckay3_111.json",
         "compare_h0_mckay5_1112.json",
+        "compare_h0_mckay7_11113.json",
+        "cy_check_mckay6_111111.json",
         "quantum3_model.json",
     ],
 )

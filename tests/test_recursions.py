@@ -1,0 +1,91 @@
+"""The normal-word recursion of truncated_dims and the J_n recursion of
+compute_Jn against the span builders they replaced, on random
+presentations."""
+
+from collections import defaultdict
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dgquiver import (
+    AlgebraElement,
+    Arrow,
+    GradedQuiver,
+    Path,
+    PresentedAlgebra,
+    QuadraticPresentation,
+    compute_Jn,
+    truncated_dims,
+)
+from oracles import old_compute_Jn, old_truncated_dims, paths_of_length
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+coeffs = st.builds(
+    lambda sign, p, r: Fraction(sign * p, r),
+    st.sampled_from((-1, 1)),
+    st.sampled_from((1,) + PRIMES),
+    st.sampled_from((1,) + PRIMES),
+)
+
+
+@st.composite
+def presentations(draw, quadratic: bool):
+    """1-3 vertices and 1-4 arrows.  Quadratic: arrows of adeg 1 and
+    relators on paths of length 2.  Otherwise arrows of adeg 1-2, relators
+    on paths of length 1-3 (each Adams-homogeneous and component-pure),
+    and possibly a degree-0 relator c * e_v."""
+    vertices = tuple(range(draw(st.integers(1, 3))))
+    vertex = st.sampled_from(vertices)
+    adeg = st.just(1) if quadratic else st.integers(1, 2)
+    arrows = tuple(
+        Arrow(f"a{i}", draw(vertex), draw(vertex), 0, draw(adeg)) for i in range(draw(st.integers(1, 4)))
+    )
+    q = GradedQuiver(vertices, arrows)
+    blocks: dict[tuple, list[Path]] = defaultdict(list)
+    for n in (2,) if quadratic else (1, 2, 3):
+        for p in paths_of_length(q, n):
+            blocks[(p.start, q.path_target(p), q.path_adeg(p))].append(p)
+    relators = []
+    if blocks:
+        for key in draw(st.lists(st.sampled_from(sorted(blocks)), max_size=4)):
+            terms = draw(st.lists(st.sampled_from(blocks[key]), min_size=1, max_size=3, unique=True))
+            relators.append(AlgebraElement(q, {p: draw(coeffs) for p in terms}))
+    if quadratic:
+        return QuadraticPresentation(q, tuple(relators))
+    for v in draw(st.lists(vertex, max_size=1)):
+        relators.append(AlgebraElement(q, {Path(v): draw(coeffs)}))
+    return PresentedAlgebra(q, tuple(relators))
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(quadratic=False), st.integers(0, 5))
+def test_truncated_dims_matches_the_span_of_all_u_r_v(pres, nadams):
+    got = truncated_dims(pres, nadams)
+    want = old_truncated_dims(pres, nadams)
+    assert list(got.items()) == list(want.items())
+
+
+def test_truncated_dims_pushes_words_through_reducible_prefixes():
+    """k<a, b>/(ab - ba, aba): the row e*aba needs the normal form of its
+    prefix ab, and a*(ab - ba) that of a*b; with raw paths instead, the
+    degree-3 quotient would come out one dimension too large."""
+    q = GradedQuiver((0,), (Arrow("a", 0, 0, 0, 1), Arrow("b", 0, 0, 0, 1)))
+    ab, ba, aba = (Path(0, tuple(w)) for w in ("ab", "ba", "aba"))
+    pres = PresentedAlgebra(q, (AlgebraElement(q, {ab: 1, ba: -1}), AlgebraElement(q, {aba: Fraction(3, 7)})))
+    dims = truncated_dims(pres, 5)
+    assert dims == old_truncated_dims(pres, 5)
+    assert [dims[(0, 0, a)] for a in range(4)] == [1, 2, 3, 3]
+
+
+def test_truncated_dims_without_relators_counts_paths():
+    q = GradedQuiver((0, 1), (Arrow("a", 0, 1, 0, 1), Arrow("b", 1, 0, 0, 2), Arrow("c", 1, 1, 0, 1)))
+    pres = PresentedAlgebra(q, ())
+    assert truncated_dims(pres, 6) == old_truncated_dims(pres, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(quadratic=True))
+def test_compute_Jn_returns_the_bases_of_the_full_intersection(pres):
+    for n in range(1, 6):
+        assert compute_Jn(pres, n) == old_compute_Jn(pres, n)
