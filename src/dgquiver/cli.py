@@ -47,22 +47,21 @@ def _max_adeg(model: DGModel) -> int:
     return max((a.adeg for a in model.quiver.arrows), default=0)
 
 
-def _failed_check(model: DGModel) -> dict | None:
-    """The report of the grading check, or else of the d^2 check, when it
-    fails on the model; None when both pass."""
-    report = check_grading(model.differential)
-    if report["status"] == "pass":
-        report = check_d_squared(model.differential, _max_adeg(model))
-    return None if report["status"] == "pass" else report
-
-
 def _run_verifications(model: DGModel, what: str, nadams: int | None) -> list[dict]:
+    """The requested reports; the d^2 check runs only after a passing
+    grading check, as it needs hdeg-homogeneous d(a)."""
     reports = []
     if what in ("grading", "all"):
         reports.append(check_grading(model.differential))
-    if what in ("dsq", "all"):
+    if what in ("dsq", "all") and all(r["status"] == "pass" for r in reports):
         reports.append(check_d_squared(model.differential, nadams or _max_adeg(model)))
     return reports
+
+
+def _failed_check(model: DGModel) -> dict | None:
+    """The report of the grading check, or else of the d^2 check, when it
+    fails on the model; None when both pass."""
+    return next((r for r in _run_verifications(model, "all", None) if r["status"] != "pass"), None)
 
 
 def _mckay_data(args) -> McKayData:

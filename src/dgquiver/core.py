@@ -1,10 +1,11 @@
 """Graded quivers, paths and exact-rational path algebra elements.
 
 Element coefficients are ``fractions.Fraction``.  The hot paths built on
-them (``Differential.apply_to_path`` and the elimination in ``linalg``)
-keep coefficients as ``int`` while they are integral; Python's numeric
-tower turns them into ``Fraction`` only on division.  There is no
-floating point anywhere.  Elements are stored sparsely as
+them (``Differential.apply_to_word``, which ``cohomology_dims`` applies
+to the plain arrow-name tuples of its slices, and the elimination in
+``linalg``) keep coefficients as ``int`` while they are integral;
+Python's numeric tower turns them into ``Fraction`` only on division.
+There is no floating point anywhere.  Elements are stored sparsely as
 ``{Path: coefficient}`` with a canonical ordering of paths so that
 iteration and printing are deterministic.
 """

@@ -43,19 +43,20 @@ class Differential:
         }
         return images, frozenset(a.name for a in self.quiver.arrows if a.hdeg % 2)
 
-    def apply_to_path(self, p: Path) -> dict[Path, Scalar]:
-        """d(p) by the Leibniz rule; coefficients stay int while integral."""
+    def apply_to_word(self, word: tuple[str, ...]) -> dict[tuple[str, ...], Scalar]:
+        """d of the path with these arrows by the Leibniz rule, keyed by
+        arrow words (every term starts where the path does); coefficients
+        stay int while integral."""
         images, odd = self._compiled
-        arrows = p.arrows
-        out: dict[Path, Scalar] = {}
+        out: dict[tuple[str, ...], Scalar] = {}
         sign = 1
-        for i, name in enumerate(arrows):
+        for i, name in enumerate(word):
             image = images.get(name)
             if image:
-                pre = arrows[:i]
-                post = arrows[i + 1 :]
+                pre = word[:i]
+                post = word[i + 1 :]
                 for mid, c in image:
-                    key = Path(p.start, pre + mid + post)
+                    key = pre + mid + post
                     acc = out.get(key, 0) + (c if sign > 0 else -c)
                     if acc:
                         out[key] = acc
@@ -64,6 +65,10 @@ class Differential:
             if name in odd:
                 sign = -sign
         return out
+
+    def apply_to_path(self, p: Path) -> dict[Path, Scalar]:
+        """d(p) by the Leibniz rule; coefficients stay int while integral."""
+        return {Path(p.start, w): c for w, c in self.apply_to_word(p.arrows).items()}
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         if not u.is_hdeg_homogeneous():

@@ -48,48 +48,56 @@ class BigradedSlice:
     basis: tuple[Path, ...]
 
 
+Word = tuple[str, ...]  # arrow names; with a slice's source it names a path
+
+
+def _check_cap(key: SliceKey, words: list[Word], cap: int) -> None:
+    if len(words) > cap:
+        raise ResourceLimitError(f"slice {key} exceeds the path cap {cap}; raise DGQ_PATH_CAP to override")
+
+
+def _slice_words(quiver: GradedQuiver, hmin: int, nadams: int, cap: int | None = None) -> dict[SliceKey, list[Word]]:
+    """The arrow words of every path with hdeg >= hmin and adeg <= nadams,
+    bucketed by (hdeg, adeg, source, target), each bucket in (length,
+    arrows) order.  Paths in one bucket share their source, so the word
+    alone is a unique key, and this order is Path.sort_key's.
+
+    Built level by level in Adams degree without recursion: arrows have
+    adeg >= 1, so a level is complete once every lower level has been
+    extended by one arrow.  The prefixes of a kept path are kept too, as
+    hdeg never rises and adeg never falls along a path.
+    """
+    cap = path_cap(cap)
+    levels: list[dict[tuple[int, Vertex, Vertex], list[Word]]] = [defaultdict(list) for _ in range(nadams + 1)]
+    for v in quiver.vertices:
+        levels[0][(0, v, v)].append(())
+    slices: dict[SliceKey, list[Word]] = {}
+    for a, level in enumerate(levels):
+        for (h, s, t), words in level.items():
+            _check_cap((h, a, s, t), words, cap)
+            words.sort()
+            words.sort(key=len)
+            slices[(h, a, s, t)] = words
+            for arr in quiver.out_arrows(t):
+                h2, a2 = h + arr.hdeg, a + arr.adeg
+                if h2 >= hmin and a2 <= nadams:
+                    bucket = levels[a2][(h2, s, arr.target)]
+                    name = (arr.name,)
+                    bucket += [w + name for w in words]
+                    # checked as it grows, so memory stays near the cap
+                    _check_cap((h2, a2, s, arr.target), bucket, cap)
+    return slices
+
+
 def bigraded_slices(
     quiver: GradedQuiver, hmin: int, nadams: int, cap: int | None = None
 ) -> dict[SliceKey, BigradedSlice]:
     """Enumerate all paths with hdeg >= hmin and adeg <= nadams, bucketed
     by (hdeg, adeg, source, target) with the canonical basis order."""
-    cap = path_cap(cap)
-    buckets: dict[SliceKey, list[Path]] = defaultdict(list)
-
-    # depth-first with an explicit stack, children pushed in reverse so
-    # paths are visited in the same preorder as a recursive walk
-    stack = [(Path(v), v, 0, 0) for v in reversed(quiver.vertices)]
-    while stack:
-        p, end, h, a = stack.pop()
-        key = (h, a, p.start, end)
-        bucket = buckets[key]
-        if len(bucket) >= cap:
-            raise ResourceLimitError(
-                f"slice {key} exceeds the path cap {cap}; raise DGQ_PATH_CAP to override"
-            )
-        bucket.append(p)
-        for arr in reversed(quiver.out_arrows(end)):
-            h2, a2 = h + arr.hdeg, a + arr.adeg
-            if h2 >= hmin and a2 <= nadams:
-                stack.append((Path(p.start, p.arrows + (arr.name,)), arr.target, h2, a2))
     return {
-        key: BigradedSlice(*key, tuple(sorted(paths, key=Path.sort_key)))
-        for key, paths in buckets.items()
+        key: BigradedSlice(*key, tuple(Path(key[2], w) for w in words))
+        for key, words in _slice_words(quiver, hmin, nadams, cap).items()
     }
-
-
-def _outgoing_rank(model: DGModel, slices: dict[SliceKey, BigradedSlice], key: SliceKey) -> int:
-    """Rank of d restricted to the given slice."""
-    sl = slices.get(key)
-    if sl is None:
-        return 0
-    h, a, s, t = key
-    tgt = slices.get((h + 1, a, s, t))
-    if tgt is None:
-        return 0
-    index = {p: i for i, p in enumerate(tgt.basis)}
-    images = map(model.differential.apply_to_path, sl.basis)
-    return linalg.rank({index[r]: c for r, c in img.items()} for img in images if img)
 
 
 def cohomology_dims(
@@ -109,15 +117,24 @@ def cohomology_dims(
         raise InvalidInputError("hmin must be <= 0")
     if nadams < 1:
         raise InvalidInputError("nadams must be >= 1")
-    slices = bigraded_slices(model.quiver, hmin - 1, nadams, cap)
+    slices = _slice_words(model.quiver, hmin - 1, nadams, cap)
+    apply = model.differential.apply_to_word
     out_rank: dict[SliceKey, int] = {}
-    for key in slices:
-        out_rank[key] = _outgoing_rank(model, slices, key)
+    for (h, a, s, t), words in slices.items():
+        tgt = slices.get((h + 1, a, s, t))
+        if tgt is None:
+            continue
+        index = {w: i for i, w in enumerate(tgt)}
+        # Rows longest word first: on McKay (5;1112) at hmin -6, adams 6
+        # this cut the kernel's row eliminations from 302,855 to 206,710,
+        # for the same total rank 52,275.
+        images = map(apply, reversed(words))
+        out_rank[(h, a, s, t)] = linalg.rank({index[w]: c for w, c in img.items()} for img in images if img)
     comp: dict[tuple[int, int, Vertex, Vertex], int] = {}
-    for (h, a, s, t), sl in slices.items():
+    for (h, a, s, t), words in slices.items():
         if h < hmin:
             continue
-        dim = len(sl.basis) - out_rank[(h, a, s, t)] - out_rank.get((h - 1, a, s, t), 0)
+        dim = len(words) - out_rank.get((h, a, s, t), 0) - out_rank.get((h - 1, a, s, t), 0)
         if dim:
             comp[(h, a, s, t)] = dim
     if by_component:

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from . import linalg
 from .core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex
-from .differential import Differential, DGModel, check_d_squared, check_grading
+from .differential import Differential, DGModel
 from .errors import InvalidInputError
 from .presentations import QuadraticPresentation
 
@@ -192,7 +192,12 @@ def mckay_commutation_presentation(data: McKayData) -> "PresentedAlgebra":
 
 def delete_vertex(model: DGModel, v: Vertex) -> DGModel:
     """Quotient by the two-sided ideal of e_v: drop v, adjacent arrows,
-    and every differential term through a dropped arrow."""
+    and every differential term through a dropped arrow.
+
+    Since d(e_v) = 0, the Leibniz rule makes (e_v) a DG ideal, and the
+    differential of the quotient is the image of d: each d(a) loses only
+    its terms through v.  So the quotient keeps the grading and d^2 = 0
+    whenever the model has them, and neither check is rerun here."""
     q = model.quiver
     if v not in q.vertices:
         raise InvalidInputError(f"unknown vertex {v!r}")
@@ -207,17 +212,7 @@ def delete_vertex(model: DGModel, v: Vertex) -> DGModel:
         if terms:
             on_arrows[name] = AlgebraElement(q0, terms)
     d0 = Differential(q0, on_arrows)
-    out = DGModel(q0, d0, provenance=model.provenance, metadata=dict(model.metadata) | {"deleted_vertex": v})
-    if check_grading(model.differential)["status"] == "pass":
-        rep = check_grading(d0)
-        if rep["status"] != "pass":
-            raise AssertionError(f"vertex deletion broke the grading: {rep}")
-    max_adeg = max((a.adeg for a in keep), default=0)
-    if keep:
-        rep = check_d_squared(d0, max_adeg)
-        if rep["status"] != "pass":
-            raise AssertionError(f"vertex deletion broke d^2 = 0: {rep}")
-    return out
+    return DGModel(q0, d0, provenance=model.provenance, metadata=dict(model.metadata) | {"deleted_vertex": v})
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ direct monomial enumeration) so that agreement with the library is a
 genuine cross-check rather than the same code run twice.  The
 exceptions are the library's former routines at the end: the Fraction
 elimination kernel, which pins the fraction-free kernel to identical
-results, and the old span builders of ``truncated_dims`` and
-``compute_Jn``, which pin the normal-word and J_n recursions.
+results, the old span builders of ``truncated_dims`` and
+``compute_Jn``, which pin the normal-word and J_n recursions, and the
+Path-based ``cohomology_dims``, which pins the word-level slices.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import sympy
 from dgquiver import linalg
 from dgquiver.core import AlgebraElement, GradedQuiver, Path, Vertex, vertex_key
 from dgquiver.errors import InvalidInputError, ResourceLimitError
-from dgquiver.homology import path_cap
+from dgquiver.differential import DGModel
+from dgquiver.homology import BigradedSlice, SliceKey, path_cap
 from dgquiver.presentations import PresentedAlgebra, QuadraticPresentation
 
 
@@ -359,3 +361,115 @@ def old_compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
             return []
         basis = linalg.intersect_rowspaces(basis, factor_space(i), len(paths))
     return [_from_sparse(q, row, paths) for row in basis]
+
+
+# ---------------------------------------------------------------------------
+# The former Path-based dgquiver.homology.bigraded_slices (a depth-first
+# walk building one Path per visited node) and cohomology_dims (rows from
+# Differential.apply_to_path, shortest path first), kept verbatim as
+# oracles for the word-level slices that replaced them.  The former
+# Path-keyed Leibniz loop comes with them, so the oracle does not share
+# the library's word-level one.
+
+
+def old_apply_to_path(d: Differential, p: Path) -> dict[Path, Scalar]:
+    """d(p) by the Leibniz rule; coefficients stay int while integral."""
+    images, odd = d._compiled
+    arrows = p.arrows
+    out: dict[Path, Scalar] = {}
+    sign = 1
+    for i, name in enumerate(arrows):
+        image = images.get(name)
+        if image:
+            pre = arrows[:i]
+            post = arrows[i + 1 :]
+            for mid, c in image:
+                key = Path(p.start, pre + mid + post)
+                acc = out.get(key, 0) + (c if sign > 0 else -c)
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+        if name in odd:
+            sign = -sign
+    return out
+
+
+def old_bigraded_slices(
+    quiver: GradedQuiver, hmin: int, nadams: int, cap: int | None = None
+) -> dict[SliceKey, BigradedSlice]:
+    """Enumerate all paths with hdeg >= hmin and adeg <= nadams, bucketed
+    by (hdeg, adeg, source, target) with the canonical basis order."""
+    cap = path_cap(cap)
+    buckets: dict[SliceKey, list[Path]] = defaultdict(list)
+
+    # depth-first with an explicit stack, children pushed in reverse so
+    # paths are visited in the same preorder as a recursive walk
+    stack = [(Path(v), v, 0, 0) for v in reversed(quiver.vertices)]
+    while stack:
+        p, end, h, a = stack.pop()
+        key = (h, a, p.start, end)
+        bucket = buckets[key]
+        if len(bucket) >= cap:
+            raise ResourceLimitError(
+                f"slice {key} exceeds the path cap {cap}; raise DGQ_PATH_CAP to override"
+            )
+        bucket.append(p)
+        for arr in reversed(quiver.out_arrows(end)):
+            h2, a2 = h + arr.hdeg, a + arr.adeg
+            if h2 >= hmin and a2 <= nadams:
+                stack.append((Path(p.start, p.arrows + (arr.name,)), arr.target, h2, a2))
+    return {
+        key: BigradedSlice(*key, tuple(sorted(paths, key=Path.sort_key)))
+        for key, paths in buckets.items()
+    }
+
+
+def _old_outgoing_rank(model: DGModel, slices: dict[SliceKey, BigradedSlice], key: SliceKey) -> int:
+    """Rank of d restricted to the given slice."""
+    sl = slices.get(key)
+    if sl is None:
+        return 0
+    h, a, s, t = key
+    tgt = slices.get((h + 1, a, s, t))
+    if tgt is None:
+        return 0
+    index = {p: i for i, p in enumerate(tgt.basis)}
+    images = (old_apply_to_path(model.differential, p) for p in sl.basis)
+    return linalg.rank({index[r]: c for r, c in img.items()} for img in images if img)
+
+
+def old_cohomology_dims(
+    model: DGModel,
+    hmin: int,
+    nadams: int,
+    cap: int | None = None,
+    by_component: bool = False,
+) -> dict:
+    """dim H^h in each bidegree with hmin <= h <= 0 and adeg <= nadams.
+
+    With by_component=True the table is keyed (h, a, source, target) and
+    zero entries are dropped; otherwise it is keyed (h, a) with every
+    requested bidegree present.
+    """
+    if hmin > 0:
+        raise InvalidInputError("hmin must be <= 0")
+    if nadams < 1:
+        raise InvalidInputError("nadams must be >= 1")
+    slices = old_bigraded_slices(model.quiver, hmin - 1, nadams, cap)
+    out_rank: dict[SliceKey, int] = {}
+    for key in slices:
+        out_rank[key] = _old_outgoing_rank(model, slices, key)
+    comp: dict[tuple[int, int, Vertex, Vertex], int] = {}
+    for (h, a, s, t), sl in slices.items():
+        if h < hmin:
+            continue
+        dim = len(sl.basis) - out_rank[(h, a, s, t)] - out_rank.get((h - 1, a, s, t), 0)
+        if dim:
+            comp[(h, a, s, t)] = dim
+    if by_component:
+        return comp
+    table = {(h, a): 0 for h in range(hmin, 1) for a in range(nadams + 1)}
+    for (h, a, _s, _t), dim in comp.items():
+        table[(h, a)] += dim
+    return table

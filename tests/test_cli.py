@@ -282,3 +282,19 @@ def test_compare_h0_rejects_a_model_that_fails_the_d_squared_check(capsys, tmp_p
     assert report["check"] == "d_squared" and report["status"] == "fail"
     assert report == _verify_failure(capsys, path)
     assert "Traceback" not in err
+
+
+def test_verify_stops_after_a_failed_grading_check(capsys, tmp_path):
+    """d(x123) with an added hdeg-0 term mixes homological degrees; the
+    d^2 check used to run anyway and exit 2 on the inhomogeneous d(x123)."""
+    doc = serialize.model_to_json(polynomial_model(3))
+    doc["differential"]["x123"].append({"start": 0, "path": ["x1", "x2", "x3"], "coeff": "1"})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--model", str(path))
+    assert code == 1
+    (report,) = json.loads(out)["checks"]
+    assert report["check"] == "grading" and report["witness"]["arrow"] == "x123"
+    assert json.loads(err) == report
+    code, out, _ = run(capsys, "cohomology", "--model", str(path), "--hmin", "-2", "--adams-max", "3")
+    assert code == 1 and json.loads(out) == report

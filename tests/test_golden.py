@@ -3,7 +3,9 @@
 The files under ``golden/`` were written before the changes they guard:
 the first four by the Fraction-only implementation, the McKay (7;11113)
 ``compare-h0`` and (6;1^6) ``cy-check`` outputs by the span builders that
-the normal-word and J_n recursions replaced.  Any change to the
+the normal-word and J_n recursions replaced, and the criterion-3
+``cohomology`` outputs of McKay (2;1111) and (5;1112) by the Path-based
+slices that the word-level slices replaced.  Any change to the
 arithmetic, elimination or span kernels must leave these outputs
 unchanged.  To rebuild them after a deliberate change
 of output format, run ``python tests/test_golden.py --write`` from the
@@ -76,10 +78,15 @@ def golden_outputs(work: FilePath) -> dict[str, str]:
         work / "quotient7.json",
         serialize.presentation_to_json(mckay_commutation_presentation(data7).delete_vertex(0)),
     )
+    mckay2 = _write(work / "mckay2.json", serialize.model_to_json(mckay_model(McKayData(2, (1, 1, 1, 1)))))
+    mckay5 = _write(work / "mckay5.json", serialize.model_to_json(mckay_model(data)))
     window = ("--hmin", "-4", "--adams-max", "4")
+    criterion3 = ("--hmin", "-6", "--adams-max", "6")
     return {
         "cohomology_poly3.json": _cli("cohomology", "--model", poly, *window),
         "cohomology_mckay3_111.json": _cli("cohomology", "--model", mckay, *window),
+        "cohomology_mckay2_1111.json": _cli("cohomology", "--model", mckay2, *criterion3),
+        "cohomology_mckay5_1112.json": _cli("cohomology", "--model", mckay5, *criterion3),
         "compare_h0_mckay5_1112.json": _cli(
             "compare-h0", "--model", deleted, "--presentation", quotient, "--adams-max", "5"
         ),
@@ -101,6 +108,8 @@ def outputs(tmp_path_factory):
     [
         "cohomology_poly3.json",
         "cohomology_mckay3_111.json",
+        "cohomology_mckay2_1111.json",
+        "cohomology_mckay5_1112.json",
         "compare_h0_mckay5_1112.json",
         "compare_h0_mckay7_11113.json",
         "cy_check_mckay6_111111.json",

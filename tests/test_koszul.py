@@ -16,6 +16,8 @@ from dgquiver import (
     Path,
     PresentedAlgebra,
     QuadraticPresentation,
+    check_d_squared,
+    check_grading,
     cohomology_dims,
     compute_Jn,
     delete_vertex,
@@ -239,6 +241,19 @@ def test_delete_vertex_m3():
     assert len(loop1.terms) == 3
     for p in loop1.terms:
         assert 0 not in q.path_vertices(p)
+
+
+@pytest.mark.parametrize(
+    "m, weights", [(2, (1, 1, 1, 1)), (3, (1, 1, 1)), (5, (1, 1, 1, 2)), (6, (1, 1, 1, 1, 1, 1))]
+)
+def test_every_vertex_deletion_keeps_the_grading_and_d_squared(m, weights):
+    """(e_v) is a DG ideal, so delete_vertex needs no checks of its own."""
+    model = mckay_model(McKayData(m, weights))
+    for v in model.quiver.vertices:
+        d = delete_vertex(model, v).differential
+        max_adeg = max(a.adeg for a in d.quiver.arrows)
+        assert check_grading(d)["status"] == "pass", v
+        assert check_d_squared(d, max_adeg)["status"] == "pass", v
 
 
 def test_delete_vertex_unknown():

@@ -1,0 +1,114 @@
+"""The word-level cohomology slices against the Path-based routines they
+replaced, on polynomial, McKay, quantum and Ginzburg models."""
+
+from fractions import Fraction
+from functools import cache
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dgquiver import (
+    AlgebraElement,
+    Arrow,
+    GradedQuiver,
+    McKayData,
+    Path,
+    QuadraticPresentation,
+    ResourceLimitError,
+    Superpotential,
+    cohomology_dims,
+    delete_vertex,
+    ginzburg_model,
+    mckay_model,
+    minimal_model_general,
+    polynomial_model,
+)
+from dgquiver.homology import bigraded_slices
+from oracles import old_bigraded_slices, old_cohomology_dims
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+ratios = st.builds(
+    lambda sign, p, r: Fraction(sign * p, r),
+    st.sampled_from((-1, 1)),
+    st.sampled_from(PRIMES),
+    st.sampled_from((1,) + PRIMES),
+)
+
+
+def _ginzburg_models():
+    """The conifold and C^3 potentials: their starred arrows and loops
+    have odd hdeg, so the Leibniz sign matters."""
+    ends = {"p": (0, 1), "q": (0, 1), "r": (1, 0), "s": (1, 0)}
+    conifold = GradedQuiver((0, 1), tuple(Arrow(n, s, t, 0, 1) for n, (s, t) in ends.items()))
+    w1 = Superpotential(conifold, {Path(0, ("p", "s", "q", "r")): 1, Path(0, ("p", "r", "q", "s")): -1})
+    c3 = GradedQuiver((0,), tuple(Arrow(n, 0, 0, 0, 1) for n in ("x", "y", "z")))
+    w2 = Superpotential(c3, {Path(0, ("x", "y", "z")): 1, Path(0, ("x", "z", "y")): -1})
+    return [ginzburg_model(w1), ginzburg_model(w2)]
+
+
+@cache
+def fixed_models() -> list:
+    models = [polynomial_model(n) for n in (1, 2, 3)]
+    for m, weights in ((2, (1, 1)), (3, (1, 2)), (3, (1, 1, 1)), (2, (1, 1, 1, 1))):
+        model = mckay_model(McKayData(m, weights))
+        models.append(model)
+        models += [delete_vertex(model, v) for v in model.quiver.vertices]
+    return models + _ginzburg_models()
+
+
+@st.composite
+def quantum_models(draw):
+    """Minimal model of k<x_1..x_n>/(x_i x_j - q_ij x_j x_i), q_ij = ±p/r."""
+    n = draw(st.integers(2, 3))
+    quiver = GradedQuiver((0,), tuple(Arrow(f"x{i}", 0, 0, 0, 1) for i in range(1, n + 1)))
+    relators = tuple(
+        AlgebraElement(quiver, {Path(0, (f"x{i}", f"x{j}")): 1, Path(0, (f"x{j}", f"x{i}")): -draw(ratios)})
+        for i, j in combinations(range(1, n + 1), 2)
+    )
+    return minimal_model_general(QuadraticPresentation(quiver, relators), n)
+
+
+models = st.one_of(st.integers(0, len(fixed_models()) - 1).map(lambda i: fixed_models()[i]), quantum_models())
+windows = st.tuples(st.integers(-5, 0), st.integers(1, 6))
+
+
+def test_every_fixed_model_matches_the_oracle_at_the_widest_window():
+    """Adams degree 6 is where a wrong Leibniz sign first changes a rank
+    on the polynomial and Ginzburg models."""
+    for model in fixed_models():
+        for by_component in (False, True):
+            assert cohomology_dims(model, -5, 6, by_component=by_component) == old_cohomology_dims(
+                model, -5, 6, by_component=by_component
+            )
+
+
+@settings(max_examples=80, deadline=None)
+@given(models, windows)
+def test_cohomology_dims_matches_the_path_based_oracle(model, window):
+    hmin, nadams = window
+    for by_component in (False, True):
+        assert cohomology_dims(model, hmin, nadams, by_component=by_component) == old_cohomology_dims(
+            model, hmin, nadams, by_component=by_component
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(models, windows)
+def test_bigraded_slices_match_the_depth_first_enumeration(model, window):
+    new = bigraded_slices(model.quiver, *window)
+    old = old_bigraded_slices(model.quiver, *window)
+    assert new == old
+    assert all(new[key].basis == old[key].basis for key in old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models, windows, st.integers(0, 60))
+def test_path_cap_trips_exactly_when_the_oracle_trips(model, window, cap):
+    def outcome(fn):
+        try:
+            return fn(model, *window, cap=cap)
+        except ResourceLimitError:
+            return ResourceLimitError
+
+    assert outcome(cohomology_dims) == outcome(old_cohomology_dims)
