@@ -10,6 +10,10 @@ never builds a ``Fraction``; results that carry coefficients are
 converted to ``Fraction`` only at the output.  There is no floating
 point anywhere.  Pivoting is always on the smallest column index, so
 every result is deterministic given the column indexing.
+
+Public functions: ``rank``; ``pivot_columns``, the pivot columns of a
+row space, which ``cohomology_dims`` skips in the next differential
+(clearing); ``row_reduce``; ``intersect_rowspaces``; ``solve_in_span``.
 """
 
 from __future__ import annotations
@@ -87,8 +91,15 @@ def _echelon(rows: Iterable[SparseVec]) -> dict[int, IntVec]:
     return pivots
 
 
+def pivot_columns(rows: Iterable[SparseVec]) -> set[int]:
+    """The pivot columns of the row space: the smallest column of each
+    row of its reduced echelon basis.  They depend on the row space only,
+    not on the rows that span it or their order."""
+    return set(_echelon(rows))
+
+
 def rank(rows: Iterable[SparseVec]) -> int:
-    return len(_echelon(rows))
+    return len(pivot_columns(rows))
 
 
 def row_reduce(rows: Iterable[SparseVec]) -> list[SparseVec]:

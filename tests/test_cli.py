@@ -284,6 +284,22 @@ def test_compare_h0_rejects_a_model_that_fails_the_d_squared_check(capsys, tmp_p
     assert "Traceback" not in err
 
 
+def test_cohomology_rejects_a_model_that_fails_the_d_squared_check(capsys, tmp_path):
+    """cohomology_dims clears rows by d^2 = 0, so no table may be printed
+    for a model that fails the check."""
+    doc = serialize.model_to_json(polynomial_model(3))
+    doc["differential"]["x123"][0]["coeff"] = "5"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cohomology", "--model", str(path), "--hmin", "-3", "--adams-max", "3")
+    assert code == 1
+    report = json.loads(out)
+    assert report["check"] == "d_squared" and report["status"] == "fail"
+    assert "dims" not in report
+    assert report == _verify_failure(capsys, path)
+    assert "Traceback" not in err
+
+
 def test_verify_stops_after_a_failed_grading_check(capsys, tmp_path):
     """d(x123) with an added hdeg-0 term mixes homological degrees; the
     d^2 check used to run anyway and exit 2 on the inhomogeneous d(x123)."""

@@ -157,6 +157,9 @@ def test_row_reduce_matches_fraction_kernel(rows):
     _assert_fraction_rows(linalg.row_reduce(dict(r) for r in rows), expected)
     for row in expected:
         assert row[min(row)] == 1
+    # the pivot columns are those of the RREF, whatever the row order
+    pivots = {min(row) for row in expected}
+    assert linalg.pivot_columns(rows) == pivots == linalg.pivot_columns(reversed(rows))
 
 
 @settings(max_examples=150, deadline=None)

@@ -24,6 +24,7 @@ from dgquiver import (
     minimal_model_general,
     polynomial_model,
 )
+from dgquiver import linalg
 from dgquiver.homology import bigraded_slices
 from oracles import old_bigraded_slices, old_cohomology_dims
 
@@ -81,6 +82,31 @@ def test_every_fixed_model_matches_the_oracle_at_the_widest_window():
             assert cohomology_dims(model, -5, 6, by_component=by_component) == old_cohomology_dims(
                 model, -5, 6, by_component=by_component
             )
+
+
+def test_clearing_feeds_elimination_only_rows_that_raise_the_rank(monkeypatch):
+    """At hmin = -nadams no chain is truncated and H^{<0} = 0 on these
+    models, so a row d(w) reduces to zero only if clearing missed it: the
+    rows fed to elimination must number exactly the total rank."""
+    cases = [polynomial_model(3), mckay_model(McKayData(3, (1, 1, 1))), mckay_model(McKayData(2, (1, 1, 1, 1)))]
+    expected = [old_cohomology_dims(model, -6, 6) for model in cases]
+    counts = {"rows": 0, "rank": 0}
+    pivot_columns = linalg.pivot_columns
+
+    def counting(rows):
+        rows = list(rows)
+        pivots = pivot_columns(rows)
+        counts["rows"] += len(rows)
+        counts["rank"] += len(pivots)
+        return pivots
+
+    monkeypatch.setattr(linalg, "pivot_columns", counting)
+    for model, want in zip(cases, expected):
+        counts.update(rows=0, rank=0)
+        table = cohomology_dims(model, -6, 6)
+        assert table == want
+        assert all(dim == 0 for (h, _a), dim in table.items() if h < 0)
+        assert counts["rows"] == counts["rank"] > 0
 
 
 @settings(max_examples=80, deadline=None)
