@@ -275,9 +275,6 @@ class AlgebraElement:
             raise InvalidInputError("element is not component-pure")
         return ends.pop()
 
-    def is_component_pure(self) -> bool:
-        return len({(p.start, self.quiver.path_target(p)) for p in self.terms}) <= 1
-
 
 def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of path concatenation; mismatches give zero."""

@@ -12,9 +12,10 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import linalg
-from .core import AlgebraElement, GradedQuiver, Path, Vertex, vertex_key
+from .core import AlgebraElement, GradedQuiver, Path, Scalar, Vertex, vertex_key
 from .differential import DGModel
 from .errors import InvalidInputError, ResourceLimitError
 from .presentations import PresentedAlgebra
@@ -100,6 +101,25 @@ def bigraded_slices(
     }
 
 
+def _image_pivots(apply: Callable[[Word], dict[Word, Scalar]], sources: list[Word], target: list[Word]) -> set[Word]:
+    """The pivot words of the span of the d(w), w in sources, in the
+    target slice: the least words of the images while these are pairwise
+    distinct (apparent pairs, see cohomology_dims); at the first repeat,
+    the pivots that linalg.pivot_columns finds in the target's slice order.
+    """
+    leads: set[Word] = set()
+    for w in sources:
+        img = apply(w)
+        if img:
+            lead = min(img)
+            if lead in leads:
+                index = {u: i for i, u in enumerate(target)}
+                pivots = linalg.pivot_columns({index[u]: c for u, c in apply(v).items()} for v in sources)
+                return {target[i] for i in pivots}
+            leads.add(lead)
+    return leads
+
+
 def cohomology_dims(
     model: DGModel,
     hmin: int,
@@ -115,16 +135,30 @@ def cohomology_dims(
 
     Each chain (a, source, target) is walked upward from its lowest hdeg
     with clearing (Chen & Kerber 2011; Bauer, Kerber & Reininghaus 2014):
-    the words at the pivot columns of im d^(h-1) are neither differentiated
-    nor fed to elimination in d^h.  This is exact when d^2 = 0.  Take the
-    pivot rows z = d(x) of the echelon basis, each z = z_c*f_c plus words
+    the pivot words of im d^(h-1), the leading words of an echelon basis
+    under some total order of the words, are neither differentiated nor
+    fed to elimination in d^h.  This is exact when d^2 = 0.  Take the
+    pivot rows z = d(x) of that echelon basis, each z = z_c*f_c plus words
     f_k with k > c.  Then 0 = d(z) puts d(f_c) in the span of the d(f_k)
     with k > c, so by downward induction on c the rows of d^h at the
-    pivot columns add nothing to its rank.  The CLI checks d^2 = 0 before
+    pivot words add nothing to its rank.  The CLI checks d^2 = 0 before
     it computes a table, and cy passes only the ascending model of a
     McKay model once its closure check holds, a sub-DG-algebra.  Skipping
     rows can only lower a computed rank, so on a non-DG input the
     reported dimensions can only be inflated, never hide cohomology.
+
+    The rank of each step comes from apparent pairs (Bauer 2021;
+    Skoldberg 2006).  Images d(w), computed in full so that cancelled
+    terms are gone, whose least words in tuple order are pairwise
+    distinct already form an echelon basis of their span in that order.
+    So they are independent, the rank is their count, and their least
+    words are the pivot words, the ones that clear the next step, as any
+    echelon basis has the pivots of the reduced one.  Only when two
+    images of a step share a least word, as must happen when they are
+    dependent, are the step's images recomputed and reduced exactly by
+    linalg.pivot_columns.  After clearing, no step of the criterion-3
+    models at hmin = -nadams needs it; their vertex deletions, with
+    H^{<0} != 0, do.
     """
     if hmin > 0:
         raise InvalidInputError("hmin must be <= 0")
@@ -136,11 +170,9 @@ def cohomology_dims(
     for (h, a, s, t), words in slices.items():
         if (h - 1, a, s, t) in slices:
             continue  # not the lowest slice of its chain
-        cleared: set[int] = set()
+        cleared: set[Word] = set()
         while (tgt := slices.get((h + 1, a, s, t))) is not None:
-            index = {w: i for i, w in enumerate(tgt)}
-            images = (apply(w) for i, w in enumerate(words) if i not in cleared)
-            cleared = linalg.pivot_columns({index[w]: c for w, c in img.items()} for img in images if img)
+            cleared = _image_pivots(apply, [w for w in words if w not in cleared], tgt)
             out_rank[(h, a, s, t)] = len(cleared)
             h, words = h + 1, tgt
     comp: dict[tuple[int, int, Vertex, Vertex], int] = {}

@@ -12,8 +12,10 @@ point anywhere.  Pivoting is always on the smallest column index, so
 every result is deterministic given the column indexing.
 
 Public functions: ``rank``; ``pivot_columns``, the pivot columns of a
-row space, which ``cohomology_dims`` skips in the next differential
-(clearing); ``row_reduce``; ``intersect_rowspaces``; ``solve_in_span``.
+row space, which ``cohomology_dims`` calls only when two images of one
+step share a leading word (otherwise those words are the pivots) and
+whose result it skips in the next differential (clearing);
+``row_reduce``; ``intersect_rowspaces``; ``solve_in_span``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ IntVec = dict[int, int]
 
 
 def _integral(row: SparseVec) -> tuple[IntVec, int]:
-    """(den * row, den) with den the lcm of the row's denominators."""
+    """(den * row, den) with den the lcm of the row's denominators.
+
+    Always a new dict, also for an integral row: the kernel reduces it in
+    place, so the caller's row is never changed."""
     den = 1
     for v in row.values():
         if v.denominator != 1:

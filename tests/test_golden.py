@@ -5,7 +5,10 @@ the first four by the Fraction-only implementation, the McKay (7;11113)
 ``compare-h0`` and (6;1^6) ``cy-check`` outputs by the span builders that
 the normal-word and J_n recursions replaced, and the criterion-3
 ``cohomology`` outputs of McKay (2;1111) and (5;1112) by the Path-based
-slices that the word-level slices replaced.  Any change to the
+slices that the word-level slices replaced, and the ``cohomology``
+output of the vertex-0 deletion of (5;1112), where images share leading
+words so the exact elimination runs, by the code before apparent pairs.
+Any change to the
 arithmetic, elimination or span kernels must leave these outputs
 unchanged.  To rebuild them after a deliberate change
 of output format, run ``python tests/test_golden.py --write`` from the
@@ -87,6 +90,7 @@ def golden_outputs(work: FilePath) -> dict[str, str]:
         "cohomology_mckay3_111.json": _cli("cohomology", "--model", mckay, *window),
         "cohomology_mckay2_1111.json": _cli("cohomology", "--model", mckay2, *criterion3),
         "cohomology_mckay5_1112.json": _cli("cohomology", "--model", mckay5, *criterion3),
+        "cohomology_mckay5_1112_del0.json": _cli("cohomology", "--model", deleted, *criterion3),
         "compare_h0_mckay5_1112.json": _cli(
             "compare-h0", "--model", deleted, "--presentation", quotient, "--adams-max", "5"
         ),
@@ -110,6 +114,7 @@ def outputs(tmp_path_factory):
         "cohomology_mckay3_111.json",
         "cohomology_mckay2_1111.json",
         "cohomology_mckay5_1112.json",
+        "cohomology_mckay5_1112_del0.json",
         "compare_h0_mckay5_1112.json",
         "compare_h0_mckay7_11113.json",
         "cy_check_mckay6_111111.json",

@@ -205,3 +205,19 @@ def test_kernel_examples_with_large_heights():
         target[c] = target.get(c, 0) - Fraction(2, 7) * v
     assert linalg.solve_in_span(rows, target) == [3, 0, Fraction(-2, 7), 0]
     assert linalg.solve_in_span(rows, target) == oracles.fraction_solve_in_span(rows, target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(redundant_rows(), redundant_rows(), st.dictionaries(st.integers(0, NCOLS - 1), entries, max_size=NCOLS))
+def test_inputs_are_left_unchanged(u_rows, w_rows, target):
+    """The kernel reduces its own integer copies of the rows in place
+    (solve_in_span also writes a unit column into each), so no caller's
+    row, such as the w_rows that intersect_rowspaces stacks as they are,
+    may change."""
+    before = ([dict(r) for r in u_rows], [dict(r) for r in w_rows], dict(target))
+    linalg.rank(u_rows)
+    linalg.pivot_columns(u_rows)
+    linalg.row_reduce(u_rows)
+    linalg.intersect_rowspaces(u_rows, w_rows, NCOLS)
+    linalg.solve_in_span(u_rows, target)
+    assert (u_rows, w_rows, target) == before

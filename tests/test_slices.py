@@ -84,29 +84,35 @@ def test_every_fixed_model_matches_the_oracle_at_the_widest_window():
             )
 
 
-def test_clearing_feeds_elimination_only_rows_that_raise_the_rank(monkeypatch):
-    """At hmin = -nadams no chain is truncated and H^{<0} = 0 on these
-    models, so a row d(w) reduces to zero only if clearing missed it: the
-    rows fed to elimination must number exactly the total rank."""
+def test_elimination_runs_only_on_a_repeated_leading_word(monkeypatch):
+    """At hmin = -nadams no chain is truncated and H^{<0} = 0 on the
+    undeleted models, so with clearing every image that reaches the lead
+    check raises the rank and no two share a least word: pivot_columns
+    is never called.  Without clearing, the images of the cleared words
+    repeat leads and it is called 7, 21 and 16 times.  The vertex
+    deletions have H^{<0} != 0, so some lead repeats and the exact
+    elimination runs too."""
     cases = [polynomial_model(3), mckay_model(McKayData(3, (1, 1, 1))), mckay_model(McKayData(2, (1, 1, 1, 1)))]
-    expected = [old_cohomology_dims(model, -6, 6) for model in cases]
-    counts = {"rows": 0, "rank": 0}
+    deleted = [delete_vertex(mckay_model(McKayData(m, w)), 0) for m, w in ((3, (1, 2)), (5, (1, 1, 1, 2)))]
+    expected = [old_cohomology_dims(model, -6, 6) for model in cases + deleted]
+    calls = 0
     pivot_columns = linalg.pivot_columns
 
     def counting(rows):
-        rows = list(rows)
-        pivots = pivot_columns(rows)
-        counts["rows"] += len(rows)
-        counts["rank"] += len(pivots)
-        return pivots
+        nonlocal calls
+        calls += 1
+        return pivot_columns(rows)
 
     monkeypatch.setattr(linalg, "pivot_columns", counting)
-    for model, want in zip(cases, expected):
-        counts.update(rows=0, rank=0)
+    for i, (model, want) in enumerate(zip(cases + deleted, expected)):
+        calls = 0
         table = cohomology_dims(model, -6, 6)
         assert table == want
-        assert all(dim == 0 for (h, _a), dim in table.items() if h < 0)
-        assert counts["rows"] == counts["rank"] > 0
+        if i < len(cases):
+            assert all(dim == 0 for (h, _a), dim in table.items() if h < 0)
+            assert calls == 0
+        else:
+            assert calls > 0
 
 
 @settings(max_examples=80, deadline=None)
