@@ -65,6 +65,8 @@ def _failed_check(model: DGModel) -> dict | None:
 
 
 def _mckay_data(args) -> McKayData:
+    if args.m < 2:
+        raise InvalidInputError(f"--m must be >= 2, got {args.m}")
     weights = _parse_weights(args.weights)
     reduced = tuple(a % args.m for a in weights)
     warnings = []
@@ -202,12 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dgquiver",
         description="Exact symbolic computation with differential graded path algebras",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker-count cap (computations currently run in a single worker)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("model-poly", help="minimal model of a polynomial ring")
@@ -269,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except InvalidInputError as exc:

@@ -389,6 +389,8 @@ def cy_check(data: McKayData, nadams: int = 5) -> dict:
     isomorphism-level statements are reported as 'verified at truncation
     via the listed checks', never as abstract isomorphisms.
     """
+    if nadams < 1:
+        raise InvalidInputError(f"the Adams bound must be >= 1, got {nadams}")
     s = build_split(data)
     report: dict = {"m": data.m, "weights": list(data.weights), "closure": s.closure}
     if sum(data.weights) != data.m:

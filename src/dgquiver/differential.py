@@ -43,6 +43,45 @@ class Differential:
         }
         return images, frozenset(a.name for a in self.quiver.arrows if a.hdeg % 2)
 
+    @cached_property
+    def _leads(self) -> tuple[frozenset[str], dict[str, tuple[str, ...]]]:
+        """(the arrows a with a term of d(a) that starts below a, {a: the
+        least term of d(a)} for every arrow with d(a) != 0), once the
+        hypothesis of lead_word is checked."""
+        smaller, least = set(), {}
+        for name in self._compiled[0]:
+            mids = tuple(self.apply_to_word((name,)))
+            if any(not m or m[0] == name or any(m != n and m == n[: len(m)] for n in mids) for m in mids):
+                raise InvalidInputError(f"d({name}) has a term that is empty, starts with {name} or prefixes another")
+            if mids:
+                least[name] = min(mids)
+                if least[name][0] < name:
+                    smaller.add(name)
+        return frozenset(smaller), least
+
+    def lead_word(self, word: tuple[str, ...]) -> tuple[str, ...] | None:
+        """min(apply_to_word(word)) in tuple order, None when it is empty,
+        from one scan of the word and without any coefficient.
+
+        Needs the terms of each d(a) to be nonempty, not to start with a
+        and not to be proper prefixes of one another, as holds for every
+        differential that passes check_grading; otherwise this raises
+        InvalidInputError.  Then a term from arrow i and one from a later
+        arrow j first differ at index i, so terms never cancel, and the
+        least word is the least term of d(a_i) put in place of a_i, for
+        the first i with some term of d(a_i) starting below a_i, or else
+        for the last i with d(a_i) != 0 (see homology.cohomology_dims)."""
+        smaller, least = self._leads
+        at = None
+        i = 0  # a counter, not enumerate: this loop is the hot path of cohomology_dims
+        for name in word:
+            if name in least:
+                at = i
+                if name in smaller:
+                    break
+            i += 1
+        return None if at is None else word[:at] + least[word[at]] + word[at + 1 :]
+
     def apply_to_word(self, word: tuple[str, ...]) -> dict[tuple[str, ...], Scalar]:
         """d of the path with these arrows by the Leibniz rule, keyed by
         arrow words (every term starts where the path does); coefficients

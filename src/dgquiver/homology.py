@@ -12,11 +12,10 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from . import linalg
-from .core import AlgebraElement, GradedQuiver, Path, Scalar, Vertex, vertex_key
-from .differential import DGModel
+from .core import AlgebraElement, GradedQuiver, Path, Vertex, vertex_key
+from .differential import DGModel, Differential
 from .errors import InvalidInputError, ResourceLimitError
 from .presentations import PresentedAlgebra
 
@@ -101,7 +100,7 @@ def bigraded_slices(
     }
 
 
-def _image_pivots(apply: Callable[[Word], dict[Word, Scalar]], sources: list[Word], target: list[Word]) -> set[Word]:
+def _image_pivots(d: Differential, sources: list[Word], target: list[Word]) -> set[Word]:
     """The pivot words of the span of the d(w), w in sources, in the
     target slice: the least words of the images while these are pairwise
     distinct (apparent pairs, see cohomology_dims); at the first repeat,
@@ -109,12 +108,11 @@ def _image_pivots(apply: Callable[[Word], dict[Word, Scalar]], sources: list[Wor
     """
     leads: set[Word] = set()
     for w in sources:
-        img = apply(w)
-        if img:
-            lead = min(img)
+        lead = d.lead_word(w)
+        if lead is not None:
             if lead in leads:
                 index = {u: i for i, u in enumerate(target)}
-                pivots = linalg.pivot_columns({index[u]: c for u, c in apply(v).items()} for v in sources)
+                pivots = linalg.pivot_columns({index[u]: c for u, c in d.apply_to_word(v).items()} for v in sources)
                 return {target[i] for i in pivots}
             leads.add(lead)
     return leads
@@ -148,31 +146,53 @@ def cohomology_dims(
     reported dimensions can only be inflated, never hide cohomology.
 
     The rank of each step comes from apparent pairs (Bauer 2021;
-    Skoldberg 2006).  Images d(w), computed in full so that cancelled
-    terms are gone, whose least words in tuple order are pairwise
-    distinct already form an echelon basis of their span in that order.
-    So they are independent, the rank is their count, and their least
-    words are the pivot words, the ones that clear the next step, as any
-    echelon basis has the pivots of the reduced one.  Only when two
-    images of a step share a least word, as must happen when they are
-    dependent, are the step's images recomputed and reduced exactly by
-    linalg.pivot_columns.  After clearing, no step of the criterion-3
-    models at hmin = -nadams needs it; their vertex deletions, with
-    H^{<0} != 0, do.
+    Skoldberg 2006).  Images d(w) whose least words in tuple order are
+    pairwise distinct already form an echelon basis of their span in that
+    order.  So they are independent, the rank is their count, and their
+    least words are the pivot words, the ones that clear the next step,
+    as any echelon basis has the pivots of the reduced one.  Only when
+    two images of a step share a least word, as must happen when they
+    are dependent, are the step's images computed in full and reduced
+    exactly by linalg.pivot_columns.  After clearing, no step of the
+    criterion-3 models at hmin = -nadams needs it; their vertex
+    deletions, with H^{<0} != 0, do.
+
+    The least word of d(w) comes from Differential.lead_word without
+    expanding d(w), by this lemma.  Suppose no term of any d(a) is the
+    empty word or starts with a, and no term of d(a) is a proper prefix
+    of another.  Every d that passes check_grading has this property:
+    the terms of d(a) all have adeg(a) >= 1 and hdeg(a) + 1, which no
+    empty word and no word a*u has (adeg(u) = 0 forces u empty), and a
+    proper prefix of a word has a smaller adeg, as arrows have adeg >= 1.
+    Write w = a_1...a_k and let the Leibniz terms of position i be the
+    a_1...a_{i-1} m a_{i+1}...a_k with m a term of d(a_i).  A term of
+    position i and one of a later position j share a_1...a_{i-1} and
+    differ at index i, where the first has m[0] != a_i and the second
+    has a_i.  So terms of different positions never cancel, nor do those
+    of one position, as distinct m give distinct words: d(w) != 0
+    exactly when some d(a_i) != 0.  The terms of position i all precede
+    those of later positions when some m[0] < a_i and all follow them
+    otherwise, and, the m being prefix-free, the least of them puts the
+    least m in place of a_i.  So the least word of d(w) comes from the
+    first active position with some m[0] < a_i, or from the last active
+    position when there is none.  A d that breaks the hypothesis makes
+    this function raise InvalidInputError; it cannot pass check_grading,
+    which the CLI runs first.
     """
     if hmin > 0:
         raise InvalidInputError("hmin must be <= 0")
     if nadams < 1:
         raise InvalidInputError("nadams must be >= 1")
+    d = model.differential
+    d.lead_word(())  # raises here when the lemma above does not apply
     slices = _slice_words(model.quiver, hmin - 1, nadams, cap)
-    apply = model.differential.apply_to_word
     out_rank: dict[SliceKey, int] = {}
     for (h, a, s, t), words in slices.items():
         if (h - 1, a, s, t) in slices:
             continue  # not the lowest slice of its chain
         cleared: set[Word] = set()
         while (tgt := slices.get((h + 1, a, s, t))) is not None:
-            cleared = _image_pivots(apply, [w for w in words if w not in cleared], tgt)
+            cleared = _image_pivots(d, [w for w in words if w not in cleared], tgt)
             out_rank[(h, a, s, t)] = len(cleared)
             h, words = h + 1, tgt
     comp: dict[tuple[int, int, Vertex, Vertex], int] = {}

@@ -55,11 +55,35 @@ def test_invalid_inputs_exit_2(capsys):
     assert run(capsys, "cohomology", "--model", "/no/such/file", "--hmin", "-1", "--adams-max", "1")[0] == 2
 
 
-def test_threads_flag_validation(capsys):
-    with pytest.raises(SystemExit):
-        main(["--threads", "0", "model-poly", "--n", "2"])
-    assert main(["--threads", "4", "model-poly", "--n", "2"]) == 0
-    capsys.readouterr()
+def test_threads_flag_is_rejected(capsys):
+    """--threads did nothing and was removed; argparse exits 2 on it."""
+    for argv in (["--threads", "4", "model-poly", "--n", "2"], ["model-poly", "--n", "2", "--threads", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+    assert "unrecognized arguments: --threads 4" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cy-check", "--m", "0", "--weights", "1,1"),
+        ("model-mckay", "--m", "0", "--weights", "1"),
+    ],
+)
+def test_m_below_2_exits_2(capsys, argv):
+    """The weights are reduced mod m, which used to divide by zero at m = 0."""
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "--m must be >= 2" in err and "Traceback" not in err
+
+
+def test_cy_check_rejects_a_nonpositive_adams_bound(capsys):
+    code, _, err = run(capsys, "cy-check", "--m", "3", "--weights", "1,1,1", "--adams-max", "-1")
+    assert code == 2
+    assert "Adams bound" in err and "hmin" not in err
 
 
 def test_cohomology_command(capsys, tmp_path):

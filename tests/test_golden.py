@@ -7,8 +7,11 @@ the normal-word and J_n recursions replaced, and the criterion-3
 ``cohomology`` outputs of McKay (2;1111) and (5;1112) by the Path-based
 slices that the word-level slices replaced, and the ``cohomology``
 output of the vertex-0 deletion of (5;1112), where images share leading
-words so the exact elimination runs, by the code before apparent pairs.
-Any change to the
+words so the exact elimination runs, by the code before apparent pairs,
+and the ``cohomology`` outputs of the quantum model (Fraction
+coefficients, ``j*`` arrow names) and of the conifold Ginzburg model
+(starred arrows and loops) by the code that took each leading word from
+the full image d(w).  Any change to the
 arithmetic, elimination or span kernels must leave these outputs
 unchanged.  To rebuild them after a deliberate change
 of output format, run ``python tests/test_golden.py --write`` from the
@@ -28,6 +31,7 @@ import pytest
 from dgquiver import serialize
 from dgquiver.cli import main
 from dgquiver.core import Arrow, AlgebraElement, GradedQuiver, Path
+from dgquiver.ginzburg import Superpotential, ginzburg_model
 from dgquiver.koszul import (
     McKayData,
     delete_vertex,
@@ -66,6 +70,13 @@ def _quantum_model():
     return minimal_model_general(QuadraticPresentation(quiver, relators), 3)
 
 
+def _conifold_model():
+    ends = {"p": (0, 1), "q": (0, 1), "r": (1, 0), "s": (1, 0)}
+    quiver = GradedQuiver((0, 1), tuple(Arrow(n, s, t, 0, 1) for n, (s, t) in ends.items()))
+    w = Superpotential(quiver, {Path(0, ("p", "s", "q", "r")): 1, Path(0, ("p", "r", "q", "s")): -1})
+    return ginzburg_model(w)
+
+
 def golden_outputs(work: FilePath) -> dict[str, str]:
     poly = _write(work / "poly3.json", serialize.model_to_json(polynomial_model(3)))
     mckay = _write(work / "mckay3.json", serialize.model_to_json(mckay_model(McKayData(3, (1, 1, 1)))))
@@ -83,6 +94,8 @@ def golden_outputs(work: FilePath) -> dict[str, str]:
     )
     mckay2 = _write(work / "mckay2.json", serialize.model_to_json(mckay_model(McKayData(2, (1, 1, 1, 1)))))
     mckay5 = _write(work / "mckay5.json", serialize.model_to_json(mckay_model(data)))
+    quantum3 = _write(work / "quantum3.json", serialize.model_to_json(_quantum_model()))
+    conifold = _write(work / "conifold.json", serialize.model_to_json(_conifold_model()))
     window = ("--hmin", "-4", "--adams-max", "4")
     criterion3 = ("--hmin", "-6", "--adams-max", "6")
     return {
@@ -91,6 +104,8 @@ def golden_outputs(work: FilePath) -> dict[str, str]:
         "cohomology_mckay2_1111.json": _cli("cohomology", "--model", mckay2, *criterion3),
         "cohomology_mckay5_1112.json": _cli("cohomology", "--model", mckay5, *criterion3),
         "cohomology_mckay5_1112_del0.json": _cli("cohomology", "--model", deleted, *criterion3),
+        "cohomology_quantum3.json": _cli("cohomology", "--model", quantum3, *criterion3),
+        "cohomology_conifold.json": _cli("cohomology", "--model", conifold, *criterion3),
         "compare_h0_mckay5_1112.json": _cli(
             "compare-h0", "--model", deleted, "--presentation", quotient, "--adams-max", "5"
         ),
@@ -115,6 +130,8 @@ def outputs(tmp_path_factory):
         "cohomology_mckay2_1111.json",
         "cohomology_mckay5_1112.json",
         "cohomology_mckay5_1112_del0.json",
+        "cohomology_quantum3.json",
+        "cohomology_conifold.json",
         "compare_h0_mckay5_1112.json",
         "compare_h0_mckay7_11113.json",
         "cy_check_mckay6_111111.json",

@@ -1,17 +1,22 @@
 """The word-level cohomology slices against the Path-based routines they
 replaced, on polynomial, McKay, quantum and Ginzburg models."""
 
+import json
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgquiver import (
     AlgebraElement,
     Arrow,
+    DGModel,
+    Differential,
     GradedQuiver,
+    InvalidInputError,
     McKayData,
     Path,
     QuadraticPresentation,
@@ -24,8 +29,9 @@ from dgquiver import (
     minimal_model_general,
     polynomial_model,
 )
-from dgquiver import linalg
-from dgquiver.homology import bigraded_slices
+from dgquiver import linalg, serialize
+from dgquiver.cli import main
+from dgquiver.homology import _slice_words, bigraded_slices
 from oracles import old_bigraded_slices, old_cohomology_dims
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -113,6 +119,53 @@ def test_elimination_runs_only_on_a_repeated_leading_word(monkeypatch):
             assert calls == 0
         else:
             assert calls > 0
+
+
+def _assert_lead_words_match_the_full_images(model):
+    d = model.differential
+    for words in _slice_words(model.quiver, -6, 6).values():
+        for w in words:
+            img = d.apply_to_word(w)
+            assert d.lead_word(w) == (min(img) if img else None), w
+
+
+def test_lead_word_is_the_least_word_of_the_full_image():
+    """Every word of every slice at -6/6 of the fixed models, the McKay
+    vertex deletions among them, and of the Ginzburg vertex deletions."""
+    deleted = [delete_vertex(m, v) for m in _ginzburg_models() for v in m.quiver.vertices if len(m.quiver.vertices) > 1]
+    for model in fixed_models() + deleted:
+        _assert_lead_words_match_the_full_images(model)
+
+
+@settings(max_examples=20, deadline=None)
+@given(quantum_models())
+def test_lead_word_on_quantum_models(model):
+    """Fraction coefficients and the j* arrow names of minimal_model_general."""
+    _assert_lead_words_match_the_full_images(model)
+
+
+def _bad_model(term: tuple[str, ...]) -> DGModel:
+    """k<x, y> with |x| = (0, 1), |y| = (-1, 1) and d(y) = x*x + term."""
+    quiver = GradedQuiver((0,), (Arrow("x", 0, 0, 0, 1), Arrow("y", 0, 0, -1, 1)))
+    dy = AlgebraElement(quiver, {Path(0, ("x", "x")): 1, Path(0, term): 1})
+    return DGModel(quiver, Differential(quiver, {"y": dy}))
+
+
+@pytest.mark.parametrize(
+    "term", [("y", "x"), (), ("x", "x", "x")], ids=["starts-with-its-arrow", "empty-word", "prefixed-term"]
+)
+def test_lead_word_rejects_a_differential_outside_its_lemma(term, tmp_path, capsys):
+    """No such d passes check_grading, which the CLI runs first."""
+    model = _bad_model(term)
+    with pytest.raises(InvalidInputError):
+        cohomology_dims(model, -2, 2)
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.dumps(serialize.model_to_json(model)))
+    assert main(["cohomology", "--model", str(path), "--hmin", "-2", "--adams-max", "2"]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["check"] == "grading" and report["witness"]["arrow"] == "y"
+    assert "Traceback" not in err
 
 
 @settings(max_examples=80, deadline=None)
