@@ -123,6 +123,10 @@ def _coerce_vertex(quiver, text: str):
 
 
 def cmd_cohomology(args) -> int:
+    if args.hmin > 0:
+        raise InvalidInputError(f"--hmin must be <= 0, got {args.hmin}")
+    if args.adams_max < 1:
+        raise InvalidInputError(f"--adams-max must be >= 1, got {args.adams_max}")
     model = serialize.model_from_json(_load(args.model))
     failed = _failed_check(model)
     if failed:
@@ -146,6 +150,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_compare_h0(args) -> int:
+    if args.adams_max < 0:
+        raise InvalidInputError(f"--adams-max must be >= 0, got {args.adams_max}")
     model = serialize.model_from_json(_load(args.model))
     pres = serialize.presentation_from_json(_load(args.presentation))
     failed = _failed_check(model)

@@ -2,12 +2,14 @@
 
 Element coefficients are ``fractions.Fraction``.  The hot paths built on
 them (``Differential.apply_to_word``, which ``cohomology_dims`` applies
-to the plain arrow-name tuples of its slices, and the elimination in
-``linalg``) keep coefficients as ``int`` while they are integral;
-Python's numeric tower turns them into ``Fraction`` only on division.
-There is no floating point anywhere.  Elements are stored sparsely as
-``{Path: coefficient}`` with a canonical ordering of paths so that
-iteration and printing are deterministic.
+to the plain arrow-name tuples of its slices, the normal forms of
+``truncated_dims``, keyed by arrow-name tuples, the bimodule checks of
+``cy``, which apply a word-keyed table of d on the bimodule generators,
+and the elimination in ``linalg``) keep coefficients as ``int`` while
+they are integral; Python's numeric tower turns them into ``Fraction``
+only on division.  There is no floating point anywhere.  Elements are
+stored sparsely as ``{Path: coefficient}`` with a canonical ordering of
+paths so that iteration and printing are deterministic.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from .errors import InvalidInputError
 
 Vertex = Union[int, str]
 Scalar = Union[int, Fraction]
+
+
+def int_if_integral(c: Fraction) -> Scalar:
+    """c as an int when it is integral, else c itself."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def vertex_key(v: Vertex):

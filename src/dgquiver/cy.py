@@ -1,7 +1,13 @@
 """The ascending/descending split of a deleted McKay model under the
 weight-sum condition sum(a_i) = m, the commuting-square algebra C, the
 bimodule of noncommutative differentials with its differential, and the
-pairing element omega with its three verification properties."""
+pairing element omega with its three verification properties.
+
+The d^2 = 0 check on the bimodule and the closedness check of omega run
+on arrow-name words with int coefficients: OmegaTilde compiles its
+d_on_generators (Path keys, Fraction coefficients) once into a table of
+(left word, generator, right word, coefficient), and d on the paths of
+the algebra is Differential.apply_to_word."""
 
 from __future__ import annotations
 
@@ -11,10 +17,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex
+from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, int_if_integral
 from .differential import Differential, DGModel, check_d_squared, check_grading
 from .errors import InvalidInputError
-from .homology import cohomology_dims, truncated_dims
+from .homology import Word, cohomology_dims, truncated_dims
 from .koszul import McKayData, _jn_series, _subset_name, mckay_arrow_name, shuffle_sign
 from .presentations import PresentedAlgebra, QuadraticPresentation
 
@@ -181,7 +187,21 @@ class OmegaGenerator:
 
 
 BimoduleTerm = tuple[Path, str, Path]  # left path, generator name, right path
-BimoduleElement = dict[BimoduleTerm, Fraction]
+BimoduleElement = dict[BimoduleTerm, Scalar]
+WordTerm = tuple[Word, str, Word]  # a BimoduleTerm by the arrows of its paths
+
+
+def _parity(word: Word, odd: frozenset[str]) -> int:
+    """hdeg(word) mod 2, given the arrows of odd hdeg."""
+    return sum(a in odd for a in word) % 2
+
+
+def _add(out: dict, term, c: Scalar):
+    acc = out.get(term, 0) + c
+    if acc:
+        out[term] = acc
+    else:
+        out.pop(term, None)
 
 
 def omega_gen_name(j: int, subset: tuple[int, ...]) -> str:
@@ -208,36 +228,53 @@ class OmegaTilde:
         u, g, v = term
         return q.path_hdeg(u) + self.by_name[g].hdeg + q.path_hdeg(v)
 
-    def d(self, el: BimoduleElement) -> BimoduleElement:
-        """Bimodule Leibniz extension of d_on_generators."""
-        asc = self.split_model.ascending_model()
-        q = asc.quiver
-        dd = asc.differential
-        out: BimoduleElement = {}
+    @cached_property
+    def _compiled(self) -> tuple[dict[str, tuple[tuple[Word, str, Word, Scalar], ...]], frozenset[str], frozenset[str]]:
+        """({generator: ((left word, generator, right word, coeff), ...)}
+        from d_on_generators with every integral coefficient an int, the
+        generators of odd hdeg, the arrows of odd hdeg)."""
+        table = {
+            g: tuple((u.arrows, g2, v.arrows, int_if_integral(c)) for (u, g2, v), c in el.items())
+            for g, el in self.d_on_generators.items()
+        }
+        odd_gens = frozenset(g.name for g in self.generators if g.hdeg % 2)
+        odd_arrows = frozenset(a.name for a in self.split_model.model.quiver.arrows if a.hdeg % 2)
+        return table, odd_gens, odd_arrows
 
-        def add(term: BimoduleTerm, c: Fraction):
-            acc = out.get(term, Fraction(0)) + c
-            if acc:
-                out[term] = acc
-            else:
-                out.pop(term, None)
-
-        by_name = self.by_name
+    def _d_words(self, el: dict[WordTerm, Scalar]) -> dict[WordTerm, Scalar]:
+        """The bimodule Leibniz rule on word-keyed terms,
+        d(u.g.v) = d(u).g.v + (-1)^|u| u.d(g).v + (-1)^(|u|+|g|) u.g.d(v)."""
+        table, odd_gens, odd_arrows = self._compiled
+        apply = self.split_model.ascending_model().differential.apply_to_word
+        out: dict[WordTerm, Scalar] = {}
         for (u, g, v), c in el.items():
-            for u2, cu in dd.apply_to_path(u).items():
-                add((u2, g, v), c * cu)
-            sign_u = -1 if q.path_hdeg(u) % 2 else 1
-            for (p, g2, r), cg in self.d_on_generators.get(g, {}).items():
-                add((Path(u.start, u.arrows + p.arrows), g2, Path(r.start, r.arrows + v.arrows)), c * sign_u * cg)
-            sign_ug = -1 if (q.path_hdeg(u) + by_name[g].hdeg) % 2 else 1
-            for v2, cv in dd.apply_to_path(v).items():
-                add((u, g, v2), c * sign_u * sign_ug * cv)
+            for u2, cu in apply(u).items():
+                _add(out, (u2, g, v), c * cu)
+            if _parity(u, odd_arrows):
+                c = -c
+            for p, g2, r, cg in table.get(g, ()):
+                _add(out, (u + p, g2, r + v), c * cg)
+            if g in odd_gens:
+                c = -c
+            for v2, cv in apply(v).items():
+                _add(out, (u, g, v2), c * cv)
         return out
+
+    def d(self, el: BimoduleElement) -> BimoduleElement:
+        """Bimodule Leibniz extension of d_on_generators on Path-keyed
+        terms, through the word-keyed rule."""
+        q = self.split_model.model.quiver
+        by_name = self.by_name
+
+        def path(word: Word, at: Vertex) -> Path:
+            return Path(q.arrow(word[0]).source if word else at, word)
+
+        image = self._d_words({(u.arrows, g, v.arrows): c for (u, g, v), c in el.items()})
+        return {(path(u, by_name[g].vertex), g, path(v, by_name[g].target)): c for (u, g, v), c in image.items()}
 
     def check_d_squared(self) -> dict:
         for g in self.generators:
-            start: BimoduleElement = {(Path(g.vertex), g.name, Path(g.target)): Fraction(1)}
-            if self.d(self.d(start)):
+            if self._d_words(self._d_words({((), g.name, ()): 1})):
                 return _fail("omega_tilde_d_squared", {"generator": g.name})
         return {"check": "omega_tilde_d_squared", "status": "pass"}
 
@@ -290,15 +327,7 @@ def build_omega_tilde(s: SplitModel) -> OmegaTilde:
 
 
 TraceTerm = tuple[str, tuple[str, ...]]  # generator name, closing word in the full quiver
-TraceElement = dict[TraceTerm, Fraction]
-
-
-def _trace_add(out: TraceElement, term: TraceTerm, c: Fraction):
-    acc = out.get(term, Fraction(0)) + c
-    if acc:
-        out[term] = acc
-    else:
-        out.pop(term, None)
+TraceElement = dict[TraceTerm, Scalar]
 
 
 def _omega_element(ot: OmegaTilde) -> TraceElement:
@@ -307,8 +336,8 @@ def _omega_element(ot: OmegaTilde) -> TraceElement:
     el: TraceElement = {}
     for g in ot.generators:
         comp = tuple(sorted(full - set(g.subset)))
-        coeff = Fraction((-1) ** (len(g.subset) - 1) * shuffle_sign(g.subset, comp))
-        _trace_add(el, (g.name, (mckay_arrow_name(g.target, comp),)), coeff)
+        coeff = (1 if len(g.subset) % 2 else -1) * shuffle_sign(g.subset, comp)
+        _add(el, (g.name, (mckay_arrow_name(g.target, comp),)), coeff)
     return el
 
 
@@ -316,33 +345,31 @@ def _trace_d(ot: OmegaTilde, el: TraceElement) -> TraceElement:
     """Differential on OmegaTilde (x)_{E^e} D: Leibniz on the two tensor
     factors, then canonical rotation putting the generator first (with
     the Koszul sign for coefficients moved across the whole term)."""
-    q = ot.split_model.model.quiver
-    d_full = ot.split_model.model.differential
-    by_name = ot.by_name
+    table, odd_gens, odd_arrows = ot._compiled
+    apply = ot.split_model.model.differential.apply_to_word
     out: TraceElement = {}
     for (gname, word), c in el.items():
-        g = by_name[gname]
-        word_hdeg = sum(q.arrow(a).hdeg for a in word)
+        word_odd = _parity(word, odd_arrows)
         # d on the OmegaTilde factor
-        for (u, g2, v), cg in ot.d_on_generators.get(gname, {}).items():
+        for u, g2, v, cg in table.get(gname, ()):
             # u . g2 . v (x) word  ~  (-1)^{|u| (|g2| + |v| + |word|)} g2 (x) v word u
-            rest_hdeg = by_name[g2].hdeg + q.path_hdeg(v) + word_hdeg
-            sign = -1 if (q.path_hdeg(u) * rest_hdeg) % 2 else 1
-            _trace_add(out, (g2, v.arrows + word + u.arrows), c * cg * sign)
+            odd = _parity(u, odd_arrows) and ((g2 in odd_gens) + _parity(v, odd_arrows) + word_odd) % 2
+            _add(out, (g2, v + word + u), -c * cg if odd else c * cg)
         # (-1)^{|g|} g (x) d(word)
-        sign_g = -1 if g.hdeg % 2 else 1
-        dword = d_full.apply_to_path(Path(g.target, word))
-        for p, cw in dword.items():
-            _trace_add(out, (gname, p.arrows), c * sign_g * cw)
+        sign_g = -1 if gname in odd_gens else 1
+        for w, cw in apply(word).items():
+            _add(out, (gname, w), c * sign_g * cw)
     return out
 
 
-def build_and_check_omega(s: SplitModel) -> dict:
+def build_and_check_omega(s: SplitModel, ot: OmegaTilde | None = None) -> dict:
     """Construct omega and verify: every term has hdeg -n+1, d(omega)=0
     in the super-cyclic trace space, and the generator pairing is a
-    perfect matching with unit coefficients against the descending arrows."""
+    perfect matching with unit coefficients against the descending arrows.
+    ot, when given, is build_omega_tilde(s), built once by the caller."""
     s.require_closure()
-    ot = build_omega_tilde(s)
+    if ot is None:
+        ot = build_omega_tilde(s)
     n = s.data.n
     q = s.model.quiver
     omega = _omega_element(ot)
@@ -358,7 +385,7 @@ def build_and_check_omega(s: SplitModel) -> dict:
         term, c = next(iter(sorted(residue.items())))
         return _fail("omega", {"d_omega_term": (term[0], list(term[1])), "coeff": str(c)})
 
-    pairing: dict[str, tuple[str, Fraction]] = {}
+    pairing: dict[str, tuple[str, Scalar]] = {}
     for (gname, word), c in omega.items():
         if len(word) != 1 or gname in pairing:
             return _fail("omega", {"reason": "pairing is not a matching", "term": (gname, list(word))})
@@ -403,7 +430,7 @@ def cy_check(data: McKayData, nadams: int = 5) -> dict:
     report["koszul_truncated"] = check_C_koszul_and_model(s, nadams)
     ot = build_omega_tilde(s)
     report["omega_tilde_d_squared"] = ot.check_d_squared()
-    report["omega"] = build_and_check_omega(s)
+    report["omega"] = build_and_check_omega(s, ot)
     ok = all(
         report[k]["status"] == "pass"
         for k in ("closure", "koszul_truncated", "omega_tilde_d_squared", "omega")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .core import AlgebraElement, GradedQuiver, Path, Scalar
+from .core import AlgebraElement, GradedQuiver, Path, Scalar, int_if_integral
 from .errors import InvalidInputError
 
 
@@ -37,7 +37,7 @@ class Differential:
         """({arrow: ((mid arrows, coeff), ...)}, odd arrows), with every
         integral coefficient stored as an int."""
         images = {
-            name: tuple((mid.arrows, c.numerator if c.denominator == 1 else c) for mid, c in da.terms.items())
+            name: tuple((mid.arrows, int_if_integral(c)) for mid, c in da.terms.items())
             for name, da in self.on_arrows.items()
             if da.terms
         }

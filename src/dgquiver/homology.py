@@ -11,10 +11,9 @@ from __future__ import annotations
 import os
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .core import AlgebraElement, GradedQuiver, Path, Vertex, vertex_key
+from .core import AlgebraElement, GradedQuiver, Path, Scalar, Vertex, int_if_integral, vertex_key
 from .differential import DGModel, Differential
 from .errors import InvalidInputError, ResourceLimitError
 from .presentations import PresentedAlgebra
@@ -258,18 +257,30 @@ def truncated_dims(
     cap = path_cap(cap)
     q = pres.quiver
     killed = {r.endpoints()[0] for r in pres.relators if r.adeg() == 0}
-    relators = [(r.adeg(), r.endpoints()[0], r.terms) for r in pres.relators]
+    # each term as (its arrows but the last as 1-tuples, the last, coeff)
+    relators = [
+        (
+            r.adeg(),
+            r.endpoints()[0],
+            [(tuple((y,) for y in p.arrows[:-1]), p.arrows[-1:], int_if_integral(c)) for p, c in r.terms.items()],
+        )
+        for r in pres.relators
+    ]
     arrows = [y for y in q.arrows if y.target not in killed]
-    # normal[a][v]: normal words of degree a ending at v; nf[p]: the normal
-    # form {normal word: coeff} of every candidate column p
-    normal: list[dict[Vertex, list[Path]]] = [{v: [Path(v)] for v in q.vertices if v not in killed}]
-    nf: dict[Path, dict[Path, Fraction]] = {}
+    # a candidate column has an arrow, and its first arrow fixes its source
+    by_name = {y.name: y for y in arrows}
+    source_key = {y.name: vertex_key(y.source) for y in arrows}
+    # normal[a][v]: normal words of degree a ending at v (the empty word
+    # at v in degree 0); nf[p]: the normal form {normal word: coeff} of
+    # every candidate column p, coefficients int while integral
+    normal: list[dict[Vertex, list[Word]]] = [{v: [()] for v in q.vertices if v not in killed}]
+    nf: dict[Word, dict[Word, Scalar]] = {}
     total = 0
 
-    def times(vec: dict[Path, Fraction], y: str) -> dict[Path, Fraction]:
-        out: dict[Path, Fraction] = {}
+    def times(vec: dict[Word, Scalar], y: tuple[str]) -> dict[Word, Scalar]:
+        out: dict[Word, Scalar] = {}
         for u, c in vec.items():
-            for w, cw in nf.get(Path(u.start, u.arrows + (y,)), {}).items():
+            for w, cw in nf.get(u + y, {}).items():
                 acc = out.get(w, 0) + c * cw
                 if acc:
                     out[w] = acc
@@ -278,14 +289,10 @@ def truncated_dims(
         return out
 
     for a in range(1, nadams + 1):
+        # Path.sort_key's order: length, source, arrows
         cols = sorted(
-            (
-                Path(w.start, w.arrows + (y.name,))
-                for y in arrows
-                if y.adeg <= a
-                for w in normal[a - y.adeg].get(y.source, ())
-            ),
-            key=Path.sort_key,
+            (w + (y.name,) for y in arrows if y.adeg <= a for w in normal[a - y.adeg].get(y.source, ())),
+            key=lambda p: (len(p), source_key[p[0]], p),
         )
         total += len(cols)
         if total > cap:
@@ -297,12 +304,12 @@ def truncated_dims(
                 continue
             for w in normal[a - d].get(src, ()):
                 row: linalg.SparseVec = {}
-                for p, c in terms.items():
+                for steps, last, c in terms:
                     vec = {w: c}
-                    for y in p.arrows[:-1]:
+                    for y in steps:
                         vec = times(vec, y)
                     for u, cu in vec.items():
-                        col = index.get(Path(u.start, u.arrows + p.arrows[-1:]))
+                        col = index.get(u + last)
                         if col is not None:
                             acc = row.get(col, 0) + cu
                             if acc:
@@ -311,25 +318,25 @@ def truncated_dims(
                                 del row[col]
                 if row:
                     rows.append(row)
-        level: dict[Vertex, list[Path]] = defaultdict(list)
+        level: dict[Vertex, list[Word]] = defaultdict(list)
         pivots = {}
         for row in linalg.row_reduce(rows):
             piv = min(row)
-            pivots[piv] = {cols[k]: -c for k, c in row.items() if k != piv}
+            pivots[piv] = {cols[k]: -int_if_integral(c) for k, c in row.items() if k != piv}
         for i, p in enumerate(cols):
             if i in pivots:
                 nf[p] = pivots[i]
             else:
-                nf[p] = {p: Fraction(1)}
-                level[q.path_target(p)].append(p)
+                nf[p] = {p: 1}
+                level[by_name[p[-1]].target].append(p)
         normal.append(level)
 
-    dims: dict[tuple[Vertex, Vertex, int], int] = {}
-    for a, level in enumerate(normal):
+    dims: dict[tuple[Vertex, Vertex, int], int] = {(v, v, 0): 1 for v in sorted(normal[0], key=vertex_key)}
+    for a in range(1, len(normal)):
         blocks: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
-        for t, words in level.items():
+        for t, words in normal[a].items():
             for w in words:
-                blocks[(w.start, t)] += 1
+                blocks[(by_name[w[0]].source, t)] += 1
         for (s, t), dim in sorted(blocks.items(), key=lambda kv: (vertex_key(kv[0][0]), vertex_key(kv[0][1]))):
             dims[(s, t, a)] = dim
     return dims

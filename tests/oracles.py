@@ -6,8 +6,10 @@ genuine cross-check rather than the same code run twice.  The
 exceptions are the library's former routines at the end: the Fraction
 elimination kernel, which pins the fraction-free kernel to identical
 results, the old span builders of ``truncated_dims`` and
-``compute_Jn``, which pin the normal-word and J_n recursions, and the
-Path-based ``cohomology_dims``, which pins the word-level slices.
+``compute_Jn``, which pin the normal-word and J_n recursions, the
+Path-based ``cohomology_dims``, which pins the word-level slices, and
+the Path/Fraction ``truncated_dims`` and bimodule Leibniz loops of
+``cy``, which pin their arrow-word replacements.
 """
 
 from __future__ import annotations
@@ -473,3 +475,160 @@ def old_cohomology_dims(
     for (h, a, _s, _t), dim in comp.items():
         table[(h, a)] += dim
     return table
+
+
+# ---------------------------------------------------------------------------
+# The former Path/Fraction dgquiver.homology.truncated_dims (normal words
+# and normal forms keyed by Path) and the Path-keyed bimodule Leibniz loop
+# of dgquiver.cy (OmegaTilde.d and _trace_d), kept verbatim as oracles for
+# the arrow-word loops that replaced them.  The two cy loops differentiate
+# paths with old_apply_to_path above, so they share no Leibniz loop with
+# the library.
+
+
+def old_path_truncated_dims(
+    pres: PresentedAlgebra, nadams: int, cap: int | None = None
+) -> dict[tuple[Vertex, Vertex, int], int]:
+    """Graded dimensions of kQ/(relators) up to Adams degree nadams, by
+    the normal-word recursion on Path keys with Fraction normal forms."""
+    if nadams < 0:
+        raise InvalidInputError("nadams must be >= 0")
+    cap = path_cap(cap)
+    q = pres.quiver
+    killed = {r.endpoints()[0] for r in pres.relators if r.adeg() == 0}
+    relators = [(r.adeg(), r.endpoints()[0], r.terms) for r in pres.relators]
+    arrows = [y for y in q.arrows if y.target not in killed]
+    # normal[a][v]: normal words of degree a ending at v; nf[p]: the normal
+    # form {normal word: coeff} of every candidate column p
+    normal: list[dict[Vertex, list[Path]]] = [{v: [Path(v)] for v in q.vertices if v not in killed}]
+    nf: dict[Path, dict[Path, Fraction]] = {}
+    total = 0
+
+    def times(vec: dict[Path, Fraction], y: str) -> dict[Path, Fraction]:
+        out: dict[Path, Fraction] = {}
+        for u, c in vec.items():
+            for w, cw in nf.get(Path(u.start, u.arrows + (y,)), {}).items():
+                acc = out.get(w, 0) + c * cw
+                if acc:
+                    out[w] = acc
+                else:
+                    del out[w]
+        return out
+
+    for a in range(1, nadams + 1):
+        cols = sorted(
+            (
+                Path(w.start, w.arrows + (y.name,))
+                for y in arrows
+                if y.adeg <= a
+                for w in normal[a - y.adeg].get(y.source, ())
+            ),
+            key=Path.sort_key,
+        )
+        total += len(cols)
+        if total > cap:
+            raise ResourceLimitError(f"path count exceeds cap {cap}; raise DGQ_PATH_CAP")
+        index = {p: i for i, p in enumerate(cols)}
+        rows: list[linalg.SparseVec] = []
+        for d, src, terms in relators:
+            if not 1 <= d <= a:
+                continue
+            for w in normal[a - d].get(src, ()):
+                row: linalg.SparseVec = {}
+                for p, c in terms.items():
+                    vec = {w: c}
+                    for y in p.arrows[:-1]:
+                        vec = times(vec, y)
+                    for u, cu in vec.items():
+                        col = index.get(Path(u.start, u.arrows + p.arrows[-1:]))
+                        if col is not None:
+                            acc = row.get(col, 0) + cu
+                            if acc:
+                                row[col] = acc
+                            else:
+                                del row[col]
+                if row:
+                    rows.append(row)
+        level: dict[Vertex, list[Path]] = defaultdict(list)
+        pivots = {}
+        for row in linalg.row_reduce(rows):
+            piv = min(row)
+            pivots[piv] = {cols[k]: -c for k, c in row.items() if k != piv}
+        for i, p in enumerate(cols):
+            if i in pivots:
+                nf[p] = pivots[i]
+            else:
+                nf[p] = {p: Fraction(1)}
+                level[q.path_target(p)].append(p)
+        normal.append(level)
+
+    dims: dict[tuple[Vertex, Vertex, int], int] = {}
+    for a, level in enumerate(normal):
+        blocks: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
+        for t, words in level.items():
+            for w in words:
+                blocks[(w.start, t)] += 1
+        for (s, t), dim in sorted(blocks.items(), key=lambda kv: (vertex_key(kv[0][0]), vertex_key(kv[0][1]))):
+            dims[(s, t, a)] = dim
+    return dims
+
+
+def old_omega_tilde_d(ot, el: dict) -> dict:
+    """Bimodule Leibniz extension of ot.d_on_generators on Path-keyed
+    terms (left path, generator name, right path)."""
+    asc = ot.split_model.ascending_model()
+    q = asc.quiver
+    dd = asc.differential
+    out: dict = {}
+
+    def add(term, c: Fraction):
+        acc = out.get(term, Fraction(0)) + c
+        if acc:
+            out[term] = acc
+        else:
+            out.pop(term, None)
+
+    by_name = ot.by_name
+    for (u, g, v), c in el.items():
+        for u2, cu in old_apply_to_path(dd, u).items():
+            add((u2, g, v), c * cu)
+        sign_u = -1 if q.path_hdeg(u) % 2 else 1
+        for (p, g2, r), cg in ot.d_on_generators.get(g, {}).items():
+            add((Path(u.start, u.arrows + p.arrows), g2, Path(r.start, r.arrows + v.arrows)), c * sign_u * cg)
+        sign_ug = -1 if (q.path_hdeg(u) + by_name[g].hdeg) % 2 else 1
+        for v2, cv in old_apply_to_path(dd, v).items():
+            add((u, g, v2), c * sign_u * sign_ug * cv)
+    return out
+
+
+def old_trace_d(ot, el: dict) -> dict:
+    """Differential on OmegaTilde (x)_{E^e} D: Leibniz on the two tensor
+    factors, then canonical rotation putting the generator first (with
+    the Koszul sign for coefficients moved across the whole term)."""
+    q = ot.split_model.model.quiver
+    d_full = ot.split_model.model.differential
+    by_name = ot.by_name
+    out: dict = {}
+
+    def add(term, c: Fraction):
+        acc = out.get(term, Fraction(0)) + c
+        if acc:
+            out[term] = acc
+        else:
+            out.pop(term, None)
+
+    for (gname, word), c in el.items():
+        g = by_name[gname]
+        word_hdeg = sum(q.arrow(a).hdeg for a in word)
+        # d on the OmegaTilde factor
+        for (u, g2, v), cg in ot.d_on_generators.get(gname, {}).items():
+            # u . g2 . v (x) word  ~  (-1)^{|u| (|g2| + |v| + |word|)} g2 (x) v word u
+            rest_hdeg = by_name[g2].hdeg + q.path_hdeg(v) + word_hdeg
+            sign = -1 if (q.path_hdeg(u) * rest_hdeg) % 2 else 1
+            add((g2, v.arrows + word + u.arrows), c * cg * sign)
+        # (-1)^{|g|} g (x) d(word)
+        sign_g = -1 if g.hdeg % 2 else 1
+        dword = old_apply_to_path(d_full, Path(g.target, word))
+        for p, cw in dword.items():
+            add((gname, p.arrows), c * sign_g * cw)
+    return out

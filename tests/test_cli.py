@@ -86,6 +86,27 @@ def test_cy_check_rejects_a_nonpositive_adams_bound(capsys):
     assert "Adams bound" in err and "hmin" not in err
 
 
+@pytest.mark.parametrize(
+    "command, window, message",
+    [
+        ("cohomology", ("--hmin", "-1", "--adams-max", "0"), "--adams-max must be >= 1, got 0"),
+        ("cohomology", ("--hmin", "1", "--adams-max", "2"), "--hmin must be <= 0, got 1"),
+        ("compare-h0", ("--adams-max", "-1"), "--adams-max must be >= 0, got -1"),
+    ],
+)
+def test_out_of_range_windows_name_the_flag(capsys, tmp_path, command, window, message):
+    model = tmp_path / "model.json"
+    run(capsys, "model-mckay", "--m", "3", "--weights", "1,1,1", "--delete-zero", "--out", str(model))
+    pres = tmp_path / "pres.json"
+    quotient = mckay_commutation_presentation(McKayData(3, (1, 1, 1))).delete_vertex(0)
+    pres.write_text(serialize.dumps(serialize.presentation_to_json(quotient)))
+    files = ("--model", str(model)) + (("--presentation", str(pres)) if command == "compare-h0" else ())
+    code, out, err = run(capsys, command, *files, *window)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert "nadams" not in err and "Traceback" not in err
+
+
 def test_cohomology_command(capsys, tmp_path):
     path = tmp_path / "model.json"
     run(capsys, "model-poly", "--n", "2", "--out", str(path))

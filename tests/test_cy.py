@@ -1,5 +1,7 @@
 """Ascending/descending split, the commuting-square algebra C, the
-bimodule of noncommutative differentials and the pairing element."""
+bimodule of noncommutative differentials and the pairing element, with
+its word-keyed Leibniz loops against the Path-keyed ones they replaced
+and against broken copies of d and omega."""
 
 from fractions import Fraction
 
@@ -16,8 +18,12 @@ from dgquiver import (
     check_C_koszul_and_model,
     cy_check,
 )
-from dgquiver.cy import OmegaGenerator, _omega_element, omega_gen_name
+from dgquiver import cy
+from dgquiver.cy import OmegaTilde, _omega_element, _trace_d, omega_gen_name
 from dgquiver.koszul import mckay_arrow_name
+from oracles import old_omega_tilde_d, old_trace_d
+
+CY_CASES = ((3, (1, 1, 1)), (4, (1, 1, 1, 1)), (5, (1, 1, 1, 2)), (6, (1,) * 6), (7, (1, 1, 1, 1, 3)))
 
 
 def test_split_m3():
@@ -136,3 +142,86 @@ def test_cy_check_pipeline():
     bad = cy_check(McKayData(2, (1, 1, 1, 1)), nadams=3)
     assert bad["status"] == "fail"
     assert "sum of weights" in bad["reason"]
+
+
+def _generator(g) -> dict:
+    return {(Path(g.vertex), g.name, Path(g.target)): Fraction(1)}
+
+
+@pytest.mark.parametrize("m, weights", CY_CASES)
+def test_omega_tilde_d_matches_the_path_keyed_loop(m, weights):
+    ot = build_omega_tilde(build_split(McKayData(m, weights)))
+    for g in ot.generators:
+        once = ot.d(_generator(g))
+        assert once == old_omega_tilde_d(ot, _generator(g))
+        assert ot.d(once) == old_omega_tilde_d(ot, once) == {}
+        # unequal, non-integral weights on the terms of d(g), so d does not vanish
+        mixed = {t: Fraction(i + 1, 1 + i % 3) for i, t in enumerate(once)}
+        assert ot.d(mixed) == old_omega_tilde_d(ot, mixed)
+
+
+@pytest.mark.parametrize("m, weights", CY_CASES)
+def test_trace_d_matches_the_path_keyed_loop(m, weights):
+    ot = build_omega_tilde(build_split(McKayData(m, weights)))
+    omega = _omega_element(ot)
+    assert _trace_d(ot, omega) == old_trace_d(ot, omega) == {}
+    perturbed = dict(omega)
+    term = min(perturbed)
+    perturbed[term] *= 2
+    residue = _trace_d(ot, perturbed)
+    assert residue and residue == old_trace_d(ot, perturbed)
+
+
+def test_check_d_squared_names_the_generator_with_a_flipped_sign():
+    ot = build_omega_tilde(build_split(McKayData(4, (1, 1, 1, 1))))
+    # only later generators' d involve a generator at vertex 1, so it fails first
+    g = next(g for g in ot.generators if g.vertex == 1 and len(g.subset) == 2)
+    term = next(t for t in ot.d_on_generators[g.name] if ot.by_name[t[1]].subset)
+    d_on = dict(ot.d_on_generators)
+    d_on[g.name] = {t: -c if t == term else c for t, c in d_on[g.name].items()}
+    bad = OmegaTilde(ot.split_model, ot.generators, d_on)
+    assert bad.check_d_squared() == {
+        "check": "omega_tilde_d_squared",
+        "status": "fail",
+        "witness": {"generator": g.name},
+    }
+    twice = bad.d(bad.d(_generator(g)))
+    assert twice and twice == old_omega_tilde_d(bad, old_omega_tilde_d(bad, _generator(g)))
+
+
+def test_doubled_omega_coefficient_leaves_a_residue():
+    ot = build_omega_tilde(build_split(McKayData(5, (1, 1, 1, 2))))
+    omega = _omega_element(ot)
+    for term in omega:
+        doubled = {t: 2 * c if t == term else c for t, c in omega.items()}
+        assert _trace_d(ot, doubled)
+
+
+def test_cy_check_builds_one_omega_tilde(monkeypatch):
+    built = []
+
+    def counting(s):
+        built.append(s)
+        return build_omega_tilde(s)
+
+    monkeypatch.setattr(cy, "build_omega_tilde", counting)
+    assert cy_check(McKayData(4, (1, 1, 1, 1)), nadams=3)["status"] == "pass"
+    assert len(built) == 1
+
+
+def test_d_squared_vanishes_on_two_sided_terms():
+    """d(d(x.g.y)) = 0 for ascending arrows x into g and y out of g.  The
+    Path-keyed loop signed x.g.d(y) by (-1)^|g| instead of (-1)^(|x|+|g|),
+    which no d(d(g)) shows, as d(g) has no term with both sides nonempty,
+    but some of these terms do."""
+    s = build_split(McKayData(7, (1, 1, 1, 1, 3)))
+    ot = build_omega_tilde(s)
+    arrows = s.ascending_model().quiver.arrows
+    old_fails = 0
+    for g in ot.generators:
+        for x in (a for a in arrows if a.target == g.vertex):
+            for y in (a for a in arrows if a.source == g.target):
+                el = {(Path(x.source, (x.name,)), g.name, Path(y.source, (y.name,))): Fraction(1)}
+                assert ot.d(ot.d(el)) == {}
+                old_fails += bool(old_omega_tilde_d(ot, old_omega_tilde_d(ot, el)))
+    assert old_fails

@@ -11,7 +11,8 @@ words so the exact elimination runs, by the code before apparent pairs,
 and the ``cohomology`` outputs of the quantum model (Fraction
 coefficients, ``j*`` arrow names) and of the conifold Ginzburg model
 (starred arrows and loops) by the code that took each leading word from
-the full image d(w).  Any change to the
+the full image d(w), and the ``cy-check`` output of (7;11113) by the
+Path-keyed bimodule Leibniz loops of ``cy``.  Any change to the
 arithmetic, elimination or span kernels must leave these outputs
 unchanged.  To rebuild them after a deliberate change
 of output format, run ``python tests/test_golden.py --write`` from the
@@ -113,6 +114,7 @@ def golden_outputs(work: FilePath) -> dict[str, str]:
             "compare-h0", "--model", deleted7, "--presentation", quotient7, "--adams-max", "6"
         ),
         "cy_check_mckay6_111111.json": _cli("cy-check", "--m", "6", "--weights", "1,1,1,1,1,1", "--adams-max", "4"),
+        "cy_check_mckay7_11113.json": _cli("cy-check", "--m", "7", "--weights", "1,1,1,1,3", "--adams-max", "5"),
         "quantum3_model.json": serialize.dumps(serialize.model_to_json(_quantum_model())),
     }
 
@@ -135,6 +137,7 @@ def outputs(tmp_path_factory):
         "compare_h0_mckay5_1112.json",
         "compare_h0_mckay7_11113.json",
         "cy_check_mckay6_111111.json",
+        "cy_check_mckay7_11113.json",
         "quantum3_model.json",
     ],
 )

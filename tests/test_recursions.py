@@ -1,6 +1,7 @@
 """The normal-word recursion of truncated_dims and the J_n recursion of
 compute_Jn against the span builders they replaced, on random
-presentations."""
+presentations, and the word-keyed truncated_dims against the Path-keyed
+recursion it replaced."""
 
 from collections import defaultdict
 from fractions import Fraction
@@ -13,12 +14,19 @@ from dgquiver import (
     Arrow,
     GradedQuiver,
     Path,
+    McKayData,
     PresentedAlgebra,
     QuadraticPresentation,
+    build_C,
+    build_split,
     compute_Jn,
+    delete_vertex,
+    h0_presentation,
+    mckay_model,
     truncated_dims,
 )
-from oracles import old_compute_Jn, old_truncated_dims, paths_of_length
+from dgquiver.koszul import mckay_commutation_presentation
+from oracles import old_compute_Jn, old_path_truncated_dims, old_truncated_dims, paths_of_length
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 coeffs = st.builds(
@@ -64,6 +72,30 @@ def test_truncated_dims_matches_the_span_of_all_u_r_v(pres, nadams):
     got = truncated_dims(pres, nadams)
     want = old_truncated_dims(pres, nadams)
     assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(quadratic=False), st.integers(0, 5))
+def test_truncated_dims_matches_the_path_keyed_recursion(pres, nadams):
+    """Same dict, key order included; the +-p/r relator coefficients run
+    the non-integral normal forms."""
+    got = truncated_dims(pres, nadams)
+    assert list(got.items()) == list(old_path_truncated_dims(pres, nadams).items())
+
+
+def test_truncated_dims_on_mckay_presentations_matches_the_path_keyed_recursion():
+    """The presentations the benchmark and cy-check span: commutation
+    quotients with and without vertex 0, H^0 of the deleted models, and C."""
+    cases = [(mckay_commutation_presentation(McKayData(5, (1, 1, 1, 2))), 6)]
+    for m, weights, nadams in ((5, (1, 1, 1, 2), 8), (7, (1, 1, 1, 1, 3), 6)):
+        data = McKayData(m, weights)
+        cases.append((mckay_commutation_presentation(data).delete_vertex(0), nadams))
+        cases.append((h0_presentation(delete_vertex(mckay_model(data), 0)), nadams))
+    for m, weights, nadams in ((6, (1,) * 6, 4), (7, (1, 1, 1, 1, 3), 5)):
+        cases.append((build_C(build_split(McKayData(m, weights))), nadams))
+    for pres, nadams in cases:
+        got = truncated_dims(pres, nadams)
+        assert list(got.items()) == list(old_path_truncated_dims(pres, nadams).items())
 
 
 def test_truncated_dims_pushes_words_through_reducible_prefixes():
