@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, int_if_integral
-from .differential import Differential, DGModel, check_d_squared, check_grading
+from .differential import Differential, DGModel
 from .errors import InvalidInputError
 from .homology import Word, cohomology_dims, truncated_dims
 from .koszul import McKayData, _jn_series, _subset_name, mckay_arrow_name, shuffle_sign
@@ -222,11 +222,6 @@ class OmegaTilde:
     @cached_property
     def by_name(self) -> dict[str, OmegaGenerator]:
         return {g.name: g for g in self.generators}
-
-    def term_hdeg(self, term: BimoduleTerm) -> int:
-        q = self.split_model.model.quiver
-        u, g, v = term
-        return q.path_hdeg(u) + self.by_name[g].hdeg + q.path_hdeg(v)
 
     @cached_property
     def _compiled(self) -> tuple[dict[str, tuple[tuple[Word, str, Word, Scalar], ...]], frozenset[str], frozenset[str]]:

@@ -283,56 +283,63 @@ def compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
 
 def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
     """Truncated minimal model of T_l V / (R) with generators from J_n,
-    n <= nmax, and d(a) = sum_i (-1)^{i-1} delta_{i,n-i}(a)."""
+    n <= nmax, and d(a) = sum_i (-1)^{i-1} delta_{i,n-i}(a).
+
+    delta_{i,n-i}(b) writes the J_n basis vector b in the basis of
+    products va*vb of J_i and J_{n-i} basis vectors, as
+    J_n ⊆ J_i ⊗ J_{n-i}.  Its coefficients are read off b with no
+    products and no elimination.  Every basis that _jn_series yields is
+    in RREF over Path.sort_key: each row has coefficient 1 at its pivot,
+    its least path, and 0 at the pivots of the other rows, and every word
+    of J_i has length i.  So the coefficient of va*vb in b is
+    b[pivot(va) + pivot(vb)], and one scan of b finds them all, splitting
+    each word at i and looking both halves up among the pivots.  The
+    membership is still checked: b minus the sum of c*va*vb over the
+    read-off c must vanish, which holds exactly when b lies in the span
+    of the products."""
     if nmax < 2:
         raise InvalidInputError("need nmax >= 2")
     bases = dict(zip(range(1, nmax + 1), _jn_series(pres)))
 
     arrows: list[Arrow] = []
-    gen_name: dict[tuple[int, int], str] = {}  # (n, basis position) -> arrow name
+    gen: dict[tuple[int, int], Arrow] = {}  # (n, basis position) -> generator
     for n in range(1, nmax + 1):
         for k, b in enumerate(bases[n]):
             src, tgt = b.endpoints()
             name = next(iter(b.terms)).arrows[0] if n == 1 else f"j{n}_{k}"
-            gen_name[(n, k)] = name
-            arrows.append(Arrow(name, src, tgt, -n + 1, n, label=name))
+            gen[(n, k)] = Arrow(name, src, tgt, -n + 1, n, label=name)
+            arrows.append(gen[(n, k)])
     quiver = GradedQuiver(pres.quiver.vertices, tuple(arrows))
+
+    # each basis row as {arrow word: coefficient}, and {pivot word: row position} per degree
+    words = {n: [{p.arrows: c for p, c in b.terms.items()} for b in basis] for n, basis in bases.items()}
+    pivots = {n: {min(b.terms, key=Path.sort_key).arrows: k for k, b in enumerate(basis)} for n, basis in bases.items()}
 
     on_arrows: dict[str, AlgebraElement] = {}
     for n in range(2, nmax + 1):
-        if not bases[n]:
-            continue
-        # solve_in_span's answer does not depend on the column order
-        index: dict[Path, int] = {}
-        for k, b in enumerate(bases[n]):
-            target_vec = _to_sparse(b.terms, index)
+        for k, b in enumerate(words[n]):
             terms: dict[Path, Fraction] = {}
             for i in range(1, n):
-                prods: list[linalg.SparseVec] = []
-                pairs: list[tuple[int, int]] = []
-                for ka, va in enumerate(bases[i]):
-                    for kb, vb in enumerate(bases[n - i]):
-                        if va.endpoints()[1] != vb.endpoints()[0]:
-                            continue
-                        prods.append(_to_sparse((va * vb).terms, index))
-                        pairs.append((ka, kb))
-                sol = linalg.solve_in_span(prods, target_vec)
-                if sol is None:
+                left, right = pivots[i], pivots[n - i]
+                found = sorted(
+                    (left[w[:i]], right[w[i:]], c) for w, c in b.items() if w[:i] in left and w[i:] in right
+                )
+                rest = dict(b)
+                for ka, kb, c in found:
+                    for wa, ca in words[i][ka].items():
+                        for wb, cb in words[n - i][kb].items():
+                            r = rest.get(wa + wb, 0) - c * ca * cb
+                            if r:
+                                rest[wa + wb] = r
+                            else:
+                                del rest[wa + wb]
+                    ga, gb = gen[(i, ka)], gen[(n - i, kb)]
+                    terms[Path(ga.source, (ga.name, gb.name))] = c if i % 2 else -c
+                if rest:
                     raise RuntimeError(
                         f"J_{n} basis vector not inside J_{i} ⊗ J_{n - i}: internal bug"
                     )
-                sign = Fraction((-1) ** (i - 1))
-                for (ka, kb), c in zip(pairs, sol):
-                    if not c:
-                        continue
-                    src = bases[i][ka].endpoints()[0]
-                    p = Path(src, (gen_name[(i, ka)], gen_name[(n - i, kb)]))
-                    acc = terms.get(p, Fraction(0)) + sign * c
-                    if acc:
-                        terms[p] = acc
-                    else:
-                        terms.pop(p, None)
             if terms:
-                on_arrows[gen_name[(n, k)]] = AlgebraElement(quiver, terms)
+                on_arrows[gen[(n, k)].name] = AlgebraElement(quiver, terms)
     d = Differential(quiver, on_arrows)
     return DGModel(quiver, d, provenance="general", metadata={"truncated_at": nmax})

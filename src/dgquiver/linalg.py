@@ -15,7 +15,10 @@ Public functions: ``rank``; ``pivot_columns``, the pivot columns of a
 row space, which ``cohomology_dims`` calls only when two images of one
 step share a leading word (otherwise those words are the pivots) and
 whose result it skips in the next differential (clearing);
-``row_reduce``; ``intersect_rowspaces``; ``solve_in_span``.
+``row_reduce``; ``intersect_rowspaces``; ``solve_in_span``.  Nothing in
+the package calls ``rank`` or ``solve_in_span``: ``minimal_model_general``
+reads its coefficients off the RREF pivots of the J_n bases instead.
+Both stay public and pinned by their sympy and Fraction oracle tests.
 """
 
 from __future__ import annotations

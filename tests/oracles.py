@@ -7,9 +7,11 @@ exceptions are the library's former routines at the end: the Fraction
 elimination kernel, which pins the fraction-free kernel to identical
 results, the old span builders of ``truncated_dims`` and
 ``compute_Jn``, which pin the normal-word and J_n recursions, the
-Path-based ``cohomology_dims``, which pins the word-level slices, and
-the Path/Fraction ``truncated_dims`` and bimodule Leibniz loops of
-``cy``, which pin their arrow-word replacements.
+Path-based ``cohomology_dims``, which pins the word-level slices, the
+Path/Fraction ``truncated_dims`` and bimodule Leibniz loops of ``cy``,
+which pin their arrow-word replacements, and the product-and-solve
+``minimal_model_general``, which pins the read-off of its differential
+from the RREF pivots.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from itertools import combinations_with_replacement
 
 import sympy
 
-from dgquiver import linalg
-from dgquiver.core import AlgebraElement, GradedQuiver, Path, Vertex, vertex_key
+from dgquiver import koszul, linalg
+from dgquiver.core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex, vertex_key
 from dgquiver.errors import InvalidInputError, ResourceLimitError
-from dgquiver.differential import DGModel
+from dgquiver.differential import Differential, DGModel
 from dgquiver.homology import BigradedSlice, SliceKey, path_cap
 from dgquiver.presentations import PresentedAlgebra, QuadraticPresentation
 
@@ -632,3 +634,70 @@ def old_trace_d(ot, el: dict) -> dict:
         for p, cw in dword.items():
             add((gname, p.arrows), c * sign_g * cw)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The former dgquiver.koszul.minimal_model_general, kept verbatim as an
+# oracle for the pivot read-off that replaced it: for each J_n basis
+# vector b and each split i it builds every product va*vb of J_i and
+# J_{n-i} basis vectors and solves for b in their span.  It takes the
+# J_n bases from koszul._jn_series through the module, so a test that
+# patches the series patches both routes.
+
+
+def old_minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
+    """Truncated minimal model of T_l V / (R) with generators from J_n,
+    n <= nmax, and d(a) = sum_i (-1)^{i-1} delta_{i,n-i}(a)."""
+    if nmax < 2:
+        raise InvalidInputError("need nmax >= 2")
+    bases = dict(zip(range(1, nmax + 1), koszul._jn_series(pres)))
+    _to_sparse = koszul._to_sparse
+
+    arrows: list[Arrow] = []
+    gen_name: dict[tuple[int, int], str] = {}  # (n, basis position) -> arrow name
+    for n in range(1, nmax + 1):
+        for k, b in enumerate(bases[n]):
+            src, tgt = b.endpoints()
+            name = next(iter(b.terms)).arrows[0] if n == 1 else f"j{n}_{k}"
+            gen_name[(n, k)] = name
+            arrows.append(Arrow(name, src, tgt, -n + 1, n, label=name))
+    quiver = GradedQuiver(pres.quiver.vertices, tuple(arrows))
+
+    on_arrows: dict[str, AlgebraElement] = {}
+    for n in range(2, nmax + 1):
+        if not bases[n]:
+            continue
+        # solve_in_span's answer does not depend on the column order
+        index: dict[Path, int] = {}
+        for k, b in enumerate(bases[n]):
+            target_vec = _to_sparse(b.terms, index)
+            terms: dict[Path, Fraction] = {}
+            for i in range(1, n):
+                prods: list[linalg.SparseVec] = []
+                pairs: list[tuple[int, int]] = []
+                for ka, va in enumerate(bases[i]):
+                    for kb, vb in enumerate(bases[n - i]):
+                        if va.endpoints()[1] != vb.endpoints()[0]:
+                            continue
+                        prods.append(_to_sparse((va * vb).terms, index))
+                        pairs.append((ka, kb))
+                sol = linalg.solve_in_span(prods, target_vec)
+                if sol is None:
+                    raise RuntimeError(
+                        f"J_{n} basis vector not inside J_{i} ⊗ J_{n - i}: internal bug"
+                    )
+                sign = Fraction((-1) ** (i - 1))
+                for (ka, kb), c in zip(pairs, sol):
+                    if not c:
+                        continue
+                    src = bases[i][ka].endpoints()[0]
+                    p = Path(src, (gen_name[(i, ka)], gen_name[(n - i, kb)]))
+                    acc = terms.get(p, Fraction(0)) + sign * c
+                    if acc:
+                        terms[p] = acc
+                    else:
+                        terms.pop(p, None)
+            if terms:
+                on_arrows[gen_name[(n, k)]] = AlgebraElement(quiver, terms)
+    d = Differential(quiver, on_arrows)
+    return DGModel(quiver, d, provenance="general", metadata={"truncated_at": nmax})

@@ -12,7 +12,11 @@ and the ``cohomology`` outputs of the quantum model (Fraction
 coefficients, ``j*`` arrow names) and of the conifold Ginzburg model
 (starred arrows and loops) by the code that took each leading word from
 the full image d(w), and the ``cy-check`` output of (7;11113) by the
-Path-keyed bimodule Leibniz loops of ``cy``.  Any change to the
+Path-keyed bimodule Leibniz loops of ``cy``, and the
+``minimal_model_general`` model of the McKay (3;111) commutation
+presentation at nmax 4, the first with several vertices, by the loop
+that solved for each J_n vector among the products of J_i and J_{n-i}
+basis vectors.  Any change to the
 arithmetic, elimination or span kernels must leave these outputs
 unchanged.  To rebuild them after a deliberate change
 of output format, run ``python tests/test_golden.py --write`` from the
@@ -78,6 +82,11 @@ def _conifold_model():
     return ginzburg_model(w)
 
 
+def _mckay_general_model():
+    pres = mckay_commutation_presentation(McKayData(3, (1, 1, 1)))
+    return minimal_model_general(QuadraticPresentation(pres.quiver, pres.relators), 4)
+
+
 def golden_outputs(work: FilePath) -> dict[str, str]:
     poly = _write(work / "poly3.json", serialize.model_to_json(polynomial_model(3)))
     mckay = _write(work / "mckay3.json", serialize.model_to_json(mckay_model(McKayData(3, (1, 1, 1)))))
@@ -116,6 +125,7 @@ def golden_outputs(work: FilePath) -> dict[str, str]:
         "cy_check_mckay6_111111.json": _cli("cy-check", "--m", "6", "--weights", "1,1,1,1,1,1", "--adams-max", "4"),
         "cy_check_mckay7_11113.json": _cli("cy-check", "--m", "7", "--weights", "1,1,1,1,3", "--adams-max", "5"),
         "quantum3_model.json": serialize.dumps(serialize.model_to_json(_quantum_model())),
+        "mckay3_111_general_model.json": serialize.dumps(serialize.model_to_json(_mckay_general_model())),
     }
 
 
@@ -139,6 +149,7 @@ def outputs(tmp_path_factory):
         "cy_check_mckay6_111111.json",
         "cy_check_mckay7_11113.json",
         "quantum3_model.json",
+        "mckay3_111_general_model.json",
     ],
 )
 def test_output_matches_golden_file(outputs, name):

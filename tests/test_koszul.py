@@ -28,8 +28,9 @@ from dgquiver import (
     shuffle_sign,
     truncated_dims,
 )
+from dgquiver import koszul
 from dgquiver.koszul import mckay_arrow_name, mckay_commutation_presentation
-from oracles import brute_Jn_dim
+from oracles import brute_Jn_dim, old_minimal_model_general
 
 
 def commutative_presentation(n: int) -> QuadraticPresentation:
@@ -174,6 +175,28 @@ def test_minimal_model_general_is_dg():
     model = minimal_model_general(pres, nmax=3)
     assert check_grading(model.differential)["status"] == "pass"
     assert check_d_squared(model.differential, 3)["status"] == "pass"
+
+
+@pytest.mark.parametrize("changed", range(6))
+def test_minimal_model_general_rejects_a_J3_vector_outside_J1_J2(monkeypatch, changed):
+    """The membership check is live: a J_3 basis vector of k[y1,y2,y3]
+    with one of its six coefficients doubled lies outside V ⊗ R, and both
+    the pivot read-off and the product-and-solve loop it replaced say so."""
+    series = koszul._jn_series
+
+    def broken(pres):
+        for n, basis in enumerate(series(pres), 1):
+            if n == 3:
+                (b,) = basis
+                p = sorted(b.terms, key=Path.sort_key)[changed]
+                basis = [AlgebraElement(b.quiver, {**b.terms, p: 2 * b.terms[p]})]
+            yield basis
+
+    monkeypatch.setattr(koszul, "_jn_series", broken)
+    pres = commutative_presentation(3)
+    for build in (minimal_model_general, old_minimal_model_general):
+        with pytest.raises(RuntimeError, match="J_3 basis vector not inside J_1 ⊗ J_2: internal bug"):
+            build(pres, 3)
 
 
 # -- McKay models -------------------------------------------------------------

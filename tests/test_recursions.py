@@ -1,11 +1,14 @@
 """The normal-word recursion of truncated_dims and the J_n recursion of
 compute_Jn against the span builders they replaced, on random
-presentations, and the word-keyed truncated_dims against the Path-keyed
-recursion it replaced."""
+presentations, the word-keyed truncated_dims against the Path-keyed
+recursion it replaced, and the differential of minimal_model_general,
+read off the RREF pivots, against the product-and-solve loop it
+replaced."""
 
 from collections import defaultdict
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,10 +26,18 @@ from dgquiver import (
     delete_vertex,
     h0_presentation,
     mckay_model,
+    minimal_model_general,
     truncated_dims,
 )
 from dgquiver.koszul import mckay_commutation_presentation
-from oracles import old_compute_Jn, old_path_truncated_dims, old_truncated_dims, paths_of_length
+from dgquiver.serialize import dumps, model_to_json
+from oracles import (
+    old_compute_Jn,
+    old_minimal_model_general,
+    old_path_truncated_dims,
+    old_truncated_dims,
+    paths_of_length,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 coeffs = st.builds(
@@ -121,3 +132,22 @@ def test_truncated_dims_without_relators_counts_paths():
 def test_compute_Jn_returns_the_bases_of_the_full_intersection(pres):
     for n in range(1, 6):
         assert compute_Jn(pres, n) == old_compute_Jn(pres, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(quadratic=True), st.integers(2, 5))
+def test_minimal_model_general_matches_the_product_and_solve_loop(pres, nmax):
+    """Byte-identical model JSON; the +-p/r relator coefficients give
+    J_n bases with non-integral entries."""
+    got = dumps(model_to_json(minimal_model_general(pres, nmax)))
+    assert got == dumps(model_to_json(old_minimal_model_general(pres, nmax)))
+
+
+@pytest.mark.parametrize("m, weights", [(3, (1, 1, 1)), (4, (1, 1, 1, 1)), (5, (1, 1, 1, 2))])
+def test_minimal_model_general_on_mckay_presentations_matches_the_product_and_solve_loop(m, weights):
+    """Multi-vertex commutation presentations, whose J_n bases span
+    several (source, target) blocks."""
+    pres = mckay_commutation_presentation(McKayData(m, weights))
+    quad = QuadraticPresentation(pres.quiver, pres.relators)
+    got = dumps(model_to_json(minimal_model_general(quad, 4)))
+    assert got == dumps(model_to_json(old_minimal_model_general(quad, 4)))
