@@ -20,7 +20,7 @@ from itertools import combinations
 from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, int_if_integral
 from .differential import Differential, DGModel
 from .errors import InvalidInputError
-from .homology import Word, cohomology_dims, truncated_dims
+from .homology import Word, cohomology_dims, slice_order, truncated_dims
 from .koszul import McKayData, _jn_series, _subset_name, mckay_arrow_name, shuffle_sign
 from .presentations import PresentedAlgebra, QuadraticPresentation
 
@@ -144,7 +144,8 @@ def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
     dims = cohomology_dims(asc, -nadams, nadams, by_component=True)
     negative = {k: v for k, v in dims.items() if k[0] < 0}
     if negative:
-        return _fail("c_koszul", {"nonzero_negative_cohomology": {str(k): v for k, v in negative.items()}})
+        witness = {str(k): negative[k] for k in sorted(negative, key=slice_order)}
+        return _fail("c_koszul", {"nonzero_negative_cohomology": witness})
     h0 = {(st, tt, a): v for (h, a, st, tt), v in dims.items() if h == 0}
     c_dims = truncated_dims(c, nadams)
     if h0 != c_dims:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .core import AlgebraElement, GradedQuiver, Path, Scalar, int_if_integral
+from .core import AlgebraElement, GradedQuiver, Path, Scalar, Vertex, int_if_integral, truncate_adams
 from .errors import InvalidInputError
 
 
@@ -70,16 +70,20 @@ class Differential:
         arrow j first differ at index i, so terms never cancel, and the
         least word is the least term of d(a_i) put in place of a_i, for
         the first i with some term of d(a_i) starting below a_i, or else
-        for the last i with d(a_i) != 0 (see homology.cohomology_dims)."""
+        for the last i with d(a_i) != 0 (see homology.cohomology_dims).
+
+        This is the reference for the lead that homology._stream_slices
+        carries from each word's prefix instead of scanning: the scan
+        reaches the arrows of w*y in order, so lead(w*y) = lead(w)*y when
+        it stopped inside w or when d(y) = 0, and otherwise its position
+        is that of y.  The tests check the two against each other."""
         smaller, least = self._leads
         at = None
-        i = 0  # a counter, not enumerate: this loop is the hot path of cohomology_dims
-        for name in word:
+        for i, name in enumerate(word):
             if name in least:
                 at = i
                 if name in smaller:
                     break
-            i += 1
         return None if at is None else word[:at] + least[word[at]] + word[at + 1 :]
 
     def apply_to_word(self, word: tuple[str, ...]) -> dict[tuple[str, ...], Scalar]:
@@ -170,20 +174,36 @@ def check_d_squared(d: Differential, n: int) -> dict:
     """Check d(d(a)) = 0 for every arrow, truncated to adeg <= n.
 
     By the Leibniz rule a vanishing d^2 on arrows extends to all paths,
-    so this check is complete.
+    so this check is complete.  d(d(a)) is accumulated on arrow words
+    with int coefficients while integral (Differential.apply_to_word);
+    only a nonzero residue becomes an AlgebraElement, for the witness.
     """
-    from .core import truncate_adams
-
-    max_adeg = max((a.adeg for a in d.quiver.arrows), default=0)
+    q = d.quiver
+    max_adeg = max((a.adeg for a in q.arrows), default=0)
     if n < max_adeg:
         raise InvalidInputError(f"truncation {n} below max arrow adeg {max_adeg}")
-    for a in d.quiver.arrows:
-        residue = truncate_adams(d.apply(d.of_arrow(a.name)), n)
-        if residue:
+    for a in q.arrows:
+        da = d.of_arrow(a.name)
+        if not da.is_hdeg_homogeneous():
+            raise InvalidInputError("d applies to hdeg-homogeneous elements only")
+        residue: dict[tuple[Vertex, tuple[str, ...]], Scalar] = {}
+        for p, c in da.terms.items():
+            c = int_if_integral(c)
+            for w, cw in d.apply_to_word(p.arrows).items():
+                key = (p.start, w)
+                acc = residue.get(key, 0) + c * cw
+                if acc:
+                    residue[key] = acc
+                else:
+                    del residue[key]
+        if not residue:
+            continue
+        kept = truncate_adams(AlgebraElement(q, {Path(*key): c for key, c in residue.items()}), n)
+        if kept:
             return {
                 "check": "d_squared",
                 "status": "fail",
-                "witness": {"arrow": a.name, "residue": repr(residue)},
+                "witness": {"arrow": a.name, "residue": repr(kept)},
                 "truncation": n,
             }
     return {

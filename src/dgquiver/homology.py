@@ -9,8 +9,10 @@ adeg >= 1, so all computations here are exact at the stated truncation.
 from __future__ import annotations
 
 import os
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import linalg
 from .core import AlgebraElement, GradedQuiver, Path, Scalar, Vertex, int_if_integral, vertex_key
@@ -48,6 +50,9 @@ class BigradedSlice:
 
 
 Word = tuple[str, ...]  # arrow names; with a slice's source it names a path
+# the words of one slice and their carried lead codes, see _stream_slices
+Bucket = tuple[list[Word], array]
+Leads = tuple[frozenset[str], dict[str, Word]]  # Differential._leads
 
 
 def _check_cap(key: SliceKey, words: list[Word], cap: int) -> None:
@@ -55,66 +60,120 @@ def _check_cap(key: SliceKey, words: list[Word], cap: int) -> None:
         raise ResourceLimitError(f"slice {key} exceeds the path cap {cap}; raise DGQ_PATH_CAP to override")
 
 
-def _slice_words(quiver: GradedQuiver, hmin: int, nadams: int, cap: int | None = None) -> dict[SliceKey, list[Word]]:
+def _stream_slices(
+    quiver: GradedQuiver, hmin: int, nadams: int, cap: int | None = None, leads: Leads = (frozenset(), {})
+) -> Iterator[tuple[Vertex, int, dict[tuple[int, Vertex], Bucket]]]:
     """The arrow words of every path with hdeg >= hmin and adeg <= nadams,
-    bucketed by (hdeg, adeg, source, target), each bucket in (length,
-    arrows) order.  Paths in one bucket share their source, so the word
-    alone is a unique key, and this order is Path.sort_key's.
+    yielded one source vertex s and one Adams level a at a time as
+    (s, a, {(hdeg, target): (words, codes)}), the words of each bucket in
+    no particular order.  Paths in one bucket share their source, so the
+    word alone is a unique key.
 
-    Built level by level in Adams degree without recursion: arrows have
-    adeg >= 1, so a level is complete once every lower level has been
-    extended by one arrow.  The prefixes of a kept path are kept too, as
+    Built level by level without recursion: arrows have adeg >= 1, so a
+    level is complete once every lower level has been extended by one
+    arrow, and it is yielded once it has been extended itself, so the
+    caller can drop it.  The prefixes of a kept path are kept too, as
     hdeg never rises and adeg never falls along a path.
+
+    codes[i] carries the position of the lead of words[i] under
+    leads = Differential._leads, as Differential.lead_word finds it: 0
+    when d(w) = 0, p + 1 when the lead replaces w[p] and w has not met an
+    arrow with a term below it, and -(p + 1) once it has, which fixes p.
+    So for w*y the code is that of w when it is negative or d(y) = 0, and
+    otherwise points at y.  With the default leads every code is 0.
     """
     cap = path_cap(cap)
-    levels: list[dict[tuple[int, Vertex, Vertex], list[Word]]] = [defaultdict(list) for _ in range(nadams + 1)]
-    for v in quiver.vertices:
-        levels[0][(0, v, v)].append(())
-    slices: dict[SliceKey, list[Word]] = {}
-    for a, level in enumerate(levels):
-        for (h, s, t), words in level.items():
-            _check_cap((h, a, s, t), words, cap)
-            words.sort()
-            words.sort(key=len)
-            slices[(h, a, s, t)] = words
-            for arr in quiver.out_arrows(t):
-                h2, a2 = h + arr.hdeg, a + arr.adeg
-                if h2 >= hmin and a2 <= nadams:
-                    bucket = levels[a2][(h2, s, arr.target)]
-                    name = (arr.name,)
-                    bucket += [w + name for w in words]
-                    # checked as it grows, so memory stays near the cap
-                    _check_cap((h2, a2, s, arr.target), bucket, cap)
-    return slices
+    smaller, least = leads
+    # a word has at most nadams arrows, as each has adeg >= 1, so a code
+    # fits a signed byte while nadams < 128
+    typecode = "b" if nadams < 128 else "q"
+    for s in quiver.vertices:
+        levels: list[dict[tuple[int, Vertex], Bucket]] = [{} for _ in range(nadams + 1)]
+        levels[0][(0, s)] = ([()], array(typecode, [0]))
+        for a in range(nadams + 1):
+            level = levels[a]
+            levels[a] = {}  # once yielded, the caller may drop the level
+            for (h, t), (words, codes) in level.items():
+                _check_cap((h, a, s, t), words, cap)
+                for arr in quiver.out_arrows(t):
+                    h2, a2 = h + arr.hdeg, a + arr.adeg
+                    if h2 >= hmin and a2 <= nadams:
+                        key = (h2, arr.target)
+                        bucket = levels[a2].get(key)
+                        if bucket is None:
+                            bucket = levels[a2][key] = ([], array(typecode))
+                        name = (arr.name,)
+                        bucket[0].extend([w + name for w in words])
+                        if arr.name not in least:
+                            bucket[1].extend(codes)
+                        else:
+                            sign = -1 if arr.name in smaller else 1
+                            bucket[1].extend([c if c < 0 else sign * (len(w) + 1) for w, c in zip(words, codes)])
+                        # checked as it grows, so memory stays near the cap
+                        _check_cap((h2, a2, s, arr.target), bucket[0], cap)
+            yield s, a, level
 
 
 def bigraded_slices(
     quiver: GradedQuiver, hmin: int, nadams: int, cap: int | None = None
 ) -> dict[SliceKey, BigradedSlice]:
     """Enumerate all paths with hdeg >= hmin and adeg <= nadams, bucketed
-    by (hdeg, adeg, source, target) with the canonical basis order."""
+    by (hdeg, adeg, source, target) with the canonical basis order:
+    (length, arrows), which is Path.sort_key's inside a slice."""
     return {
-        key: BigradedSlice(*key, tuple(Path(key[2], w) for w in words))
-        for key, words in _slice_words(quiver, hmin, nadams, cap).items()
+        (h, a, s, t): BigradedSlice(h, a, s, t, tuple(Path(s, w) for w in sorted(words, key=lambda w: (len(w), w))))
+        for s, a, level in _stream_slices(quiver, hmin, nadams, cap)
+        for (h, t), (words, _codes) in level.items()
     }
 
 
-def _image_pivots(d: Differential, sources: list[Word], target: list[Word]) -> set[Word]:
-    """The pivot words of the span of the d(w), w in sources, in the
-    target slice: the least words of the images while these are pairwise
-    distinct (apparent pairs, see cohomology_dims); at the first repeat,
-    the pivots that linalg.pivot_columns finds in the target's slice order.
+def _image_pivots(d: Differential, source: Bucket, cleared: set[Word], target: list[Word]) -> set[Word]:
+    """The pivot words of the span of the d(w), w a source word not in
+    cleared, in the target slice: the least words of the images, taken
+    from the carried lead codes, when these are pairwise distinct
+    (apparent pairs, see cohomology_dims); otherwise the pivots that
+    linalg.pivot_columns finds with the target in tuple order.
     """
-    leads: set[Word] = set()
-    for w in sources:
-        lead = d.lead_word(w)
-        if lead is not None:
-            if lead in leads:
-                index = {u: i for i, u in enumerate(target)}
-                pivots = linalg.pivot_columns({index[u]: c for u, c in d.apply_to_word(v).items()} for v in sources)
-                return {target[i] for i in pivots}
-            leads.add(lead)
-    return leads
+    least = d._leads[1]
+    words, codes = source
+    leads = [
+        w[:p] + least[w[p]] + w[p + 1 :] for w, c in zip(words, codes) if c and w not in cleared for p in (abs(c) - 1,)
+    ]
+    pivots = set(leads)
+    if len(pivots) == len(leads):
+        return pivots
+    target = sorted(target)
+    index = {u: i for i, u in enumerate(target)}
+    images = (d.apply_to_word(w) for w in words if w not in cleared)
+    return {target[i] for i in linalg.pivot_columns({index[u]: c for u, c in img.items()} for img in images)}
+
+
+def _level_dims(
+    d: Differential, level: dict[tuple[int, Vertex], Bucket], hmin: int
+) -> Iterator[tuple[int, Vertex, int]]:
+    """(h, target, dim H^h) for every nonzero dimension, h >= hmin, of the
+    chains (a, s, target) of one Adams level a of one source s."""
+    out_rank: dict[tuple[int, Vertex], int] = {}
+    for (h, t), bucket in level.items():
+        if (h - 1, t) in level:
+            continue  # not the lowest slice of its chain
+        cleared: set[Word] = set()
+        while (tgt := level.get((h + 1, t))) is not None:
+            cleared = _image_pivots(d, bucket, cleared, tgt[0])
+            out_rank[(h, t)] = len(cleared)
+            h, bucket = h + 1, tgt
+    for (h, t), (words, _codes) in level.items():
+        if h >= hmin:
+            dim = len(words) - out_rank.get((h, t), 0) - out_rank.get((h - 1, t), 0)
+            if dim:
+                yield h, t, dim
+
+
+def slice_order(key: SliceKey) -> tuple:
+    """The order of cohomology_dims(..., by_component=True): hdeg, adeg,
+    then source and target by vertex_key."""
+    h, a, s, t = key
+    return (h, a, vertex_key(s), vertex_key(t))
 
 
 def cohomology_dims(
@@ -126,9 +185,17 @@ def cohomology_dims(
 ) -> dict:
     """dim H^h in each bidegree with hmin <= h <= 0 and adeg <= nadams.
 
-    With by_component=True the table is keyed (h, a, source, target) and
-    zero entries are dropped; otherwise it is keyed (h, a) with every
-    requested bidegree present.
+    With by_component=True the table is keyed (h, a, source, target),
+    zero entries are dropped and the keys come in slice_order; otherwise
+    it is keyed (h, a) with every requested bidegree present.
+
+    d preserves source, target and adeg, so every chain (a, s, t) lies in
+    one Adams level of one source.  The slices are streamed one source
+    and one level at a time (_stream_slices); once a level has been
+    extended its chains are ranked and its words dropped, and only the
+    slice sizes and ranks are kept.  No order of the words is needed:
+    clearing holds for any fixed total order, and apparent pairs compare
+    least words in tuple order, which the words carry themselves.
 
     Each chain (a, source, target) is walked upward from its lowest hdeg
     with clearing (Chen & Kerber 2011; Bauer, Kerber & Reininghaus 2014):
@@ -152,57 +219,48 @@ def cohomology_dims(
     as any echelon basis has the pivots of the reduced one.  Only when
     two images of a step share a least word, as must happen when they
     are dependent, are the step's images computed in full and reduced
-    exactly by linalg.pivot_columns.  After clearing, no step of the
+    exactly by linalg.pivot_columns, with the target sorted so that its
+    pivots are those of tuple order too.  After clearing, no step of the
     criterion-3 models at hmin = -nadams needs it; their vertex
     deletions, with H^{<0} != 0, do.
 
-    The least word of d(w) comes from Differential.lead_word without
-    expanding d(w), by this lemma.  Suppose no term of any d(a) is the
-    empty word or starts with a, and no term of d(a) is a proper prefix
-    of another.  Every d that passes check_grading has this property:
-    the terms of d(a) all have adeg(a) >= 1 and hdeg(a) + 1, which no
-    empty word and no word a*u has (adeg(u) = 0 forces u empty), and a
-    proper prefix of a word has a smaller adeg, as arrows have adeg >= 1.
-    Write w = a_1...a_k and let the Leibniz terms of position i be the
-    a_1...a_{i-1} m a_{i+1}...a_k with m a term of d(a_i).  A term of
-    position i and one of a later position j share a_1...a_{i-1} and
-    differ at index i, where the first has m[0] != a_i and the second
-    has a_i.  So terms of different positions never cancel, nor do those
-    of one position, as distinct m give distinct words: d(w) != 0
-    exactly when some d(a_i) != 0.  The terms of position i all precede
-    those of later positions when some m[0] < a_i and all follow them
-    otherwise, and, the m being prefix-free, the least of them puts the
-    least m in place of a_i.  So the least word of d(w) comes from the
-    first active position with some m[0] < a_i, or from the last active
-    position when there is none.  A d that breaks the hypothesis makes
-    this function raise InvalidInputError; it cannot pass check_grading,
-    which the CLI runs first.
+    The least word of d(w) is never computed from d(w), by this lemma.
+    Suppose no term of any d(a) is the empty word or starts with a, and
+    no term of d(a) is a proper prefix of another.  Every d that passes
+    check_grading has this property: the terms of d(a) all have
+    adeg(a) >= 1 and hdeg(a) + 1, which no empty word and no word a*u has
+    (adeg(u) = 0 forces u empty), and a proper prefix of a word has a
+    smaller adeg, as arrows have adeg >= 1.  Write w = a_1...a_k and let
+    the Leibniz terms of position i be the a_1...a_{i-1} m a_{i+1}...a_k
+    with m a term of d(a_i).  A term of position i and one of a later
+    position j share a_1...a_{i-1} and differ at index i, where the first
+    has m[0] != a_i and the second has a_i.  So terms of different
+    positions never cancel, nor do those of one position, as distinct m
+    give distinct words: d(w) != 0 exactly when some d(a_i) != 0.  The
+    terms of position i all precede those of later positions when some
+    m[0] < a_i and all follow them otherwise, and, the m being
+    prefix-free, the least of them puts the least m in place of a_i.  So
+    the least word of d(w) comes from the first active position with some
+    m[0] < a_i, or from the last active position when there is none; this
+    is Differential.lead_word.  The position is carried from each word's
+    prefix as the word is built: lead(w*y) = lead(w)*y when w has already
+    met an arrow with a term below it, or when d(y) = 0, and otherwise it
+    is w*least(y).  A d that breaks the hypothesis makes this function
+    raise InvalidInputError; it cannot pass check_grading, which the CLI
+    runs first.
     """
     if hmin > 0:
         raise InvalidInputError("hmin must be <= 0")
     if nadams < 1:
         raise InvalidInputError("nadams must be >= 1")
     d = model.differential
-    d.lead_word(())  # raises here when the lemma above does not apply
-    slices = _slice_words(model.quiver, hmin - 1, nadams, cap)
-    out_rank: dict[SliceKey, int] = {}
-    for (h, a, s, t), words in slices.items():
-        if (h - 1, a, s, t) in slices:
-            continue  # not the lowest slice of its chain
-        cleared: set[Word] = set()
-        while (tgt := slices.get((h + 1, a, s, t))) is not None:
-            cleared = _image_pivots(d, [w for w in words if w not in cleared], tgt)
-            out_rank[(h, a, s, t)] = len(cleared)
-            h, words = h + 1, tgt
-    comp: dict[tuple[int, int, Vertex, Vertex], int] = {}
-    for (h, a, s, t), words in slices.items():
-        if h < hmin:
-            continue
-        dim = len(words) - out_rank.get((h, a, s, t), 0) - out_rank.get((h - 1, a, s, t), 0)
-        if dim:
+    leads = d._leads  # raises here when the lemma above does not apply
+    comp: dict[SliceKey, int] = {}
+    for s, a, level in _stream_slices(model.quiver, hmin - 1, nadams, cap, leads):
+        for h, t, dim in _level_dims(d, level, hmin):
             comp[(h, a, s, t)] = dim
     if by_component:
-        return comp
+        return dict(sorted(comp.items(), key=lambda kv: slice_order(kv[0])))
     table = {(h, a): 0 for h in range(hmin, 1) for a in range(nadams + 1)}
     for (h, a, _s, _t), dim in comp.items():
         table[(h, a)] += dim

@@ -11,7 +11,8 @@ Path-based ``cohomology_dims``, which pins the word-level slices, the
 Path/Fraction ``truncated_dims`` and bimodule Leibniz loops of ``cy``,
 which pin their arrow-word replacements, and the product-and-solve
 ``minimal_model_general``, which pins the read-off of its differential
-from the RREF pivots.
+from the RREF pivots, and the Fraction ``check_d_squared``, which pins
+its word-level accumulation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import combinations_with_replacement
 import sympy
 
 from dgquiver import koszul, linalg
-from dgquiver.core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex, vertex_key
+from dgquiver.core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex, truncate_adams, vertex_key
 from dgquiver.errors import InvalidInputError, ResourceLimitError
 from dgquiver.differential import Differential, DGModel
 from dgquiver.homology import BigradedSlice, SliceKey, path_cap
@@ -477,6 +478,41 @@ def old_cohomology_dims(
     for (h, a, _s, _t), dim in comp.items():
         table[(h, a)] += dim
     return table
+
+
+def old_check_d_squared(d: Differential, n: int) -> dict:
+    """The former Fraction check_d_squared: d(d(a)) built as an
+    AlgebraElement and truncated, differentiated by old_apply_to_path in
+    place of Differential.apply."""
+    max_adeg = max((a.adeg for a in d.quiver.arrows), default=0)
+    if n < max_adeg:
+        raise InvalidInputError(f"truncation {n} below max arrow adeg {max_adeg}")
+    for a in d.quiver.arrows:
+        da = d.of_arrow(a.name)
+        if not da.is_hdeg_homogeneous():
+            raise InvalidInputError("d applies to hdeg-homogeneous elements only")
+        out: dict[Path, Fraction] = {}
+        for p, c in da.terms.items():
+            for r, v in old_apply_to_path(d, p).items():
+                acc = out.get(r, Fraction(0)) + c * v
+                if acc:
+                    out[r] = acc
+                else:
+                    out.pop(r, None)
+        residue = truncate_adams(AlgebraElement(d.quiver, out), n)
+        if residue:
+            return {
+                "check": "d_squared",
+                "status": "fail",
+                "witness": {"arrow": a.name, "residue": repr(residue)},
+                "truncation": n,
+            }
+    return {
+        "check": "d_squared",
+        "status": "pass",
+        "truncation": n,
+        "note": "verified on arrows; Leibniz extends the identity to all paths",
+    }
 
 
 # ---------------------------------------------------------------------------

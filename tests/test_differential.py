@@ -7,14 +7,21 @@ import pytest
 
 from dgquiver import (
     AlgebraElement,
+    Arrow,
     Differential,
     DGModel,
+    GradedQuiver,
     InvalidInputError,
+    McKayData,
     Path,
+    QuadraticPresentation,
     check_d_squared,
     check_grading,
+    mckay_model,
+    minimal_model_general,
     polynomial_model,
 )
+from oracles import old_check_d_squared
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +86,56 @@ def test_d_squared_catches_corrupted_sign(poly3):
     report = check_d_squared(Differential(q, on), 3)
     assert report["status"] == "fail"
     assert report["witness"]["arrow"] == "x123"
+
+
+def _corruptions(d: Differential):
+    """d with one term of one d(a) negated or scaled by 2/3."""
+    for name, da in d.on_arrows.items():
+        for p in da.terms:
+            for f in (-1, Fraction(2, 3)):
+                on = dict(d.on_arrows)
+                on[name] = AlgebraElement(d.quiver, {r: c * f if r == p else c for r, c in da.terms.items()})
+                yield Differential(d.quiver, on)
+
+
+def _quantum_model():
+    """Fraction coefficients in d: k<x1, x2, x3> with x_i x_j = q_ij x_j x_i."""
+    q = GradedQuiver((0,), tuple(Arrow(f"x{i}", 0, 0, 0, 1) for i in (1, 2, 3)))
+    ratios = {(1, 2): Fraction(3, 7), (1, 3): Fraction(-5, 2), (2, 3): Fraction(11)}
+    relators = tuple(
+        AlgebraElement(q, {Path(0, (f"x{i}", f"x{j}")): 1, Path(0, (f"x{j}", f"x{i}")): -r})
+        for (i, j), r in ratios.items()
+    )
+    return minimal_model_general(QuadraticPresentation(q, relators), 3)
+
+
+def _ungraded_differential():
+    """d(y) = x*x and d(z) = y*x*x with |z| = (-2, 3): d(d(z)) = x^4 sits
+    above adeg 3, so the truncation decides the verdict."""
+    q = GradedQuiver((0,), (Arrow("x", 0, 0, 0, 1), Arrow("y", 0, 0, -1, 2), Arrow("z", 0, 0, -2, 3)))
+    on = {"y": AlgebraElement(q, {Path(0, ("x", "x")): 1}), "z": AlgebraElement(q, {Path(0, ("y", "x", "x")): 3})}
+    return Differential(q, on)
+
+
+def test_d_squared_report_matches_the_fraction_route():
+    """Pass and fail reports, witness residues included, are identical to
+    those of the former AlgebraElement route on corrupted polynomial,
+    McKay and quantum differentials, and at both sides of a truncation."""
+    ds = [polynomial_model(3).differential, mckay_model(McKayData(3, (1, 1, 1))).differential]
+    ds.append(_quantum_model().differential)
+    failed = 0
+    for d in ds:
+        max_adeg = max(a.adeg for a in d.quiver.arrows)
+        assert check_d_squared(d, max_adeg) == old_check_d_squared(d, max_adeg)
+        for bad in _corruptions(d):
+            report = check_d_squared(bad, max_adeg)
+            assert report == old_check_d_squared(bad, max_adeg)
+            failed += report["status"] == "fail"
+    assert failed > 0
+    d = _ungraded_differential()
+    for n in (3, 4):
+        assert check_d_squared(d, n) == old_check_d_squared(d, n)
+    assert [check_d_squared(d, n)["status"] for n in (3, 4)] == ["pass", "fail"]
 
 
 def test_grading_check(poly3):

@@ -2,6 +2,7 @@
 replaced, on polynomial, McKay, quantum and Ginzburg models."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -31,7 +32,7 @@ from dgquiver import (
 )
 from dgquiver import linalg, serialize
 from dgquiver.cli import main
-from dgquiver.homology import _slice_words, bigraded_slices
+from dgquiver.homology import _stream_slices, bigraded_slices, slice_order
 from oracles import old_bigraded_slices, old_cohomology_dims
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -121,12 +122,21 @@ def test_elimination_runs_only_on_a_repeated_leading_word(monkeypatch):
             assert calls > 0
 
 
-def _assert_lead_words_match_the_full_images(model):
+def _assert_lead_words_match_the_full_images(model, hmin=-6, nadams=6):
+    """The lead code each word carries from its prefix, decoded as
+    _stream_slices documents it, against Differential.lead_word and the
+    least word of the full image."""
     d = model.differential
-    for words in _slice_words(model.quiver, -6, 6).values():
-        for w in words:
-            img = d.apply_to_word(w)
-            assert d.lead_word(w) == (min(img) if img else None), w
+    least = d._leads[1]
+    for _s, _a, level in _stream_slices(model.quiver, hmin, nadams, leads=d._leads):
+        for words, codes in level.values():
+            assert len(words) == len(codes)
+            for w, c in zip(words, codes):
+                img = d.apply_to_word(w)
+                lead = min(img) if img else None
+                assert d.lead_word(w) == lead, w
+                p = abs(c) - 1
+                assert (w[:p] + least[w[p]] + w[p + 1 :] if c else None) == lead, w
 
 
 def test_lead_word_is_the_least_word_of_the_full_image():
@@ -142,6 +152,27 @@ def test_lead_word_is_the_least_word_of_the_full_image():
 def test_lead_word_on_quantum_models(model):
     """Fraction coefficients and the j* arrow names of minimal_model_general."""
     _assert_lead_words_match_the_full_images(model)
+
+
+def _long_word_model() -> DGModel:
+    """A loop x at vertex 0 and arrows y, z from 0 to 1 with |x| = |z| =
+    (0, 1), |y| = (-1, 2) and d(y) = x*z: the words from 0 are x^i, x^i*y
+    and x^i*z, and the lead of x^i*y replaces y at position i."""
+    quiver = GradedQuiver((0, 1), (Arrow("x", 0, 0, 0, 1), Arrow("y", 0, 1, -1, 2), Arrow("z", 0, 1, 0, 1)))
+    dy = AlgebraElement(quiver, {Path(0, ("x", "z")): 1})
+    return DGModel(quiver, Differential(quiver, {"y": dy}))
+
+
+@pytest.mark.parametrize("nadams", [127, 300])
+def test_carried_lead_on_long_words(nadams):
+    """Leads at positions up to 125 in the widest window whose codes are
+    bytes, and past 255 in one whose codes are not; the 1500-arrow test
+    in test_homology has d = 0.  d(x^i*y) = x^(i+1)*z, so H^{-1} = 0 and
+    H^0 is spanned by the x^a, e_1 and z."""
+    model = _long_word_model()
+    _assert_lead_words_match_the_full_images(model, -2, nadams)
+    table = cohomology_dims(model, -1, nadams)
+    assert table == {(h, a): (h == 0) * (1 + (a <= 1)) for h in (-1, 0) for a in range(nadams + 1)}
 
 
 def _bad_model(term: tuple[str, ...]) -> DGModel:
@@ -166,6 +197,32 @@ def test_lead_word_rejects_a_differential_outside_its_lemma(term, tmp_path, caps
     report = json.loads(out)
     assert report["check"] == "grading" and report["witness"]["arrow"] == "y"
     assert "Traceback" not in err
+
+
+def test_by_component_tables_come_in_slice_order():
+    """The slices are streamed one source vertex at a time, so the table
+    is sorted before it is returned: by hdeg, adeg, source and target,
+    which for the int vertices of these models is plain tuple order.
+    The items are compared as lists, so the order is pinned too."""
+    for model in fixed_models():
+        table = cohomology_dims(model, -5, 6, by_component=True)
+        assert list(table.items()) == sorted(old_cohomology_dims(model, -5, 6, by_component=True).items())
+        assert list(table) == sorted(table, key=slice_order)
+
+
+def test_cohomology_dims_keeps_one_level_of_words():
+    """Each Adams level's words are dropped once its chains are ranked,
+    so the traced peak stays far below that of holding every slice of
+    every source (9.7 MB before streaming)."""
+    model = mckay_model(McKayData(5, (1, 1, 1, 2)))
+    cohomology_dims(model, -1, 1)  # compile d and its leads outside the trace
+    tracemalloc.start()
+    try:
+        cohomology_dims(model, -6, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 @settings(max_examples=80, deadline=None)
