@@ -11,7 +11,6 @@ with d(e_v) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
@@ -114,17 +113,22 @@ class Differential:
         return {Path(p.start, w): c for w, c in self.apply_to_word(p.arrows).items()}
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
+        """d(u) by the Leibniz rule, accumulated on (start, arrow word)
+        keys with int coefficients while integral (apply_to_word); the
+        AlgebraElement is built once, from what does not cancel."""
         if not u.is_hdeg_homogeneous():
             raise InvalidInputError("d applies to hdeg-homogeneous elements only")
-        out: dict[Path, Fraction] = {}
+        out: dict[tuple[Vertex, tuple[str, ...]], Scalar] = {}
         for p, c in u.terms.items():
-            for r, v in self.apply_to_path(p).items():
-                acc = out.get(r, Fraction(0)) + c * v
+            c = int_if_integral(c)
+            for w, v in self.apply_to_word(p.arrows).items():
+                key = (p.start, w)
+                acc = out.get(key, 0) + c * v
                 if acc:
-                    out[r] = acc
+                    out[key] = acc
                 else:
-                    out.pop(r, None)
-        return AlgebraElement(self.quiver, out)
+                    del out[key]
+        return AlgebraElement(self.quiver, {Path(*key): c for key, c in out.items()})
 
     def __call__(self, u: AlgebraElement) -> AlgebraElement:
         return self.apply(u)
@@ -174,36 +178,18 @@ def check_d_squared(d: Differential, n: int) -> dict:
     """Check d(d(a)) = 0 for every arrow, truncated to adeg <= n.
 
     By the Leibniz rule a vanishing d^2 on arrows extends to all paths,
-    so this check is complete.  d(d(a)) is accumulated on arrow words
-    with int coefficients while integral (Differential.apply_to_word);
-    only a nonzero residue becomes an AlgebraElement, for the witness.
+    so this check is complete.
     """
-    q = d.quiver
-    max_adeg = max((a.adeg for a in q.arrows), default=0)
+    max_adeg = max((a.adeg for a in d.quiver.arrows), default=0)
     if n < max_adeg:
         raise InvalidInputError(f"truncation {n} below max arrow adeg {max_adeg}")
-    for a in q.arrows:
-        da = d.of_arrow(a.name)
-        if not da.is_hdeg_homogeneous():
-            raise InvalidInputError("d applies to hdeg-homogeneous elements only")
-        residue: dict[tuple[Vertex, tuple[str, ...]], Scalar] = {}
-        for p, c in da.terms.items():
-            c = int_if_integral(c)
-            for w, cw in d.apply_to_word(p.arrows).items():
-                key = (p.start, w)
-                acc = residue.get(key, 0) + c * cw
-                if acc:
-                    residue[key] = acc
-                else:
-                    del residue[key]
-        if not residue:
-            continue
-        kept = truncate_adams(AlgebraElement(q, {Path(*key): c for key, c in residue.items()}), n)
-        if kept:
+    for a in d.quiver.arrows:
+        residue = truncate_adams(d.apply(d.of_arrow(a.name)), n)
+        if residue:
             return {
                 "check": "d_squared",
                 "status": "fail",
-                "witness": {"arrow": a.name, "residue": repr(kept)},
+                "witness": {"arrow": a.name, "residue": repr(residue)},
                 "truncation": n,
             }
     return {

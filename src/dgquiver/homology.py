@@ -84,12 +84,9 @@ def _stream_slices(
     """
     cap = path_cap(cap)
     smaller, least = leads
-    # a word has at most nadams arrows, as each has adeg >= 1, so a code
-    # fits a signed byte while nadams < 128
-    typecode = "b" if nadams < 128 else "q"
     for s in quiver.vertices:
         levels: list[dict[tuple[int, Vertex], Bucket]] = [{} for _ in range(nadams + 1)]
-        levels[0][(0, s)] = ([()], array(typecode, [0]))
+        levels[0][(0, s)] = ([()], array("q", [0]))
         for a in range(nadams + 1):
             level = levels[a]
             levels[a] = {}  # once yielded, the caller may drop the level
@@ -101,7 +98,7 @@ def _stream_slices(
                         key = (h2, arr.target)
                         bucket = levels[a2].get(key)
                         if bucket is None:
-                            bucket = levels[a2][key] = ([], array(typecode))
+                            bucket = levels[a2][key] = ([], array("q"))
                         name = (arr.name,)
                         bucket[0].extend([w + name for w in words])
                         if arr.name not in least:
@@ -152,19 +149,22 @@ def _level_dims(
     d: Differential, level: dict[tuple[int, Vertex], Bucket], hmin: int
 ) -> Iterator[tuple[int, Vertex, int]]:
     """(h, target, dim H^h) for every nonzero dimension, h >= hmin, of the
-    chains (a, s, target) of one Adams level a of one source s."""
+    chains (a, s, target) of one Adams level a of one source s.
+
+    Consumes the level: each slice is popped as its chain reaches it, so
+    its words are dropped once the step out of it is ranked."""
+    sizes = {key: len(words) for key, (words, _codes) in level.items()}
     out_rank: dict[tuple[int, Vertex], int] = {}
-    for (h, t), bucket in level.items():
-        if (h - 1, t) in level:
-            continue  # not the lowest slice of its chain
+    for h, t in [(h, t) for h, t in level if (h - 1, t) not in level]:
+        bucket = level.pop((h, t))
         cleared: set[Word] = set()
-        while (tgt := level.get((h + 1, t))) is not None:
+        while (tgt := level.pop((h + 1, t), None)) is not None:
             cleared = _image_pivots(d, bucket, cleared, tgt[0])
             out_rank[(h, t)] = len(cleared)
             h, bucket = h + 1, tgt
-    for (h, t), (words, _codes) in level.items():
+    for (h, t), size in sizes.items():
         if h >= hmin:
-            dim = len(words) - out_rank.get((h, t), 0) - out_rank.get((h - 1, t), 0)
+            dim = size - out_rank.get((h, t), 0) - out_rank.get((h - 1, t), 0)
             if dim:
                 yield h, t, dim
 
@@ -192,10 +192,11 @@ def cohomology_dims(
     d preserves source, target and adeg, so every chain (a, s, t) lies in
     one Adams level of one source.  The slices are streamed one source
     and one level at a time (_stream_slices); once a level has been
-    extended its chains are ranked and its words dropped, and only the
-    slice sizes and ranks are kept.  No order of the words is needed:
-    clearing holds for any fixed total order, and apparent pairs compare
-    least words in tuple order, which the words carry themselves.
+    extended its chains are ranked, each slice's words dropped as soon as
+    the step out of it is ranked, and only the slice sizes and ranks are
+    kept.  No order of the words is needed: clearing holds for any fixed
+    total order, and apparent pairs compare least words in tuple order,
+    which the words carry themselves.
 
     Each chain (a, source, target) is walked upward from its lowest hdeg
     with clearing (Chen & Kerber 2011; Bauer, Kerber & Reininghaus 2014):
