@@ -3,13 +3,16 @@
 Element coefficients are ``fractions.Fraction``.  The hot paths built on
 them (``Differential.apply_to_word``, which ``cohomology_dims`` applies
 to the plain arrow-name tuples of its slices, the normal forms of
-``truncated_dims``, keyed by arrow-name tuples, the bimodule checks of
-``cy``, which apply a word-keyed table of d on the bimodule generators,
-and the elimination in ``linalg``) keep coefficients as ``int`` while
-they are integral; Python's numeric tower turns them into ``Fraction``
-only on division.  There is no floating point anywhere.  Elements are
-stored sparsely as ``{Path: coefficient}`` with a canonical ordering of
-paths so that iteration and printing are deterministic.
+``truncated_dims``, keyed by arrow-name tuples, the J_n rows of
+``koszul``, keyed by arrow words, the bimodule checks of ``cy``, which
+apply a word-keyed table of d on the bimodule generators, and the
+elimination in ``linalg``) keep coefficients as ``int`` while they are
+integral; Python's numeric tower turns them into ``Fraction`` only on
+division.  An ``AlgebraElement`` converts each coefficient once, when
+it is built, and keeps a ``Fraction`` as it is.  There is no floating
+point anywhere.  Elements are stored sparsely as ``{Path: coefficient}``
+with a canonical ordering of paths so that iteration and printing are
+deterministic.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ class GradedQuiver:
         return AlgebraElement(self, {Path(a.source, (name,)): Fraction(1)})
 
     def element(self, terms: Mapping[Path, Scalar]) -> "AlgebraElement":
-        return AlgebraElement(self, {p: Fraction(c) for p, c in terms.items()})
+        return AlgebraElement(self, terms)
 
 
 class AlgebraElement:
@@ -176,7 +179,8 @@ class AlgebraElement:
     def __init__(self, quiver: GradedQuiver, terms: Mapping[Path, Scalar]):
         clean: dict[Path, Fraction] = {}
         for p, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 clean[p] = c
         self.quiver = quiver

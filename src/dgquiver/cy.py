@@ -161,7 +161,8 @@ def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
     for deg, basis in zip(range(1, n + 2), _jn_series(pres)):
         jn: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
         for b in basis:
-            jn[b.endpoints()] += 1
+            w = next(iter(b))  # every word of a row has the row's endpoints
+            jn[(c.quiver.arrow(w[0]).source, c.quiver.arrow(w[-1]).target)] += 1
         gens: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
         for a in asc.quiver.arrows:
             if a.adeg == deg:

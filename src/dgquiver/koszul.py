@@ -3,6 +3,10 @@
 Covers the general quadratic construction (lattice of intersections
 J_n), the explicit exterior-generator model for polynomial rings, the
 cyclic-group McKay model, and the vertex-deletion quotient.
+
+The J_n lattice runs on rows {arrow word: coefficient}, int while
+integral; compute_Jn and minimal_model_general build AlgebraElements
+from them once, at the end.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ from itertools import chain, combinations, islice
 from typing import Iterator
 
 from . import linalg
-from .core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex
+from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, int_if_integral, vertex_key
 from .differential import Differential, DGModel
 from .errors import InvalidInputError
 from .presentations import QuadraticPresentation
+
+WordRow = dict[tuple[str, ...], Scalar]  # {arrow word: coefficient}, a J_n basis row
 
 
 def shuffle_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -122,32 +128,31 @@ def mckay_arrow_name(j: int, s: tuple[int, ...]) -> str:
 def mckay_model(data: McKayData) -> DGModel:
     """Minimal model of k[x_1..x_n] # Z/m: vertices 0..m-1, an arrow
     x_{j,S,j+d(S)} per vertex j and nonempty subset S."""
-    m, n = data.m, data.n
+    m = data.m
+    subsets = list(_subsets(data.n))
+    names = [_subset_name(s) for s in subsets]
+    weight = [data.d_of(s) for s in subsets]
+    # per subset, its signed splits as (index of A, index of B, coefficient)
+    index = {s: k for k, s in enumerate(subsets)}
+    signed = {1: Fraction(1), -1: Fraction(-1)}
+    splits = [
+        [(index[a], index[b], signed[(-1) ** (len(a) - 1) * shuffle_sign(a, b)]) for a, b in _splits(s)]
+        for s in subsets
+    ]
+    arrow_names = [[f"x{j}_{name}" for name in names] for j in range(m)]
     arrows = []
     for j in range(m):
-        for s in _subsets(n):
-            t = (j + data.d_of(s)) % m
-            arrows.append(
-                Arrow(
-                    mckay_arrow_name(j, s),
-                    j,
-                    t,
-                    -len(s) + 1,
-                    len(s),
-                    label=f"x_{{{j},{{{_subset_name(s)}}},{t}}}",
-                )
-            )
+        for k, s in enumerate(subsets):
+            t = (j + weight[k]) % m
+            arrows.append(Arrow(arrow_names[j][k], j, t, -len(s) + 1, len(s), label=f"x_{{{j},{{{names[k]}}},{t}}}"))
     quiver = GradedQuiver(tuple(range(m)), tuple(arrows))
     on_arrows: dict[str, AlgebraElement] = {}
-    for j in range(m):
-        for s in _subsets(n):
-            terms: dict[Path, Fraction] = {}
-            for a, b in _splits(s):
-                coeff = Fraction((-1) ** (len(a) - 1) * shuffle_sign(a, b))
-                mid = (j + data.d_of(a)) % m
-                terms[Path(j, (mckay_arrow_name(j, a), mckay_arrow_name(mid, b)))] = coeff
-            if terms:
-                on_arrows[mckay_arrow_name(j, s)] = AlgebraElement(quiver, terms)
+    for j, here in enumerate(arrow_names):
+        for k, split in enumerate(splits):
+            if split:
+                on_arrows[here[k]] = AlgebraElement(
+                    quiver, {Path(j, (here[a], arrow_names[(j + weight[a]) % m][b])): c for a, b, c in split}
+                )
     d = Differential(quiver, on_arrows)
     return DGModel(
         quiver,
@@ -219,47 +224,42 @@ def delete_vertex(model: DGModel, v: Vertex) -> DGModel:
 # general quadratic algebras
 
 
-def _to_sparse(terms: dict[Path, Fraction], index: dict[Path, int]) -> linalg.SparseVec:
-    """terms as a sparse row; a path not yet in index gets the next column."""
-    return {index.setdefault(p, len(index)): c for p, c in terms.items()}
-
-
-def _echelon_elements(
-    quiver: GradedQuiver, u_rows: list[dict[Path, Fraction]], w_rows: list[dict[Path, Fraction]] | None = None
-) -> list[AlgebraElement]:
+def _echelon_words(start: dict[str, tuple], u_rows: list[WordRow], w_rows: list[WordRow] | None = None) -> list[WordRow]:
     """RREF basis of the span of u_rows, or of its intersection with the
-    span of w_rows, over the canonical ordering of the paths involved."""
-    cols = sorted({p for row in chain(u_rows, w_rows or ()) for p in row}, key=Path.sort_key)
-    index = {p: i for i, p in enumerate(cols)}
-    u = [_to_sparse(row, index) for row in u_rows]
+    span of w_rows, over the words ordered by (start[first arrow], word):
+    Path.sort_key on the words of one length."""
+    cols = sorted({w for row in chain(u_rows, w_rows or ()) for w in row})
+    cols.sort(key=lambda w: start[w[0]])  # stable, so by (start, word)
+    index = {w: i for i, w in enumerate(cols)}
+    u = [{index[w]: c for w, c in row.items()} for row in u_rows]
     if w_rows is None:
         rows = linalg.row_reduce(u)
     else:
-        rows = linalg.intersect_rowspaces(u, [_to_sparse(row, index) for row in w_rows], len(cols))
-    return [AlgebraElement(quiver, {cols[i]: c for i, c in row.items()}) for row in rows]
+        rows = linalg.intersect_rowspaces(u, [{index[w]: c for w, c in row.items()} for row in w_rows], len(cols))
+    return [{cols[i]: int_if_integral(c) for i, c in row.items()} for row in rows]
 
 
-def _jn_series(pres: QuadraticPresentation) -> Iterator[list[AlgebraElement]]:
-    """The bases of J_1, J_2, J_3, ... in turn; see compute_Jn."""
+def _jn_series(pres: QuadraticPresentation) -> Iterator[list[WordRow]]:
+    """The bases of J_1, J_2, J_3, ... in turn, each row as {arrow word:
+    coefficient} with int coefficients while integral; see compute_Jn."""
     q = pres.quiver
-    yield [q.gen(a.name) for a in sorted(q.arrows, key=lambda a: a.name)]
-    basis = _echelon_elements(q, [r.terms for r in pres.relators])
+    start = {a.name: vertex_key(a.source) for a in q.arrows}
+    into: dict[Vertex, list[str]] = {v: [] for v in q.vertices}
+    for a in q.arrows:
+        into[a.target].append(a.name)
+    yield [{(name,): 1} for name in sorted(start)]
+    basis = _echelon_words(start, [{p.arrows: c for p, c in r.terms.items()} for r in pres.relators])
     while True:
         yield basis
         if basis:
-            ends = [b.endpoints() for b in basis]
-            left = [
-                {Path(p.start, p.arrows + (y.name,)): c for p, c in b.terms.items()}
-                for b, (_s, t) in zip(basis, ends)
-                for y in q.out_arrows(t)
-            ]
-            right = [
-                {Path(x.source, (x.name,) + p.arrows): c for p, c in b.terms.items()}
-                for x in q.arrows
-                for b, (s, _t) in zip(basis, ends)
-                if s == x.target
-            ]
-            basis = _echelon_elements(q, left, right)
+            left, right = [], []
+            for b in basis:
+                w = next(iter(b))
+                for y in q.out_arrows(q.arrow(w[-1]).target):
+                    left.append({u + (y.name,): c for u, c in b.items()})
+                for x in into[q.arrow(w[0]).source]:
+                    right.append({(x,) + u: c for u, c in b.items()})
+            basis = _echelon_words(start, left, right)
 
 
 def compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
@@ -275,10 +275,14 @@ def compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
     V^{⊗i} ⊗ R ⊗ V^{⊗ n-2-i} and V ⊗ J_{n-1} that over i >= 1.  An
     RREF basis is unique for a fixed column order, so the bases are the
     same as those of the full intersection.
+
+    The recursion runs on word rows; the elements are built once, here.
     """
     if n < 1:
         raise InvalidInputError("need n >= 1")
-    return next(islice(_jn_series(pres), n - 1, None))
+    q = pres.quiver
+    rows = next(islice(_jn_series(pres), n - 1, None))
+    return [AlgebraElement(q, {Path(q.arrow(w[0]).source, w): c for w, c in row.items()}) for row in rows]
 
 
 def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
@@ -299,26 +303,26 @@ def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
     of the products."""
     if nmax < 2:
         raise InvalidInputError("need nmax >= 2")
-    bases = dict(zip(range(1, nmax + 1), _jn_series(pres)))
+    q = pres.quiver
+    # each basis row as {arrow word: coefficient}, and {pivot word: row position} per degree
+    words = dict(zip(range(1, nmax + 1), _jn_series(pres)))
+    start = {a.name: vertex_key(a.source) for a in q.arrows}
+    pivots = {n: {min(b, key=lambda w: (start[w[0]], w)): k for k, b in enumerate(basis)} for n, basis in words.items()}
 
     arrows: list[Arrow] = []
     gen: dict[tuple[int, int], Arrow] = {}  # (n, basis position) -> generator
-    for n in range(1, nmax + 1):
-        for k, b in enumerate(bases[n]):
-            src, tgt = b.endpoints()
-            name = next(iter(b.terms)).arrows[0] if n == 1 else f"j{n}_{k}"
-            gen[(n, k)] = Arrow(name, src, tgt, -n + 1, n, label=name)
+    for n, basis in words.items():
+        for k, b in enumerate(basis):
+            w = next(iter(b))
+            name = w[0] if n == 1 else f"j{n}_{k}"
+            gen[(n, k)] = Arrow(name, q.arrow(w[0]).source, q.arrow(w[-1]).target, -n + 1, n, label=name)
             arrows.append(gen[(n, k)])
-    quiver = GradedQuiver(pres.quiver.vertices, tuple(arrows))
-
-    # each basis row as {arrow word: coefficient}, and {pivot word: row position} per degree
-    words = {n: [{p.arrows: c for p, c in b.terms.items()} for b in basis] for n, basis in bases.items()}
-    pivots = {n: {min(b.terms, key=Path.sort_key).arrows: k for k, b in enumerate(basis)} for n, basis in bases.items()}
+    quiver = GradedQuiver(q.vertices, tuple(arrows))
 
     on_arrows: dict[str, AlgebraElement] = {}
     for n in range(2, nmax + 1):
         for k, b in enumerate(words[n]):
-            terms: dict[Path, Fraction] = {}
+            terms: dict[Path, Scalar] = {}
             for i in range(1, n):
                 left, right = pivots[i], pivots[n - i]
                 found = sorted(

@@ -70,14 +70,20 @@ def element_to_json(el: AlgebraElement) -> list[dict]:
     ]
 
 
-def element_from_json(quiver: GradedQuiver, doc: list) -> AlgebraElement:
+def element_from_json(quiver: GradedQuiver, doc: list, coeffs: dict | None = None) -> AlgebraElement:
+    """coeffs maps the coefficients already read from this document to their Fractions."""
+    coeffs = {} if coeffs is None else coeffs
     terms = {}
     with _reading("element"):
         for t in doc:
             p = Path(t["start"], tuple(t["path"]))
             if not quiver.is_valid_path(p):
                 raise InvalidInputError(f"invalid path in element: {t}")
-            terms[p] = terms.get(p, Fraction(0)) + Fraction(t["coeff"])
+            raw = t["coeff"]
+            c = coeffs.get(raw)
+            if c is None:
+                c = coeffs[raw] = Fraction(raw)
+            terms[p] = terms[p] + c if p in terms else c
     return AlgebraElement(quiver, terms)
 
 
@@ -90,7 +96,8 @@ def differential_to_json(d: Differential) -> dict:
 
 
 def differential_from_json(quiver: GradedQuiver, doc: dict) -> Differential:
-    return Differential(quiver, {name: element_from_json(quiver, el) for name, el in doc.items()})
+    coeffs: dict = {}
+    return Differential(quiver, {name: element_from_json(quiver, el, coeffs) for name, el in doc.items()})
 
 
 def _jsonable(value):
@@ -127,7 +134,8 @@ def presentation_to_json(p: PresentedAlgebra) -> dict:
 def presentation_from_json(doc: dict) -> PresentedAlgebra:
     with _reading("presentation"):
         q = quiver_from_json(doc["quiver"])
-        return PresentedAlgebra(q, tuple(element_from_json(q, r) for r in doc.get("relators", [])))
+        coeffs: dict = {}
+        return PresentedAlgebra(q, tuple(element_from_json(q, r, coeffs) for r in doc.get("relators", [])))
 
 
 def potential_to_json(w: Superpotential) -> list[dict]:

@@ -9,10 +9,11 @@ results, the old span builders of ``truncated_dims`` and
 ``compute_Jn``, which pin the normal-word and J_n recursions, the
 Path-based ``cohomology_dims``, which pins the word-level slices, the
 Path/Fraction ``truncated_dims`` and bimodule Leibniz loops of ``cy``,
-which pin their arrow-word replacements, and the product-and-solve
+which pin their arrow-word replacements, the product-and-solve
 ``minimal_model_general``, which pins the read-off of its differential
-from the RREF pivots, and the Fraction ``check_d_squared``, which pins
-its word-level accumulation.
+from the RREF pivots, the Fraction ``check_d_squared``, which pins
+its word-level accumulation, and the per-vertex ``mckay_model``, which
+pins its per-subset table.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dgquiver.core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex, tru
 from dgquiver.errors import InvalidInputError, ResourceLimitError
 from dgquiver.differential import Differential, DGModel
 from dgquiver.homology import BigradedSlice, SliceKey, path_cap
+from dgquiver.koszul import McKayData, _splits, _subset_name, _subsets, mckay_arrow_name, shuffle_sign
 from dgquiver.presentations import PresentedAlgebra, QuadraticPresentation
 
 
@@ -677,8 +679,9 @@ def old_trace_d(ot, el: dict) -> dict:
 # oracle for the pivot read-off that replaced it: for each J_n basis
 # vector b and each split i it builds every product va*vb of J_i and
 # J_{n-i} basis vectors and solves for b in their span.  It takes the
-# J_n bases from koszul._jn_series through the module, so a test that
-# patches the series patches both routes.
+# J_n bases from koszul._jn_series through the module, as elements built
+# from its word rows, so a test that patches the series patches both
+# routes.
 
 
 def old_minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
@@ -686,8 +689,15 @@ def old_minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel
     n <= nmax, and d(a) = sum_i (-1)^{i-1} delta_{i,n-i}(a)."""
     if nmax < 2:
         raise InvalidInputError("need nmax >= 2")
-    bases = dict(zip(range(1, nmax + 1), koszul._jn_series(pres)))
-    _to_sparse = koszul._to_sparse
+    q = pres.quiver
+    bases = {
+        n: [AlgebraElement(q, {Path(q.arrow(w[0]).source, w): c for w, c in row.items()}) for row in rows]
+        for n, rows in zip(range(1, nmax + 1), koszul._jn_series(pres))
+    }
+
+    def _to_sparse(terms: dict[Path, Fraction], index: dict[Path, int]) -> linalg.SparseVec:
+        """terms as a sparse row; a path not yet in index gets the next column."""
+        return {index.setdefault(p, len(index)): c for p, c in terms.items()}
 
     arrows: list[Arrow] = []
     gen_name: dict[tuple[int, int], str] = {}  # (n, basis position) -> arrow name
@@ -737,3 +747,47 @@ def old_minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel
                 on_arrows[gen_name[(n, k)]] = AlgebraElement(quiver, terms)
     d = Differential(quiver, on_arrows)
     return DGModel(quiver, d, provenance="general", metadata={"truncated_at": nmax})
+
+
+# ---------------------------------------------------------------------------
+# The former dgquiver.koszul.mckay_model, kept verbatim as an oracle for
+# the per-subset table that replaced it: it recomputes the names, d(S)
+# and the signed splits of each subset for every vertex.
+
+
+def old_mckay_model(data: McKayData) -> DGModel:
+    """Minimal model of k[x_1..x_n] # Z/m: vertices 0..m-1, an arrow
+    x_{j,S,j+d(S)} per vertex j and nonempty subset S."""
+    m, n = data.m, data.n
+    arrows = []
+    for j in range(m):
+        for s in _subsets(n):
+            t = (j + data.d_of(s)) % m
+            arrows.append(
+                Arrow(
+                    mckay_arrow_name(j, s),
+                    j,
+                    t,
+                    -len(s) + 1,
+                    len(s),
+                    label=f"x_{{{j},{{{_subset_name(s)}}},{t}}}",
+                )
+            )
+    quiver = GradedQuiver(tuple(range(m)), tuple(arrows))
+    on_arrows: dict[str, AlgebraElement] = {}
+    for j in range(m):
+        for s in _subsets(n):
+            terms: dict[Path, Fraction] = {}
+            for a, b in _splits(s):
+                coeff = Fraction((-1) ** (len(a) - 1) * shuffle_sign(a, b))
+                mid = (j + data.d_of(a)) % m
+                terms[Path(j, (mckay_arrow_name(j, a), mckay_arrow_name(mid, b)))] = coeff
+            if terms:
+                on_arrows[mckay_arrow_name(j, s)] = AlgebraElement(quiver, terms)
+    d = Differential(quiver, on_arrows)
+    return DGModel(
+        quiver,
+        d,
+        provenance="mckay",
+        metadata={"m": m, "weights": data.weights, "warnings": data.warnings},
+    )

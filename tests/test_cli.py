@@ -278,6 +278,25 @@ def test_malformed_model_exits_2(capsys, tmp_path, command, case):
     assert err.startswith("error: malformed") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["model", "presentation"])
+@pytest.mark.parametrize("coeff", ["1/0", "x", None, [1], {}], ids=["1/0", "x", "null", "list", "object"])
+def test_malformed_coefficient_exits_2(capsys, tmp_path, kind, coeff):
+    """A bad coefficient after a good one, so the per-document parse
+    cache is already in use when it is read."""
+    model, pres = _poly2_doc(), serialize.presentation_to_json(h0_presentation(polynomial_model(2)))
+    terms = model["differential"]["x12"] if kind == "model" else pres["relators"][0]
+    terms[-1]["coeff"] = coeff
+    for name, doc in (("model.json", model), ("pres.json", pres)):
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "compare-h0", "--model", str(tmp_path / "model.json"), "--presentation", str(tmp_path / "pres.json"),
+        "--adams-max", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("doc", [[1], {"arrows": ["x1"]}, {"arrows": {"x1": ["x1"], "x2": "x2"}}, {"vertices": {"0": {}}}])
 def test_malformed_map_exits_2(capsys, tmp_path, doc):
     model = tmp_path / "model.json"

@@ -9,11 +9,9 @@ import pytest
 
 from dgquiver import (
     Arrow,
-    AlgebraElement,
     GradedQuiver,
     InvalidInputError,
     McKayData,
-    Path,
     PresentedAlgebra,
     QuadraticPresentation,
     check_d_squared,
@@ -28,7 +26,7 @@ from dgquiver import (
     shuffle_sign,
     truncated_dims,
 )
-from dgquiver import koszul
+from dgquiver import koszul, serialize
 from dgquiver.koszul import mckay_arrow_name, mckay_commutation_presentation
 from oracles import brute_Jn_dim, old_minimal_model_general
 
@@ -188,8 +186,8 @@ def test_minimal_model_general_rejects_a_J3_vector_outside_J1_J2(monkeypatch, ch
         for n, basis in enumerate(series(pres), 1):
             if n == 3:
                 (b,) = basis
-                p = sorted(b.terms, key=Path.sort_key)[changed]
-                basis = [AlgebraElement(b.quiver, {**b.terms, p: 2 * b.terms[p]})]
+                w = sorted(b)[changed]
+                basis = [{**b, w: 2 * b[w]}]
             yield basis
 
     monkeypatch.setattr(koszul, "_jn_series", broken)
@@ -197,6 +195,24 @@ def test_minimal_model_general_rejects_a_J3_vector_outside_J1_J2(monkeypatch, ch
     for build in (minimal_model_general, old_minimal_model_general):
         with pytest.raises(RuntimeError, match="J_3 basis vector not inside J_1 ⊗ J_2: internal bug"):
             build(pres, 3)
+
+
+def test_every_coefficient_is_a_Fraction():
+    """The J_n rows and the McKay split table keep integral coefficients
+    as int; each AlgebraElement built from them, and each one read from a
+    file, holds Fractions.  Equality cannot see an int leak, as
+    1 == Fraction(1), so this checks the types."""
+    data = McKayData(3, (1, 1, 1))
+    commutation = mckay_commutation_presentation(data)
+    quadratic = QuadraticPresentation(commutation.quiver, commutation.relators)
+    elements = [b for pres in (commutative_presentation(3), quadratic) for n in range(1, 5) for b in compute_Jn(pres, n)]
+    for model in (mckay_model(data), minimal_model_general(quadratic, 4)):
+        loaded = serialize.model_from_json(serialize.model_to_json(model))
+        elements += [*model.differential.on_arrows.values(), *loaded.differential.on_arrows.values()]
+    elements += serialize.presentation_from_json(serialize.presentation_to_json(commutation)).relators
+    assert len(elements) == 85
+    for el in elements:
+        assert el.terms and all(type(c) is Fraction for c in el.terms.values()), el
 
 
 # -- McKay models -------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The normal-word recursion of truncated_dims and the J_n recursion of
 compute_Jn against the span builders they replaced, on random
 presentations, the word-keyed truncated_dims against the Path-keyed
-recursion it replaced, and the differential of minimal_model_general,
-read off the RREF pivots, against the product-and-solve loop it
-replaced."""
+recursion it replaced, the differential of minimal_model_general, read
+off the RREF pivots, against the product-and-solve loop it replaced,
+and mckay_model, built from a per-subset table, against the per-vertex
+loop it replaced."""
 
 from collections import defaultdict
 from fractions import Fraction
@@ -33,6 +34,7 @@ from dgquiver.koszul import mckay_commutation_presentation
 from dgquiver.serialize import dumps, model_to_json
 from oracles import (
     old_compute_Jn,
+    old_mckay_model,
     old_minimal_model_general,
     old_path_truncated_dims,
     old_truncated_dims,
@@ -151,3 +153,21 @@ def test_minimal_model_general_on_mckay_presentations_matches_the_product_and_so
     quad = QuadraticPresentation(pres.quiver, pres.relators)
     got = dumps(model_to_json(minimal_model_general(quad, 4)))
     assert got == dumps(model_to_json(old_minimal_model_general(quad, 4)))
+
+
+@pytest.mark.parametrize(
+    "m, weights",
+    [(2, (1, 1, 1, 1)), (3, (1, 1, 1)), (5, (1, 1, 1, 2)), (6, (1,) * 6), (7, (1, 1, 1, 1, 3)), (4, (2, 2))],
+)
+def test_mckay_model_matches_the_per_vertex_loop(m, weights):
+    """The same quiver and the same differential, key and term order
+    included, on the benchmark and golden cases, on (4;22), which warns,
+    and on their vertex-0 deletions."""
+    data = McKayData(m, weights)
+    new, old = mckay_model(data), old_mckay_model(data)
+    for got, want in ((new, old), (delete_vertex(new, 0), delete_vertex(old, 0))):
+        assert got.quiver == want.quiver
+        assert list(got.differential.on_arrows) == list(want.differential.on_arrows)
+        for name, el in got.differential.on_arrows.items():
+            assert list(el.terms.items()) == list(want.differential.on_arrows[name].terms.items()), name
+        assert (got.provenance, got.metadata) == (want.provenance, want.metadata)
