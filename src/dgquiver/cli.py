@@ -26,13 +26,20 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         raise InvalidInputError(f"bad weight list {text!r}") from None
 
 
-def _emit(args, doc):
-    text = serialize.dumps(doc)
-    if getattr(args, "out", None):
+def _write(args, text: str) -> None:
+    """text to the --out file, or to stdout without one."""
+    if not getattr(args, "out", None):
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {args.out}: {exc}") from exc
+
+
+def _emit(args, doc):
+    _write(args, serialize.dumps(doc))
 
 
 def _load(path: str):
@@ -54,7 +61,7 @@ def _run_verifications(model: DGModel, what: str, nadams: int | None) -> list[di
     if what in ("grading", "all"):
         reports.append(check_grading(model.differential))
     if what in ("dsq", "all") and all(r["status"] == "pass" for r in reports):
-        reports.append(check_d_squared(model.differential, nadams or _max_adeg(model)))
+        reports.append(check_d_squared(model.differential, _max_adeg(model) if nadams is None else nadams))
     return reports
 
 
@@ -137,12 +144,7 @@ def cmd_cohomology(args) -> int:
         lines = ["h\\a " + " ".join(f"{a:>4}" for a in range(args.adams_max + 1))]
         for h in range(0, args.hmin - 1, -1):
             lines.append(f"{h:>4} " + " ".join(f"{table[(h, a)]:>4}" for a in range(args.adams_max + 1)))
-        out = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(out)
-        else:
-            sys.stdout.write(out)
+        _write(args, "\n".join(lines) + "\n")
     else:
         doc = {f"{h},{a}": v for (h, a), v in table.items()}
         _emit(args, {"check": "cohomology", "hmin": args.hmin, "adams_max": args.adams_max, "dims": doc})

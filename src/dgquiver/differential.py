@@ -46,7 +46,9 @@ class Differential:
     def _leads(self) -> tuple[frozenset[str], dict[str, tuple[str, ...]]]:
         """(the arrows a with a term of d(a) that starts below a, {a: the
         least term of d(a)} for every arrow with d(a) != 0), once the
-        hypothesis of lead_word is checked."""
+        hypothesis of the lead lemma in homology.cohomology_dims is
+        checked: no term of d(a) is empty, starts with a or is a proper
+        prefix of another; otherwise this raises InvalidInputError."""
         smaller, least = set(), {}
         for name in self._compiled[0]:
             mids = tuple(self.apply_to_word((name,)))
@@ -57,33 +59,6 @@ class Differential:
                 if least[name][0] < name:
                     smaller.add(name)
         return frozenset(smaller), least
-
-    def lead_word(self, word: tuple[str, ...]) -> tuple[str, ...] | None:
-        """min(apply_to_word(word)) in tuple order, None when it is empty,
-        from one scan of the word and without any coefficient.
-
-        Needs the terms of each d(a) to be nonempty, not to start with a
-        and not to be proper prefixes of one another, as holds for every
-        differential that passes check_grading; otherwise this raises
-        InvalidInputError.  Then a term from arrow i and one from a later
-        arrow j first differ at index i, so terms never cancel, and the
-        least word is the least term of d(a_i) put in place of a_i, for
-        the first i with some term of d(a_i) starting below a_i, or else
-        for the last i with d(a_i) != 0 (see homology.cohomology_dims).
-
-        This is the reference for the lead that homology._stream_slices
-        carries from each word's prefix instead of scanning: the scan
-        reaches the arrows of w*y in order, so lead(w*y) = lead(w)*y when
-        it stopped inside w or when d(y) = 0, and otherwise its position
-        is that of y.  The tests check the two against each other."""
-        smaller, least = self._leads
-        at = None
-        for i, name in enumerate(word):
-            if name in least:
-                at = i
-                if name in smaller:
-                    break
-        return None if at is None else word[:at] + least[word[at]] + word[at + 1 :]
 
     def apply_to_word(self, word: tuple[str, ...]) -> dict[tuple[str, ...], Scalar]:
         """d of the path with these arrows by the Leibniz rule, keyed by

@@ -12,6 +12,7 @@ import os
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator
 
 from . import linalg
@@ -50,8 +51,9 @@ class BigradedSlice:
 
 
 Word = tuple[str, ...]  # arrow names; with a slice's source it names a path
-# the words of one slice and their carried lead codes, see _stream_slices
-Bucket = tuple[list[Word], array]
+# a slice's words, the index of each word's lead in the slice one hdeg up
+# (-1 when d(w) = 0) and whether that lead is fixed, see _stream_slices
+Bucket = tuple[list[Word], array, bytearray]
 Leads = tuple[frozenset[str], dict[str, Word]]  # Differential._leads
 
 
@@ -65,47 +67,87 @@ def _stream_slices(
 ) -> Iterator[tuple[Vertex, int, dict[tuple[int, Vertex], Bucket]]]:
     """The arrow words of every path with hdeg >= hmin and adeg <= nadams,
     yielded one source vertex s and one Adams level a at a time as
-    (s, a, {(hdeg, target): (words, codes)}), the words of each bucket in
-    no particular order.  Paths in one bucket share their source, so the
-    word alone is a unique key.
+    (s, a, {(hdeg, target): (words, lead, fixed)}), the words of each
+    bucket in no particular order.  Paths in one bucket share their
+    source, so the word alone is a unique key.
 
     Built level by level without recursion: arrows have adeg >= 1, so a
     level is complete once every lower level has been extended by one
     arrow, and it is yielded once it has been extended itself, so the
     caller can drop it.  The prefixes of a kept path are kept too, as
-    hdeg never rises and adeg never falls along a path.
+    hdeg never rises and adeg never falls along a path.  Each bucket is
+    grown in blocks, one per (parent bucket P, arrow y), so the child of
+    the parent's word i by y is word offset[(P, y)] + i.
 
-    codes[i] carries the position of the lead of words[i] under
-    leads = Differential._leads, as Differential.lead_word finds it: 0
-    when d(w) = 0, p + 1 when the lead replaces w[p] and w has not met an
-    arrow with a term below it, and -(p + 1) once it has, which fixes p.
-    So for w*y the code is that of w when it is negative or d(y) = 0, and
-    otherwise points at y.  With the default leads every code is 0.
+    lead[i] is the index of the lead of words[i] under leads =
+    Differential._leads (see cohomology_dims) in the lead bucket, the
+    bucket (hdeg + 1, target) of the same level, or -1 when d(w) = 0;
+    fixed[i] is 1 once w has met an arrow with a term below it, which
+    fixes the lead's position.  For the block (P, y), with LP the lead
+    bucket of P and w the parent's word i, the lead of w*y is
+    lead(w)*y, the word offset[(LP, y)] + lead(w), when w's lead is fixed
+    or d(y) = 0.  Otherwise it is w*least(y), the word i + K of the lead
+    bucket, with K the sum of the offsets along the walk from P through
+    the arrows of least(y).  That lead has the adeg of w*y and one more
+    hdeg, so it lies in the window, and so does every prefix of it, as
+    hdeg never rises and adeg never falls along a path: every block of
+    the walk exists.  Each of those blocks starts in a level below a, so
+    its offset is final once level a is reached, and a level's leads are
+    computed then, from the leads of the levels within the largest arrow
+    adeg below it, the only ones kept.  With the default leads every
+    lead is -1.
     """
     cap = path_cap(cap)
     smaller, least = leads
+    arrows = {arr.name: arr for arr in quiver.arrows}
+    span = max((arr.adeg for arr in quiver.arrows), default=1)
     for s in quiver.vertices:
-        levels: list[dict[tuple[int, Vertex], Bucket]] = [{} for _ in range(nadams + 1)]
-        levels[0][(0, s)] = ([()], array("q", [0]))
+        # levels[a][(h, t)]: (words, blocks) as the bucket grows, each block
+        # (parent hdeg, parent target, parent level, arrow name)
+        levels: list[dict[tuple[int, Vertex], tuple[list[Word], list]]] = [{} for _ in range(nadams + 1)]
+        levels[0][(0, s)] = ([()], [])
+        offset: dict[tuple[int, int, Vertex, str], int] = {}  # (hdeg, adeg, target, arrow) of a block
+        kept: dict[int, dict[tuple[int, Vertex], tuple[array, bytearray]]] = {}
         for a in range(nadams + 1):
-            level = levels[a]
-            levels[a] = {}  # once yielded, the caller may drop the level
-            for (h, t), (words, codes) in level.items():
+            level: dict[tuple[int, Vertex], Bucket] = {}
+            for (h, t), (words, blocks) in levels[a].items():
                 _check_cap((h, a, s, t), words, cap)
+                lead, fixed = (array("q"), bytearray()) if blocks else (array("q", [-1]), bytearray(1))
+                for ph, pt, pa, y in blocks:
+                    plead, pfixed = kept[pa][(ph, pt)]
+                    k = offset.get((ph + 1, pa, pt, y))
+                    if y not in least:
+                        lead.extend([l + k if l >= 0 else -1 for l in plead])
+                        fixed += pfixed
+                        continue
+                    walk, wh, wa, wt = 0, ph, pa, pt
+                    try:
+                        for m in least[y]:
+                            walk += offset[(wh, wa, wt, m)]
+                            arr = arrows[m]
+                            wh, wa, wt = wh + arr.hdeg, wa + arr.adeg, arr.target
+                    except KeyError:  # no such block: least(y) is no path from y's source
+                        wt = None
+                    if (wh, wa, wt) != (h + 1, a, t):
+                        raise InvalidInputError(f"d({y}) has a term of another bidegree or endpoints than {y}")
+                    lead.extend([l + k if f else walk + i for i, (l, f) in enumerate(zip(plead, pfixed))])
+                    fixed += b"\x01" * len(pfixed) if y in smaller else pfixed
+                level[(h, t)] = (words, lead, fixed)
+            levels[a] = {}  # once yielded, the caller may drop the level
+            kept[a] = {key: (lead, fixed) for key, (_words, lead, fixed) in level.items()}
+            kept.pop(a - span, None)
+            for (h, t), (words, _lead, _fixed) in level.items():
                 for arr in quiver.out_arrows(t):
                     h2, a2 = h + arr.hdeg, a + arr.adeg
                     if h2 >= hmin and a2 <= nadams:
                         key = (h2, arr.target)
                         bucket = levels[a2].get(key)
                         if bucket is None:
-                            bucket = levels[a2][key] = ([], array("q"))
+                            bucket = levels[a2][key] = ([], [])
+                        offset[(h, a, t, arr.name)] = len(bucket[0])
                         name = (arr.name,)
                         bucket[0].extend([w + name for w in words])
-                        if arr.name not in least:
-                            bucket[1].extend(codes)
-                        else:
-                            sign = -1 if arr.name in smaller else 1
-                            bucket[1].extend([c if c < 0 else sign * (len(w) + 1) for w, c in zip(words, codes)])
+                        bucket[1].append((h, t, a, arr.name))
                         # checked as it grows, so memory stays near the cap
                         _check_cap((h2, a2, s, arr.target), bucket[0], cap)
             yield s, a, level
@@ -120,29 +162,31 @@ def bigraded_slices(
     return {
         (h, a, s, t): BigradedSlice(h, a, s, t, tuple(Path(s, w) for w in sorted(words, key=lambda w: (len(w), w))))
         for s, a, level in _stream_slices(quiver, hmin, nadams, cap)
-        for (h, t), (words, _codes) in level.items()
+        for (h, t), (words, _lead, _fixed) in level.items()
     }
 
 
-def _image_pivots(d: Differential, source: Bucket, cleared: set[Word], target: list[Word]) -> set[Word]:
-    """The pivot words of the span of the d(w), w a source word not in
-    cleared, in the target slice: the least words of the images, taken
-    from the carried lead codes, when these are pairwise distinct
-    (apparent pairs, see cohomology_dims); otherwise the pivots that
-    linalg.pivot_columns finds with the target in tuple order.
+def _image_pivots(d: Differential, source: Bucket, cleared: set[int], target: list[Word]) -> set[int]:
+    """The pivots, as indices into target, of the span of the d(w), w a
+    source word whose index is not in cleared: the lead indices of the
+    images when these are pairwise distinct (apparent pairs, see
+    cohomology_dims); otherwise the pivots that linalg.pivot_columns
+    finds with the target in tuple order.  Only then are words read.
     """
-    least = d._leads[1]
-    words, codes = source
-    leads = [
-        w[:p] + least[w[p]] + w[p + 1 :] for w, c in zip(words, codes) if c and w not in cleared for p in (abs(c) - 1,)
-    ]
-    pivots = set(leads)
-    if len(pivots) == len(leads):
+    words, lead, _fixed = source
+    if cleared:
+        keep = bytearray(b"\x01") * len(words)
+        for i in cleared:
+            keep[i] = 0
+        lead = list(compress(lead, keep))
+    pivots = set(lead)
+    pivots.discard(-1)
+    if len(pivots) == len(lead) - lead.count(-1):
         return pivots
-    target = sorted(target)
-    index = {u: i for i, u in enumerate(target)}
-    images = (d.apply_to_word(w) for w in words if w not in cleared)
-    return {target[i] for i in linalg.pivot_columns({index[u]: c for u, c in img.items()} for img in images)}
+    order = sorted(range(len(target)), key=target.__getitem__)
+    column = {target[j]: c for c, j in enumerate(order)}
+    images = (d.apply_to_word(w) for w in (compress(words, keep) if cleared else words))
+    return {order[c] for c in linalg.pivot_columns({column[u]: x for u, x in img.items()} for img in images)}
 
 
 def _level_dims(
@@ -152,12 +196,13 @@ def _level_dims(
     chains (a, s, target) of one Adams level a of one source s.
 
     Consumes the level: each slice is popped as its chain reaches it, so
-    its words are dropped once the step out of it is ranked."""
-    sizes = {key: len(words) for key, (words, _codes) in level.items()}
+    its words are dropped once the step out of it is ranked.  A step's
+    pivots index the words of its target, which the next step clears."""
+    sizes = {key: len(words) for key, (words, _lead, _fixed) in level.items()}
     out_rank: dict[tuple[int, Vertex], int] = {}
     for h, t in [(h, t) for h, t in level if (h - 1, t) not in level]:
         bucket = level.pop((h, t))
-        cleared: set[Word] = set()
+        cleared: set[int] = set()
         while (tgt := level.pop((h + 1, t), None)) is not None:
             cleared = _image_pivots(d, bucket, cleared, tgt[0])
             out_rank[(h, t)] = len(cleared)
@@ -196,7 +241,9 @@ def cohomology_dims(
     the step out of it is ranked, and only the slice sizes and ranks are
     kept.  No order of the words is needed: clearing holds for any fixed
     total order, and apparent pairs compare least words in tuple order,
-    which the words carry themselves.
+    which each word names by its lead index, a bijection onto the words
+    of the target slice.  So the lead test, the pivots and the clearing
+    sets are sets of ints, and words are read only at a collision.
 
     Each chain (a, source, target) is walked upward from its lowest hdeg
     with clearing (Chen & Kerber 2011; Bauer, Kerber & Reininghaus 2014):
@@ -242,13 +289,16 @@ def cohomology_dims(
     m[0] < a_i and all follow them otherwise, and, the m being
     prefix-free, the least of them puts the least m in place of a_i.  So
     the least word of d(w) comes from the first active position with some
-    m[0] < a_i, or from the last active position when there is none; this
-    is Differential.lead_word.  The position is carried from each word's
-    prefix as the word is built: lead(w*y) = lead(w)*y when w has already
-    met an arrow with a term below it, or when d(y) = 0, and otherwise it
-    is w*least(y).  A d that breaks the hypothesis makes this function
-    raise InvalidInputError; it cannot pass check_grading, which the CLI
-    runs first.
+    m[0] < a_i, or from the last active position when there is none.  The
+    lead is carried from each word's prefix as the word is built:
+    lead(w*y) = lead(w)*y when w has already met an arrow with a term
+    below it, or when d(y) = 0, and otherwise it is w*least(y).
+    _stream_slices names it by its index in the target slice, found by
+    block offset arithmetic from the prefix's lead index or from the
+    prefix's own index, so no lead word is ever built.  A d that breaks
+    the hypothesis, or whose least terms break check_grading, makes this
+    function raise InvalidInputError; it cannot pass check_grading, which
+    the CLI runs first.
     """
     if hmin > 0:
         raise InvalidInputError("hmin must be <= 0")

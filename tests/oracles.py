@@ -8,6 +8,7 @@ elimination kernel, which pins the fraction-free kernel to identical
 results, the old span builders of ``truncated_dims`` and
 ``compute_Jn``, which pin the normal-word and J_n recursions, the
 Path-based ``cohomology_dims``, which pins the word-level slices, the
+scanning ``lead_word``, which pins the lead indices those slices carry, the
 Path/Fraction ``truncated_dims`` and bimodule Leibniz loops of ``cy``,
 which pin their arrow-word replacements, the product-and-solve
 ``minimal_model_general``, which pins the read-off of its differential
@@ -480,6 +481,30 @@ def old_cohomology_dims(
     for (h, a, _s, _t), dim in comp.items():
         table[(h, a)] += dim
     return table
+
+
+def lead_word(d: Differential, word: tuple[str, ...]) -> tuple[str, ...] | None:
+    """min(d.apply_to_word(word)) in tuple order, None when it is empty,
+    from one scan of the word and without any coefficient.
+
+    Needs the terms of each d(a) to be nonempty, not to start with a and
+    not to be proper prefixes of one another (Differential._leads checks
+    this).  Then a term from arrow i and one from a later arrow j first
+    differ at index i, so terms never cancel, and the least word is the
+    least term of d(a_i) put in place of a_i, for the first i with some
+    term of d(a_i) starting below a_i, or else for the last i with
+    d(a_i) != 0 (see homology.cohomology_dims).
+
+    The reference for the lead index that homology._stream_slices
+    carries from each word's prefix instead of scanning."""
+    smaller, least = d._leads
+    at = None
+    for i, name in enumerate(word):
+        if name in least:
+            at = i
+            if name in smaller:
+                break
+    return None if at is None else word[:at] + least[word[at]] + word[at + 1 :]
 
 
 def old_check_d_squared(d: Differential, n: int) -> dict:

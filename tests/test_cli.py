@@ -378,3 +378,38 @@ def test_verify_stops_after_a_failed_grading_check(capsys, tmp_path):
     assert json.loads(err) == report
     code, out, _ = run(capsys, "cohomology", "--model", str(path), "--hmin", "-2", "--adams-max", "3")
     assert code == 1 and json.loads(out) == report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("model-poly", "--n", "2"),
+        ("cohomology", "--model", "{model}", "--hmin", "-1", "--adams-max", "2", "--format", "table"),
+    ],
+    ids=["json", "table"],
+)
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    """--out into a directory that does not exist used to end in a
+    traceback and exit 1."""
+    model = tmp_path / "model.json"
+    run(capsys, "model-poly", "--n", "2", "--out", str(model))
+    out_path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *(arg.format(model=model) for arg in argv), "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {out_path}") and "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_verify_keeps_an_explicit_adams_bound(capsys, tmp_path):
+    """--adams-max 0 used to be replaced by the largest arrow adeg, 2 for
+    the polynomial model with n = 2, and the report said truncation 2."""
+    path = tmp_path / "model.json"
+    run(capsys, "model-poly", "--n", "2", "--out", str(path))
+    code, out, err = run(capsys, "verify", "--model", str(path), "--adams-max", "0")
+    assert code == 2 and out == ""
+    assert err == "error: truncation 0 below max arrow adeg 2\n"
+    for argv, truncation in (((), 2), (("--adams-max", "3"), 3)):
+        code, out, _ = run(capsys, "verify", "--model", str(path), *argv)
+        assert code == 0
+        assert [r["status"] for r in json.loads(out)["checks"]] == ["pass", "pass"]
+        assert json.loads(out)["checks"][1]["truncation"] == truncation

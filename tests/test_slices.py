@@ -33,7 +33,7 @@ from dgquiver import (
 from dgquiver import linalg, serialize
 from dgquiver.cli import main
 from dgquiver.homology import _stream_slices, bigraded_slices, slice_order
-from oracles import old_bigraded_slices, old_cohomology_dims
+from oracles import lead_word, old_bigraded_slices, old_cohomology_dims
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 ratios = st.builds(
@@ -96,9 +96,9 @@ def test_elimination_runs_only_on_a_repeated_leading_word(monkeypatch):
     undeleted models, so with clearing every image that reaches the lead
     check raises the rank and no two share a least word: pivot_columns
     is never called.  Without clearing, the images of the cleared words
-    repeat leads and it is called 7, 21 and 16 times.  The vertex
-    deletions have H^{<0} != 0, so some lead repeats and the exact
-    elimination runs too."""
+    repeat leads and it is called 7, 21 and 16 times.  The vertex-0
+    deletions of (3;12) and (5;1112) have H^{<0} != 0, so some leads
+    repeat and the exact elimination runs on exactly 7 and 38 steps."""
     cases = [polynomial_model(3), mckay_model(McKayData(3, (1, 1, 1))), mckay_model(McKayData(2, (1, 1, 1, 1)))]
     deleted = [delete_vertex(mckay_model(McKayData(m, w)), 0) for m, w in ((3, (1, 2)), (5, (1, 1, 1, 2)))]
     expected = [old_cohomology_dims(model, -6, 6) for model in cases + deleted]
@@ -111,32 +111,31 @@ def test_elimination_runs_only_on_a_repeated_leading_word(monkeypatch):
         return pivot_columns(rows)
 
     monkeypatch.setattr(linalg, "pivot_columns", counting)
-    for i, (model, want) in enumerate(zip(cases + deleted, expected)):
+    for i, (model, want, collisions) in enumerate(zip(cases + deleted, expected, (0, 0, 0, 7, 38))):
         calls = 0
         table = cohomology_dims(model, -6, 6)
         assert table == want
         if i < len(cases):
             assert all(dim == 0 for (h, _a), dim in table.items() if h < 0)
-            assert calls == 0
-        else:
-            assert calls > 0
+        assert calls == collisions
 
 
 def _assert_lead_words_match_the_full_images(model, hmin=-6, nadams=6):
-    """The lead code each word carries from its prefix, decoded as
-    _stream_slices documents it, against Differential.lead_word and the
-    least word of the full image."""
+    """The lead index each word carries from its prefix, decoded through
+    the word list of its lead bucket (hdeg + 1, same level, source and
+    target), against the scanning lead_word and the least word of the
+    full image."""
     d = model.differential
-    least = d._leads[1]
     for _s, _a, level in _stream_slices(model.quiver, hmin, nadams, leads=d._leads):
-        for words, codes in level.values():
-            assert len(words) == len(codes)
-            for w, c in zip(words, codes):
+        for (h, t), (words, lead, fixed) in level.items():
+            assert len(words) == len(lead) == len(fixed)
+            target = level[(h + 1, t)][0] if (h + 1, t) in level else []
+            for w, i in zip(words, lead):
+                assert -1 <= i < len(target), w
                 img = d.apply_to_word(w)
-                lead = min(img) if img else None
-                assert d.lead_word(w) == lead, w
-                p = abs(c) - 1
-                assert (w[:p] + least[w[p]] + w[p + 1 :] if c else None) == lead, w
+                want = min(img) if img else None
+                assert lead_word(d, w) == want, w
+                assert (target[i] if i >= 0 else None) == want, w
 
 
 def test_lead_word_is_the_least_word_of_the_full_image():
@@ -181,10 +180,15 @@ def _bad_model(term: tuple[str, ...]) -> DGModel:
 
 
 @pytest.mark.parametrize(
-    "term", [("y", "x"), (), ("x", "x", "x")], ids=["starts-with-its-arrow", "empty-word", "prefixed-term"]
+    "term",
+    [("y", "x"), (), ("x", "x", "x"), ("x", "x")],
+    ids=["starts-with-its-arrow", "empty-word", "prefixed-term", "wrong-adeg"],
 )
 def test_lead_word_rejects_a_differential_outside_its_lemma(term, tmp_path, capsys):
-    """No such d passes check_grading, which the CLI runs first."""
+    """No such d passes check_grading, which the CLI runs first.  With
+    d(y) = 2*x*x alone the terms satisfy the lemma, but their adeg 2 is
+    not y's, so the walk to the lead of a word ending in y leaves the
+    lead bucket."""
     model = _bad_model(term)
     with pytest.raises(InvalidInputError):
         cohomology_dims(model, -2, 2)
