@@ -16,9 +16,12 @@ Path-keyed bimodule Leibniz loops of ``cy``, and the
 ``minimal_model_general`` model of the McKay (3;111) commutation
 presentation at nmax 4, the first with several vertices, by the loop
 that solved for each J_n vector among the products of J_i and J_{n-i}
-basis vectors.  Any change to the
-arithmetic, elimination or span kernels must leave these outputs
-unchanged.  To rebuild them after a deliberate change
+basis vectors, and the vertex-0 deletions of the (5;1112) model and
+commutation presentation, the ``ginzburg --delete-vertex 0`` model of a
+two-vertex potential and the algebra ``C`` of (7;11113) by the separate
+restriction routines of ``koszul``, ``presentations``, ``ginzburg`` and
+``cy``.  Any change to the arithmetic, elimination, span or restriction
+kernels must leave these outputs unchanged.  To rebuild them after a deliberate change
 of output format, run ``python tests/test_golden.py --write`` from the
 repository root with ``src`` on the path.
 """
@@ -36,6 +39,7 @@ import pytest
 from dgquiver import serialize
 from dgquiver.cli import main
 from dgquiver.core import Arrow, AlgebraElement, GradedQuiver, Path
+from dgquiver.cy import build_C, build_split
 from dgquiver.ginzburg import Superpotential, ginzburg_model
 from dgquiver.koszul import (
     McKayData,
@@ -87,6 +91,24 @@ def _mckay_general_model():
     return minimal_model_general(QuadraticPresentation(pres.quiver, pres.relators), 4)
 
 
+def _restriction_potential():
+    """The potential of test_ginzburg's restriction test: its 4-cycle
+    has coefficient 0 and drops out, the two cycles at vertex 1 stay."""
+    quiver = GradedQuiver(
+        (0, 1),
+        (Arrow("u", 1, 1, 0, 1), Arrow("v", 1, 1, 0, 1), Arrow("p", 0, 1, 0, 1), Arrow("q", 1, 0, 0, 1)),
+    )
+    w = Superpotential(
+        quiver,
+        {
+            Path(1, ("u", "u", "v")): Fraction(1),
+            Path(0, ("p", "q", "p", "q")): Fraction(0),
+            Path(1, ("u", "v", "v")): Fraction(2),
+        },
+    )
+    return quiver, w
+
+
 def golden_outputs(work: FilePath) -> dict[str, str]:
     poly = _write(work / "poly3.json", serialize.model_to_json(polynomial_model(3)))
     mckay = _write(work / "mckay3.json", serialize.model_to_json(mckay_model(McKayData(3, (1, 1, 1)))))
@@ -106,6 +128,9 @@ def golden_outputs(work: FilePath) -> dict[str, str]:
     mckay5 = _write(work / "mckay5.json", serialize.model_to_json(mckay_model(data)))
     quantum3 = _write(work / "quantum3.json", serialize.model_to_json(_quantum_model()))
     conifold = _write(work / "conifold.json", serialize.model_to_json(_conifold_model()))
+    quiver, w = _restriction_potential()
+    potential_quiver = _write(work / "potential_quiver.json", serialize.quiver_to_json(quiver))
+    potential = _write(work / "potential.json", serialize.potential_to_json(w))
     window = ("--hmin", "-4", "--adams-max", "4")
     criterion3 = ("--hmin", "-6", "--adams-max", "6")
     return {
@@ -126,6 +151,12 @@ def golden_outputs(work: FilePath) -> dict[str, str]:
         "cy_check_mckay7_11113.json": _cli("cy-check", "--m", "7", "--weights", "1,1,1,1,3", "--adams-max", "5"),
         "quantum3_model.json": serialize.dumps(serialize.model_to_json(_quantum_model())),
         "mckay3_111_general_model.json": serialize.dumps(serialize.model_to_json(_mckay_general_model())),
+        "model_mckay5_1112_del0.json": _cli("model-mckay", "--m", "5", "--weights", "1,1,1,2", "--delete-zero"),
+        "presentation_mckay5_1112_del0.json": FilePath(quotient).read_text(),
+        "ginzburg_restricted_del0.json": _cli(
+            "ginzburg", "--quiver", potential_quiver, "--potential", potential, "--delete-vertex", "0"
+        ),
+        "c_mckay7_11113.json": serialize.dumps(serialize.presentation_to_json(build_C(build_split(data7)))),
     }
 
 
@@ -150,6 +181,10 @@ def outputs(tmp_path_factory):
         "cy_check_mckay7_11113.json",
         "quantum3_model.json",
         "mckay3_111_general_model.json",
+        "model_mckay5_1112_del0.json",
+        "presentation_mckay5_1112_del0.json",
+        "ginzburg_restricted_del0.json",
+        "c_mckay7_11113.json",
     ],
 )
 def test_output_matches_golden_file(outputs, name):
