@@ -7,7 +7,6 @@ from .core import (
     Path,
     graded_commutator,
     multiply,
-    truncate_adams,
 )
 from .cy import build_and_check_omega, build_C, build_omega_tilde, build_split, check_C_koszul_and_model, cy_check, split
 from .differential import DGModel, Differential, check_d_squared, check_grading
@@ -19,7 +18,7 @@ from .ginzburg import (
     jacobian_presentation,
     restrict_potential,
 )
-from .homology import BigradedSlice, cohomology_dims, compare_h0, h0_presentation, truncated_dims
+from .homology import cohomology_dims, compare_h0, h0_presentation, truncated_dims
 from .koszul import (
     McKayData,
     compute_Jn,
@@ -34,7 +33,6 @@ from .presentations import PresentedAlgebra, QuadraticPresentation
 __all__ = [
     "AlgebraElement",
     "Arrow",
-    "BigradedSlice",
     "DGModel",
     "DGQuiverError",
     "Differential",
@@ -70,6 +68,5 @@ __all__ = [
     "restrict_potential",
     "shuffle_sign",
     "split",
-    "truncate_adams",
     "truncated_dims",
 ]

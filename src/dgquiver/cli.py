@@ -50,25 +50,21 @@ def _load(path: str):
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
 
 
-def _max_adeg(model: DGModel) -> int:
-    return max((a.adeg for a in model.quiver.arrows), default=0)
-
-
-def _run_verifications(model: DGModel, what: str, nadams: int | None) -> list[dict]:
+def _run_verifications(model: DGModel, what: str) -> list[dict]:
     """The requested reports; the d^2 check runs only after a passing
     grading check, as it needs hdeg-homogeneous d(a)."""
     reports = []
     if what in ("grading", "all"):
         reports.append(check_grading(model.differential))
     if what in ("dsq", "all") and all(r["status"] == "pass" for r in reports):
-        reports.append(check_d_squared(model.differential, _max_adeg(model) if nadams is None else nadams))
+        reports.append(check_d_squared(model.differential))
     return reports
 
 
 def _failed_check(model: DGModel) -> dict | None:
     """The report of the grading check, or else of the d^2 check, when it
     fails on the model; None when both pass."""
-    return next((r for r in _run_verifications(model, "all", None) if r["status"] != "pass"), None)
+    return next((r for r in _run_verifications(model, "all") if r["status"] != "pass"), None)
 
 
 def _mckay_data(args) -> McKayData:
@@ -91,7 +87,7 @@ def _mckay_data(args) -> McKayData:
 
 def cmd_model_poly(args) -> int:
     model = polynomial_model(args.n)
-    reports = _run_verifications(model, args.verify, None) if args.verify else []
+    reports = _run_verifications(model, args.verify) if args.verify else []
     _emit(args, serialize.model_to_json(model))
     return _report_status(reports)
 
@@ -100,7 +96,7 @@ def cmd_model_mckay(args) -> int:
     model = mckay_model(_mckay_data(args))
     if args.delete_zero:
         model = delete_vertex(model, 0)
-    reports = _run_verifications(model, args.verify, None) if args.verify else []
+    reports = _run_verifications(model, args.verify) if args.verify else []
     _emit(args, serialize.model_to_json(model))
     return _report_status(reports)
 
@@ -112,7 +108,7 @@ def cmd_ginzburg(args) -> int:
         v = _coerce_vertex(quiver, args.delete_vertex)
         w = restrict_potential(w, v)
     model = ginzburg_model(w)
-    reports = _run_verifications(model, "dsq", None) if args.verify else []
+    reports = _run_verifications(model, "dsq") if args.verify else []
     _emit(args, serialize.model_to_json(model))
     return _report_status(reports)
 
@@ -194,7 +190,7 @@ def cmd_cy_check(args) -> int:
 
 def cmd_verify(args) -> int:
     model = serialize.model_from_json(_load(args.model))
-    reports = _run_verifications(model, "all", args.adams_max)
+    reports = _run_verifications(model, "all")
     _emit(args, {"checks": reports})
     return _report_status(reports)
 
@@ -263,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="grading and d^2 checks on a model file")
     p.add_argument("--model", required=True)
-    p.add_argument("--adams-max", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

@@ -17,10 +17,10 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import InvalidInputError
 
@@ -114,6 +114,13 @@ class GradedQuiver:
 
     def out_arrows(self, v: Vertex) -> tuple[Arrow, ...]:
         return self._out[v]
+
+    def without(self, v: Vertex) -> "GradedQuiver":
+        """The full subquiver on every vertex but v: v and the arrows at v dropped."""
+        if v not in self._out:
+            raise InvalidInputError(f"unknown vertex {v!r}")
+        rest = tuple(a for a in self.arrows if a.source != v and a.target != v)
+        return GradedQuiver(tuple(w for w in self.vertices if w != v), rest)
 
     # -- path bookkeeping ------------------------------------------------
 
@@ -297,12 +304,7 @@ def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
         for r, d in v.terms.items():
             if r.start != pt:
                 continue
-            key = Path(p.start, p.arrows + r.arrows)
-            acc = out.get(key, Fraction(0)) + c * d
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            add_term(out, Path(p.start, p.arrows + r.arrows), c * d)
     return AlgebraElement(q, out)
 
 
@@ -327,9 +329,18 @@ def graded_commutator(
     return u * v - sign * (v * u)
 
 
-def truncate_adams(u: AlgebraElement, n: int) -> AlgebraElement:
-    """Drop all paths of Adams degree > n."""
-    if n < 0:
-        raise InvalidInputError("truncation degree must be >= 0")
-    q = u.quiver
-    return AlgebraElement(q, {p: c for p, c in u.terms.items() if q.path_adeg(p) <= n})
+def restrict(u: AlgebraElement, sub: GradedQuiver) -> AlgebraElement:
+    """u on the subquiver sub: the terms of u that are still paths in sub.
+
+    For sub = q.without(v) this is the image of u in the quotient by the
+    ideal of e_v; sub may also keep every vertex and drop arrows."""
+    return AlgebraElement(sub, {p: c for p, c in u.terms.items() if sub.is_valid_path(p)})
+
+
+def add_term(out: dict, key, c: Scalar) -> None:
+    """out[key] += c in a sparse map, dropping the key when the sum is 0."""
+    acc = out.get(key, 0) + c
+    if acc:
+        out[key] = acc
+    else:
+        out.pop(key, None)

@@ -17,11 +17,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, int_if_integral
-from .differential import Differential, DGModel
+from .core import GradedQuiver, Path, Scalar, Vertex, add_term, int_if_integral
+from .differential import DGModel
 from .errors import InvalidInputError
 from .homology import Word, cohomology_dims, slice_order, truncated_dims
-from .koszul import McKayData, _jn_series, _subset_name, mckay_arrow_name, shuffle_sign
+from .koszul import McKayData, _jn_series, _subset_name, mckay_arrow_name, mckay_commutation_presentation, shuffle_sign
 from .presentations import PresentedAlgebra, QuadraticPresentation
 
 
@@ -50,15 +50,13 @@ class SplitModel:
 
     @cached_property
     def _ascending_model(self) -> DGModel:
-        q = self.model.quiver
-        arrows = tuple(a for a in q.arrows if a.name in self.ascending)
-        sub = GradedQuiver(q.vertices, arrows)
-        on_arrows = {
-            name: AlgebraElement(sub, da.terms)
-            for name, da in self.model.differential.on_arrows.items()
-            if name in self.ascending and da
-        }
-        return DGModel(sub, Differential(sub, on_arrows), provenance="ascending")
+        sub = _ascending(self.model.quiver, self.ascending)
+        return DGModel(sub, self.model.differential.restricted(sub), provenance="ascending")
+
+
+def _ascending(q: GradedQuiver, ascending: frozenset[str]) -> GradedQuiver:
+    """The subquiver of q on all its vertices and its ascending arrows."""
+    return GradedQuiver(q.vertices, tuple(a for a in q.arrows if a.name in ascending))
 
 
 def split(model: DGModel, data: McKayData) -> SplitModel:
@@ -105,31 +103,14 @@ def build_split(data: McKayData) -> SplitModel:
 
 def build_C(s: SplitModel) -> PresentedAlgebra:
     """The path algebra on the degree-0 ascending arrows modulo the
-    commuting squares whose four corners all avoid the deleted vertex."""
+    commuting squares whose four corners all avoid the deleted vertex:
+    the commutation presentation without vertex 0, restricted to its
+    ascending arrows.  A square keeps both terms or neither: once closure
+    holds every weight is >= 1, so each term is an ascending path exactly
+    when j + a_k + a_l <= m - 1."""
     s.require_closure()
-    m, weights = s.data.m, s.data.weights
-    n = len(weights)
-    arrows = []
-    for j in range(1, m):
-        for i in range(1, n + 1):
-            if j + weights[i - 1] <= m - 1:
-                arrows.append(Arrow(mckay_arrow_name(j, (i,)), j, j + weights[i - 1], 0, 1))
-    quiver = GradedQuiver(tuple(range(1, m)), tuple(arrows))
-    relators = []
-    for j in range(1, m):
-        for k, l in combinations(range(1, n + 1), 2):
-            ak, al = weights[k - 1], weights[l - 1]
-            if j + ak <= m - 1 and j + al <= m - 1 and j + ak + al <= m - 1:
-                relators.append(
-                    AlgebraElement(
-                        quiver,
-                        {
-                            Path(j, (mckay_arrow_name(j, (k,)), mckay_arrow_name(j + ak, (l,)))): Fraction(1),
-                            Path(j, (mckay_arrow_name(j, (l,)), mckay_arrow_name(j + al, (k,)))): Fraction(-1),
-                        },
-                    )
-                )
-    return PresentedAlgebra(quiver, tuple(relators))
+    pres = mckay_commutation_presentation(s.data).delete_vertex(0)
+    return pres.restricted(_ascending(pres.quiver, s.ascending))
 
 
 def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
@@ -198,14 +179,6 @@ def _parity(word: Word, odd: frozenset[str]) -> int:
     return sum(a in odd for a in word) % 2
 
 
-def _add(out: dict, term, c: Scalar):
-    acc = out.get(term, 0) + c
-    if acc:
-        out[term] = acc
-    else:
-        out.pop(term, None)
-
-
 def omega_gen_name(j: int, subset: tuple[int, ...]) -> str:
     return f"w{j}_{_subset_name(subset)}" if subset else f"w{j}_e"
 
@@ -246,15 +219,15 @@ class OmegaTilde:
         out: dict[WordTerm, Scalar] = {}
         for (u, g, v), c in el.items():
             for u2, cu in apply(u).items():
-                _add(out, (u2, g, v), c * cu)
+                add_term(out, (u2, g, v), c * cu)
             if _parity(u, odd_arrows):
                 c = -c
             for p, g2, r, cg in table.get(g, ()):
-                _add(out, (u + p, g2, r + v), c * cg)
+                add_term(out, (u + p, g2, r + v), c * cg)
             if g in odd_gens:
                 c = -c
             for v2, cv in apply(v).items():
-                _add(out, (u, g, v2), c * cv)
+                add_term(out, (u, g, v2), c * cv)
         return out
 
     def d(self, el: BimoduleElement) -> BimoduleElement:
@@ -334,7 +307,7 @@ def _omega_element(ot: OmegaTilde) -> TraceElement:
     for g in ot.generators:
         comp = tuple(sorted(full - set(g.subset)))
         coeff = (1 if len(g.subset) % 2 else -1) * shuffle_sign(g.subset, comp)
-        _add(el, (g.name, (mckay_arrow_name(g.target, comp),)), coeff)
+        add_term(el, (g.name, (mckay_arrow_name(g.target, comp),)), coeff)
     return el
 
 
@@ -351,11 +324,11 @@ def _trace_d(ot: OmegaTilde, el: TraceElement) -> TraceElement:
         for u, g2, v, cg in table.get(gname, ()):
             # u . g2 . v (x) word  ~  (-1)^{|u| (|g2| + |v| + |word|)} g2 (x) v word u
             odd = _parity(u, odd_arrows) and ((g2 in odd_gens) + _parity(v, odd_arrows) + word_odd) % 2
-            _add(out, (g2, v + word + u), -c * cg if odd else c * cg)
+            add_term(out, (g2, v + word + u), -c * cg if odd else c * cg)
         # (-1)^{|g|} g (x) d(word)
         sign_g = -1 if gname in odd_gens else 1
         for w, cw in apply(word).items():
-            _add(out, (gname, w), c * sign_g * cw)
+            add_term(out, (gname, w), c * sign_g * cw)
     return out
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex
+from .core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex, add_term, restrict
 from .differential import Differential, DGModel
 from .errors import InvalidInputError
 from .presentations import PresentedAlgebra
@@ -43,12 +43,7 @@ class Superpotential:
                 raise InvalidInputError(f"invalid path {p}")
             if self.quiver.path_target(p) != p.start or not p.arrows:
                 raise InvalidInputError(f"superpotential term {p} is not a cycle")
-            key = _canonical_rotation(p, self.quiver)
-            acc = norm.get(key, Fraction(0)) + Fraction(c)
-            if acc:
-                norm[key] = acc
-            else:
-                norm.pop(key, None)
+            add_term(norm, _canonical_rotation(p, self.quiver), Fraction(c))
         object.__setattr__(self, "terms", norm)
 
     def as_element(self) -> AlgebraElement:
@@ -66,12 +61,7 @@ def cyclic_derivative(w: Superpotential, arrow: str) -> AlgebraElement:
         for i, name in enumerate(p.arrows):
             if name != arrow:
                 continue
-            key = Path(a.target, p.arrows[i + 1 :] + p.arrows[:i])
-            acc = out.get(key, Fraction(0)) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            add_term(out, Path(a.target, p.arrows[i + 1 :] + p.arrows[:i]), c)
     return AlgebraElement(w.quiver, out)
 
 
@@ -150,11 +140,5 @@ def jacobian_presentation(w: Superpotential) -> PresentedAlgebra:
 
 def restrict_potential(w: Superpotential, v: Vertex) -> Superpotential:
     """(Q^0, w^0): drop v, adjacent arrows, and cycles through v."""
-    q = w.quiver
-    if v not in q.vertices:
-        raise InvalidInputError(f"unknown vertex {v!r}")
-    keep = tuple(a for a in q.arrows if a.source != v and a.target != v)
-    keep_names = {a.name for a in keep}
-    q0 = GradedQuiver(tuple(u for u in q.vertices if u != v), keep)
-    terms = {p: c for p, c in w.terms.items() if set(p.arrows) <= keep_names}
-    return Superpotential(q0, terms)
+    q0 = w.quiver.without(v)
+    return Superpotential(q0, restrict(w.as_element(), q0).terms)

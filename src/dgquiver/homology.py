@@ -11,12 +11,11 @@ from __future__ import annotations
 import os
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator
 
 from . import linalg
-from .core import AlgebraElement, GradedQuiver, Path, Scalar, Vertex, int_if_integral, vertex_key
+from .core import AlgebraElement, GradedQuiver, Scalar, Vertex, int_if_integral, vertex_key
 from .differential import DGModel, Differential
 from .errors import InvalidInputError, ResourceLimitError
 from .presentations import PresentedAlgebra
@@ -39,15 +38,6 @@ def path_cap(override: int | None = None) -> int:
     if cap <= 0:
         raise InvalidInputError(f"DGQ_PATH_CAP must be a positive integer, got {env!r}")
     return cap
-
-
-@dataclass(frozen=True)
-class BigradedSlice:
-    hdeg: int
-    adeg: int
-    source: Vertex
-    target: Vertex
-    basis: tuple[Path, ...]
 
 
 Word = tuple[str, ...]  # arrow names; with a slice's source it names a path
@@ -151,19 +141,6 @@ def _stream_slices(
                         # checked as it grows, so memory stays near the cap
                         _check_cap((h2, a2, s, arr.target), bucket[0], cap)
             yield s, a, level
-
-
-def bigraded_slices(
-    quiver: GradedQuiver, hmin: int, nadams: int, cap: int | None = None
-) -> dict[SliceKey, BigradedSlice]:
-    """Enumerate all paths with hdeg >= hmin and adeg <= nadams, bucketed
-    by (hdeg, adeg, source, target) with the canonical basis order:
-    (length, arrows), which is Path.sort_key's inside a slice."""
-    return {
-        (h, a, s, t): BigradedSlice(h, a, s, t, tuple(Path(s, w) for w in sorted(words, key=lambda w: (len(w), w))))
-        for s, a, level in _stream_slices(quiver, hmin, nadams, cap)
-        for (h, t), (words, _lead, _fixed) in level.items()
-    }
 
 
 def _image_pivots(d: Differential, source: Bucket, cleared: set[int], target: list[Word]) -> set[int]:

@@ -203,20 +203,8 @@ def delete_vertex(model: DGModel, v: Vertex) -> DGModel:
     differential of the quotient is the image of d: each d(a) loses only
     its terms through v.  So the quotient keeps the grading and d^2 = 0
     whenever the model has them, and neither check is rerun here."""
-    q = model.quiver
-    if v not in q.vertices:
-        raise InvalidInputError(f"unknown vertex {v!r}")
-    keep = tuple(a for a in q.arrows if a.source != v and a.target != v)
-    keep_names = {a.name for a in keep}
-    q0 = GradedQuiver(tuple(w for w in q.vertices if w != v), keep)
-    on_arrows: dict[str, AlgebraElement] = {}
-    for name, da in model.differential.on_arrows.items():
-        if name not in keep_names:
-            continue
-        terms = {p: c for p, c in da.terms.items() if set(p.arrows) <= keep_names}
-        if terms:
-            on_arrows[name] = AlgebraElement(q0, terms)
-    d0 = Differential(q0, on_arrows)
+    q0 = model.quiver.without(v)
+    d0 = model.differential.restricted(q0)
     return DGModel(q0, d0, provenance=model.provenance, metadata=dict(model.metadata) | {"deleted_vertex": v})
 
 

@@ -11,14 +11,11 @@ converted to ``Fraction`` only at the output.  There is no floating
 point anywhere.  Pivoting is always on the smallest column index, so
 every result is deterministic given the column indexing.
 
-Public functions: ``rank``; ``pivot_columns``, the pivot columns of a
-row space, which ``cohomology_dims`` calls only when two images of one
-step share a leading word (otherwise those words are the pivots) and
-whose result it skips in the next differential (clearing);
-``row_reduce``; ``intersect_rowspaces``; ``solve_in_span``.  Nothing in
-the package calls ``rank`` or ``solve_in_span``: ``minimal_model_general``
-reads its coefficients off the RREF pivots of the J_n bases instead.
-Both stay public and pinned by their sympy and Fraction oracle tests.
+Public functions: ``pivot_columns``, the pivot columns of a row space,
+which ``cohomology_dims`` calls only when two images of one step share a
+leading word (otherwise those words are the pivots) and whose result it
+skips in the next differential (clearing); its count is the rank;
+``row_reduce``; and ``intersect_rowspaces``, behind the J_n lattice.
 """
 
 from __future__ import annotations
@@ -32,8 +29,8 @@ SparseVec = dict[int, Fraction]
 IntVec = dict[int, int]
 
 
-def _integral(row: SparseVec) -> tuple[IntVec, int]:
-    """(den * row, den) with den the lcm of the row's denominators.
+def _integral(row: SparseVec) -> IntVec:
+    """den * row with den the lcm of the row's denominators.
 
     Always a new dict, also for an integral row: the kernel reduces it in
     place, so the caller's row is never changed."""
@@ -42,15 +39,14 @@ def _integral(row: SparseVec) -> tuple[IntVec, int]:
         if v.denominator != 1:
             den = lcm(den, v.denominator)
     if den == 1:
-        return {c: v.numerator for c, v in row.items() if v}, 1
-    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}, den
+        return {c: v.numerator for c, v in row.items() if v}
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
 
-def _eliminate(r: IntVec, c: int, p: IntVec) -> int:
+def _eliminate(r: IntVec, c: int, p: IntVec) -> None:
     """Clear column c of r with the row p (p[c] > 0) in place; r is
-    first scaled by a positive factor, which is returned."""
+    first scaled by a positive factor."""
     a, b = r[c], p[c]
-    s = 1
     if b != 1:
         g = gcd(a, b)
         s, a = b // g, a // g
@@ -64,20 +60,16 @@ def _eliminate(r: IntVec, c: int, p: IntVec) -> int:
             r[k] = nv
         else:
             del r[k]
-    return s
 
 
-def _reduce(r: IntVec, pivots: dict[int, IntVec]) -> int:
-    """Clear every pivot column from r, smallest first, in place; return
-    the positive factor r was scaled by."""
-    scale = 1
+def _reduce(r: IntVec, pivots: dict[int, IntVec]) -> None:
+    """Clear every pivot column from r, smallest first, in place."""
     while r:
         c = min(r)
         p = pivots.get(c)
         if p is None:
             break
-        scale *= _eliminate(r, c, p)
-    return scale
+        _eliminate(r, c, p)
 
 
 def _primitive(r: IntVec) -> IntVec:
@@ -92,7 +84,7 @@ def _echelon(rows: Iterable[SparseVec]) -> dict[int, IntVec]:
     """Echelon pivots {pivot column: primitive integer row}."""
     pivots: dict[int, IntVec] = {}
     for row in rows:
-        r, _ = _integral(row)
+        r = _integral(row)
         _reduce(r, pivots)
         if r:
             pivots[min(r)] = _primitive(r)
@@ -104,10 +96,6 @@ def pivot_columns(rows: Iterable[SparseVec]) -> set[int]:
     row of its reduced echelon basis.  They depend on the row space only,
     not on the rows that span it or their order."""
     return set(_echelon(rows))
-
-
-def rank(rows: Iterable[SparseVec]) -> int:
-    return len(pivot_columns(rows))
 
 
 def row_reduce(rows: Iterable[SparseVec]) -> list[SparseVec]:
@@ -139,31 +127,3 @@ def intersect_rowspaces(u_rows: list[SparseVec], w_rows: list[SparseVec], ncols:
         if piv >= ncols
     ]
     return row_reduce(inter)
-
-
-def solve_in_span(vectors: list[SparseVec], target: SparseVec) -> list[Fraction] | None:
-    """Coefficients x with sum(x_i * vectors[i]) == target, or None.
-
-    When the vectors are dependent the solution returned is the unique one
-    supported on the greedy basis: the vectors outside the span of those
-    before them.  Each vector i carries its combination as an extra unit
-    column ``offset + i`` past every real column, so pivots only ever sit
-    on real columns and the reduced target reads off its coefficients.
-    """
-    offset = 1 + max(chain.from_iterable(chain(vectors, (target,))), default=-1)
-    pivots: dict[int, IntVec] = {}
-    dens = []
-    for i, vec in enumerate(vectors):
-        r, den = _integral(vec)
-        dens.append(den)
-        r[offset + i] = 1
-        _reduce(r, pivots)
-        c = min(r)
-        if c < offset:
-            pivots[c] = _primitive(r)
-    # now scale * den * target = sum_i -r[offset + i] * dens[i] * vectors[i]
-    r, den = _integral(target)
-    scale = _reduce(r, pivots)
-    if r and min(r) < offset:
-        return None
-    return [Fraction(-r.get(offset + i, 0) * dens[i], scale * den) for i in range(len(vectors))]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AlgebraElement, GradedQuiver, Vertex
+from .core import AlgebraElement, GradedQuiver, Vertex, restrict
 from .errors import InvalidInputError
 
 
@@ -54,19 +54,13 @@ class PresentedAlgebra:
             _check_relator(self.quiver, r, quadratic=False)
 
     def delete_vertex(self, v: Vertex) -> "PresentedAlgebra":
-        """Quotient by the two-sided ideal of the idempotent e_v.
+        """Quotient by the two-sided ideal of the idempotent e_v: the
+        presentation restricted to the quiver without v."""
+        return self.restricted(self.quiver.without(v))
 
-        Drops v and adjacent arrows and filters relator terms through v;
-        relators that lose all terms disappear.
-        """
-        if v not in self.quiver.vertices:
-            raise InvalidInputError(f"unknown vertex {v!r}")
-        keep_arrows = tuple(a for a in self.quiver.arrows if a.source != v and a.target != v)
-        keep_names = {a.name for a in keep_arrows}
-        q0 = GradedQuiver(tuple(w for w in self.quiver.vertices if w != v), keep_arrows)
-        new_relators = []
-        for r in self.relators:
-            terms = {p: c for p, c in r.terms.items() if set(p.arrows) <= keep_names and p.start != v}
-            if terms:
-                new_relators.append(AlgebraElement(q0, terms))
-        return PresentedAlgebra(q0, tuple(new_relators))
+    def restricted(self, sub: GradedQuiver) -> "PresentedAlgebra":
+        """The path algebra of the subquiver sub modulo the relators
+        restricted to sub (core.restrict); relators that lose all their
+        terms disappear."""
+        images = (restrict(r, sub) for r in self.relators)
+        return PresentedAlgebra(sub, tuple(r for r in images if r))

@@ -13,8 +13,9 @@ Path/Fraction ``truncated_dims`` and bimodule Leibniz loops of ``cy``,
 which pin their arrow-word replacements, the product-and-solve
 ``minimal_model_general``, which pins the read-off of its differential
 from the RREF pivots, the Fraction ``check_d_squared``, which pins
-its word-level accumulation, and the per-vertex ``mckay_model``, which
-pins its per-subset table.
+its word-level accumulation, the per-vertex ``mckay_model``, which
+pins its per-subset table, and the weight-by-weight ``build_C``, which
+pins its restriction of the commutation presentation.
 """
 
 from __future__ import annotations
@@ -22,15 +23,16 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import sympy
 
 from dgquiver import koszul, linalg
-from dgquiver.core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex, truncate_adams, vertex_key
+from dgquiver.core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex, vertex_key
 from dgquiver.errors import InvalidInputError, ResourceLimitError
+from dgquiver.cy import SplitModel
 from dgquiver.differential import Differential, DGModel
-from dgquiver.homology import BigradedSlice, SliceKey, path_cap
+from dgquiver.homology import SliceKey, path_cap
 from dgquiver.koszul import McKayData, _splits, _subset_name, _subsets, mckay_arrow_name, shuffle_sign
 from dgquiver.presentations import PresentedAlgebra, QuadraticPresentation
 
@@ -41,10 +43,6 @@ def dense(rows, ncols) -> sympy.Matrix:
     if not rows:
         return sympy.zeros(0, ncols)
     return sympy.Matrix([[sympy.Rational(r.get(j, 0)) for j in range(ncols)] for r in rows])
-
-
-def sympy_rank(rows, ncols) -> int:
-    return dense(rows, ncols).rank()
 
 
 def rowspace_basis(mat: sympy.Matrix) -> sympy.Matrix:
@@ -311,7 +309,7 @@ def old_truncated_dims(
                         }
                         rows_by_block[(u.start, q.path_target(v))].append(row)
         for (s, t), count in sorted(blocks.items(), key=lambda kv: (vertex_key(kv[0][0]), vertex_key(kv[0][1]))):
-            dim = count - linalg.rank(rows_by_block.get((s, t), ()))
+            dim = count - len(linalg.pivot_columns(rows_by_block.get((s, t), ())))
             if dim:
                 dims[(s, t, a)] = dim
     return dims
@@ -405,7 +403,7 @@ def old_apply_to_path(d: Differential, p: Path) -> dict[Path, Scalar]:
 
 def old_bigraded_slices(
     quiver: GradedQuiver, hmin: int, nadams: int, cap: int | None = None
-) -> dict[SliceKey, BigradedSlice]:
+) -> dict[SliceKey, tuple[Path, ...]]:
     """Enumerate all paths with hdeg >= hmin and adeg <= nadams, bucketed
     by (hdeg, adeg, source, target) with the canonical basis order."""
     cap = path_cap(cap)
@@ -427,24 +425,21 @@ def old_bigraded_slices(
             h2, a2 = h + arr.hdeg, a + arr.adeg
             if h2 >= hmin and a2 <= nadams:
                 stack.append((Path(p.start, p.arrows + (arr.name,)), arr.target, h2, a2))
-    return {
-        key: BigradedSlice(*key, tuple(sorted(paths, key=Path.sort_key)))
-        for key, paths in buckets.items()
-    }
+    return {key: tuple(sorted(paths, key=Path.sort_key)) for key, paths in buckets.items()}
 
 
-def _old_outgoing_rank(model: DGModel, slices: dict[SliceKey, BigradedSlice], key: SliceKey) -> int:
+def _old_outgoing_rank(model: DGModel, slices: dict[SliceKey, tuple[Path, ...]], key: SliceKey) -> int:
     """Rank of d restricted to the given slice."""
-    sl = slices.get(key)
-    if sl is None:
+    basis = slices.get(key)
+    if basis is None:
         return 0
     h, a, s, t = key
     tgt = slices.get((h + 1, a, s, t))
     if tgt is None:
         return 0
-    index = {p: i for i, p in enumerate(tgt.basis)}
-    images = (old_apply_to_path(model.differential, p) for p in sl.basis)
-    return linalg.rank({index[r]: c for r, c in img.items()} for img in images if img)
+    index = {p: i for i, p in enumerate(tgt)}
+    images = (old_apply_to_path(model.differential, p) for p in basis)
+    return len(linalg.pivot_columns({index[r]: c for r, c in img.items()} for img in images if img))
 
 
 def old_cohomology_dims(
@@ -469,10 +464,10 @@ def old_cohomology_dims(
     for key in slices:
         out_rank[key] = _old_outgoing_rank(model, slices, key)
     comp: dict[tuple[int, int, Vertex, Vertex], int] = {}
-    for (h, a, s, t), sl in slices.items():
+    for (h, a, s, t), basis in slices.items():
         if h < hmin:
             continue
-        dim = len(sl.basis) - out_rank[(h, a, s, t)] - out_rank.get((h - 1, a, s, t), 0)
+        dim = len(basis) - out_rank[(h, a, s, t)] - out_rank.get((h - 1, a, s, t), 0)
         if dim:
             comp[(h, a, s, t)] = dim
     if by_component:
@@ -507,13 +502,10 @@ def lead_word(d: Differential, word: tuple[str, ...]) -> tuple[str, ...] | None:
     return None if at is None else word[:at] + least[word[at]] + word[at + 1 :]
 
 
-def old_check_d_squared(d: Differential, n: int) -> dict:
+def old_check_d_squared(d: Differential) -> dict:
     """The former Fraction check_d_squared: d(d(a)) built as an
-    AlgebraElement and truncated, differentiated by old_apply_to_path in
-    place of Differential.apply."""
-    max_adeg = max((a.adeg for a in d.quiver.arrows), default=0)
-    if n < max_adeg:
-        raise InvalidInputError(f"truncation {n} below max arrow adeg {max_adeg}")
+    AlgebraElement, differentiated by old_apply_to_path in place of
+    Differential.apply."""
     for a in d.quiver.arrows:
         da = d.of_arrow(a.name)
         if not da.is_hdeg_homogeneous():
@@ -526,18 +518,16 @@ def old_check_d_squared(d: Differential, n: int) -> dict:
                     out[r] = acc
                 else:
                     out.pop(r, None)
-        residue = truncate_adams(AlgebraElement(d.quiver, out), n)
+        residue = AlgebraElement(d.quiver, out)
         if residue:
             return {
                 "check": "d_squared",
                 "status": "fail",
                 "witness": {"arrow": a.name, "residue": repr(residue)},
-                "truncation": n,
             }
     return {
         "check": "d_squared",
         "status": "pass",
-        "truncation": n,
         "note": "verified on arrows; Leibniz extends the identity to all paths",
     }
 
@@ -738,7 +728,7 @@ def old_minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel
     for n in range(2, nmax + 1):
         if not bases[n]:
             continue
-        # solve_in_span's answer does not depend on the column order
+        # fraction_solve_in_span's answer does not depend on the column order
         index: dict[Path, int] = {}
         for k, b in enumerate(bases[n]):
             target_vec = _to_sparse(b.terms, index)
@@ -752,7 +742,7 @@ def old_minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel
                             continue
                         prods.append(_to_sparse((va * vb).terms, index))
                         pairs.append((ka, kb))
-                sol = linalg.solve_in_span(prods, target_vec)
+                sol = fraction_solve_in_span(prods, target_vec)
                 if sol is None:
                     raise RuntimeError(
                         f"J_{n} basis vector not inside J_{i} ⊗ J_{n - i}: internal bug"
@@ -816,3 +806,39 @@ def old_mckay_model(data: McKayData) -> DGModel:
         provenance="mckay",
         metadata={"m": m, "weights": data.weights, "warnings": data.warnings},
     )
+
+
+# ---------------------------------------------------------------------------
+# The former dgquiver.cy.build_C, kept verbatim as an oracle for the
+# restriction of the commutation presentation that replaced it: it lists
+# the ascending arrows and the commuting squares with all four corners in
+# 1..m-1 by their weights.
+
+
+def old_build_C(s: SplitModel) -> PresentedAlgebra:
+    """The path algebra on the degree-0 ascending arrows modulo the
+    commuting squares whose four corners all avoid the deleted vertex."""
+    s.require_closure()
+    m, weights = s.data.m, s.data.weights
+    n = len(weights)
+    arrows = []
+    for j in range(1, m):
+        for i in range(1, n + 1):
+            if j + weights[i - 1] <= m - 1:
+                arrows.append(Arrow(mckay_arrow_name(j, (i,)), j, j + weights[i - 1], 0, 1))
+    quiver = GradedQuiver(tuple(range(1, m)), tuple(arrows))
+    relators = []
+    for j in range(1, m):
+        for k, l in combinations(range(1, n + 1), 2):
+            ak, al = weights[k - 1], weights[l - 1]
+            if j + ak <= m - 1 and j + al <= m - 1 and j + ak + al <= m - 1:
+                relators.append(
+                    AlgebraElement(
+                        quiver,
+                        {
+                            Path(j, (mckay_arrow_name(j, (k,)), mckay_arrow_name(j + ak, (l,)))): Fraction(1),
+                            Path(j, (mckay_arrow_name(j, (l,)), mckay_arrow_name(j + al, (k,)))): Fraction(-1),
+                        },
+                    )
+                )
+    return PresentedAlgebra(quiver, tuple(relators))

@@ -400,16 +400,18 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv):
     assert not out_path.exists()
 
 
-def test_verify_keeps_an_explicit_adams_bound(capsys, tmp_path):
-    """--adams-max 0 used to be replaced by the largest arrow adeg, 2 for
-    the polynomial model with n = 2, and the report said truncation 2."""
+def test_verify_takes_no_adams_bound(capsys, tmp_path):
+    """d^2 = 0 is checked on every arrow with no truncation, so verify has
+    no --adams-max (argparse exits 2 on it) and its report no truncation."""
     path = tmp_path / "model.json"
     run(capsys, "model-poly", "--n", "2", "--out", str(path))
-    code, out, err = run(capsys, "verify", "--model", str(path), "--adams-max", "0")
-    assert code == 2 and out == ""
-    assert err == "error: truncation 0 below max arrow adeg 2\n"
-    for argv, truncation in (((), 2), (("--adams-max", "3"), 3)):
-        code, out, _ = run(capsys, "verify", "--model", str(path), *argv)
-        assert code == 0
-        assert [r["status"] for r in json.loads(out)["checks"]] == ["pass", "pass"]
-        assert json.loads(out)["checks"][1]["truncation"] == truncation
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--model", str(path), "--adams-max", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --adams-max 3" in capsys.readouterr().err
+    code, out, _ = run(capsys, "verify", "--model", str(path))
+    assert code == 0
+    assert json.loads(out)["checks"] == [
+        {"check": "grading", "status": "pass"},
+        {"check": "d_squared", "status": "pass", "note": "verified on arrows; Leibniz extends the identity to all paths"},
+    ]

@@ -14,8 +14,8 @@ from dgquiver import (
     Path,
     graded_commutator,
     multiply,
-    truncate_adams,
 )
+from dgquiver.core import restrict
 
 
 @pytest.fixture
@@ -99,13 +99,22 @@ def test_graded_commutator_signs(two_vertex):
     assert graded_commutator(l, e0, hv=0) == l * e0 - e0 * l
 
 
-def test_truncate_adams(two_vertex):
+def test_without_drops_the_vertex_and_its_arrows(two_vertex):
+    assert two_vertex.without(0) == GradedQuiver((1,), ())
+    assert two_vertex.without(1) == GradedQuiver((0,), (two_vertex.arrow("l"),))
+    with pytest.raises(InvalidInputError, match="unknown vertex 2"):
+        two_vertex.without(2)
+
+
+def test_restrict_keeps_the_terms_that_are_paths_of_the_subquiver(two_vertex):
     q = two_vertex
-    el = q.gen("a") * q.gen("b") + q.gen("l")
-    assert truncate_adams(el, 1) == q.gen("l")
-    assert truncate_adams(el, 3) == el
-    with pytest.raises(InvalidInputError):
-        truncate_adams(el, -1)
+    el = q.gen("a") * q.gen("b") + 3 * q.gen("l") * q.gen("l") + q.idempotent(1)
+    q0 = q.without(1)
+    assert restrict(el, q0) == 3 * q0.gen("l") * q0.gen("l")
+    # every vertex kept, the arrow b dropped
+    sub = GradedQuiver(q.vertices, (q.arrow("a"), q.arrow("l")))
+    assert restrict(el, sub) == 3 * sub.gen("l") * sub.gen("l") + sub.idempotent(1)
+    assert restrict(el, q) == el
 
 
 # -- property tests -----------------------------------------------------------

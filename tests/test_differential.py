@@ -72,10 +72,12 @@ def test_apply_rejects_inhomogeneous(poly3):
 
 
 def test_d_squared_passes(poly3):
-    report = check_d_squared(poly3.differential, 3)
-    assert report["status"] == "pass"
-    with pytest.raises(InvalidInputError):
-        check_d_squared(poly3.differential, 2)  # below max arrow adeg
+    report = check_d_squared(poly3.differential)
+    assert report == {
+        "check": "d_squared",
+        "status": "pass",
+        "note": "verified on arrows; Leibniz extends the identity to all paths",
+    }
 
 
 def test_d_squared_catches_corrupted_sign(poly3):
@@ -83,7 +85,7 @@ def test_d_squared_catches_corrupted_sign(poly3):
     on = dict(poly3.differential.on_arrows)
     bad = {p: (-c if p.arrows == ("x1", "x23") else c) for p, c in on["x123"].terms.items()}
     on["x123"] = AlgebraElement(q, bad)
-    report = check_d_squared(Differential(q, on), 3)
+    report = check_d_squared(Differential(q, on))
     assert report["status"] == "fail"
     assert report["witness"]["arrow"] == "x123"
 
@@ -111,7 +113,7 @@ def _quantum_model():
 
 def _ungraded_differential():
     """d(y) = x*x and d(z) = y*x*x with |z| = (-2, 3): d(d(z)) = x^4 sits
-    above adeg 3, so the truncation decides the verdict."""
+    above adeg 3, where a check truncated at adeg 3 would miss it."""
     q = GradedQuiver((0,), (Arrow("x", 0, 0, 0, 1), Arrow("y", 0, 0, -1, 2), Arrow("z", 0, 0, -2, 3)))
     on = {"y": AlgebraElement(q, {Path(0, ("x", "x")): 1}), "z": AlgebraElement(q, {Path(0, ("y", "x", "x")): 3})}
     return Differential(q, on)
@@ -120,22 +122,23 @@ def _ungraded_differential():
 def test_d_squared_report_matches_the_fraction_route():
     """Pass and fail reports, witness residues included, are identical to
     those of the former AlgebraElement route on corrupted polynomial,
-    McKay and quantum differentials, and at both sides of a truncation."""
+    McKay and quantum differentials, and on an ungraded one whose d^2 is
+    nonzero only above the largest arrow adeg."""
     ds = [polynomial_model(3).differential, mckay_model(McKayData(3, (1, 1, 1))).differential]
     ds.append(_quantum_model().differential)
     failed = 0
     for d in ds:
-        max_adeg = max(a.adeg for a in d.quiver.arrows)
-        assert check_d_squared(d, max_adeg) == old_check_d_squared(d, max_adeg)
+        assert check_d_squared(d) == old_check_d_squared(d)
         for bad in _corruptions(d):
-            report = check_d_squared(bad, max_adeg)
-            assert report == old_check_d_squared(bad, max_adeg)
+            report = check_d_squared(bad)
+            assert report == old_check_d_squared(bad)
             failed += report["status"] == "fail"
     assert failed > 0
     d = _ungraded_differential()
-    for n in (3, 4):
-        assert check_d_squared(d, n) == old_check_d_squared(d, n)
-    assert [check_d_squared(d, n)["status"] for n in (3, 4)] == ["pass", "fail"]
+    report = check_d_squared(d)
+    assert report == old_check_d_squared(d)
+    assert report["status"] == "fail"
+    assert report["witness"] == {"arrow": "z", "residue": "(3)x*x*x*x"}
 
 
 def test_grading_check(poly3):

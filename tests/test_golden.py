@@ -20,8 +20,10 @@ basis vectors, and the vertex-0 deletions of the (5;1112) model and
 commutation presentation, the ``ginzburg --delete-vertex 0`` model of a
 two-vertex potential and the algebra ``C`` of (7;11113) by the separate
 restriction routines of ``koszul``, ``presentations``, ``ginzburg`` and
-``cy``.  Any change to the arithmetic, elimination, span or restriction
-kernels must leave these outputs unchanged.  To rebuild them after a deliberate change
+``cy``, and the ``verify`` report of the vertex-0 deletion of (3;111)
+by the ``check_d_squared`` without a truncation bound.  Any change to the
+arithmetic, elimination, span or restriction kernels must leave these
+outputs unchanged.  To rebuild them after a deliberate change
 of output format, run ``python tests/test_golden.py --write`` from the
 repository root with ``src`` on the path.
 """
@@ -112,6 +114,9 @@ def _restriction_potential():
 def golden_outputs(work: FilePath) -> dict[str, str]:
     poly = _write(work / "poly3.json", serialize.model_to_json(polynomial_model(3)))
     mckay = _write(work / "mckay3.json", serialize.model_to_json(mckay_model(McKayData(3, (1, 1, 1)))))
+    deleted3 = _write(
+        work / "deleted3.json", serialize.model_to_json(delete_vertex(mckay_model(McKayData(3, (1, 1, 1))), 0))
+    )
     data = McKayData(5, (1, 1, 1, 2))
     deleted = _write(work / "deleted5.json", serialize.model_to_json(delete_vertex(mckay_model(data), 0)))
     quotient = _write(
@@ -157,6 +162,7 @@ def golden_outputs(work: FilePath) -> dict[str, str]:
             "ginzburg", "--quiver", potential_quiver, "--potential", potential, "--delete-vertex", "0"
         ),
         "c_mckay7_11113.json": serialize.dumps(serialize.presentation_to_json(build_C(build_split(data7)))),
+        "verify_mckay3_111_del0.json": _cli("verify", "--model", deleted3),
     }
 
 
@@ -185,6 +191,7 @@ def outputs(tmp_path_factory):
         "presentation_mckay5_1112_del0.json",
         "ginzburg_restricted_del0.json",
         "c_mckay7_11113.json",
+        "verify_mckay3_111_del0.json",
     ],
 )
 def test_output_matches_golden_file(outputs, name):

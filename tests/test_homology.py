@@ -26,7 +26,7 @@ from dgquiver import (
     polynomial_model,
     truncated_dims,
 )
-from dgquiver.homology import bigraded_slices
+from dgquiver.homology import _stream_slices
 from dgquiver.koszul import mckay_commutation_presentation
 from dgquiver import linalg
 from oracles import mckay_h0_oracle, polynomial_h0_dim
@@ -70,15 +70,12 @@ def test_euler_characteristic_invariant():
     model = delete_vertex(mckay_model(data), 0)
     nadams, hmin = 4, -6
     dims = cohomology_dims(model, hmin, nadams)
-    slices = bigraded_slices(model.quiver, hmin, nadams)
+    euler_c = [0] * (nadams + 1)
+    for _s, a, level in _stream_slices(model.quiver, hmin, nadams):
+        for (h, _t), (words, _lead, _fixed) in level.items():
+            euler_c[a] += (-1) ** h * len(words)
     for a in range(nadams + 1):
-        euler_h = sum((-1) ** h * dims[(h, a)] for h in range(hmin, 1))
-        euler_c = sum(
-            (-1) ** h * len(sl.basis)
-            for (h, aa, _s, _t), sl in slices.items()
-            if aa == a
-        )
-        assert euler_h == euler_c
+        assert sum((-1) ** h * dims[(h, a)] for h in range(hmin, 1)) == euler_c[a]
 
 
 def test_h0_presentation_of_ginzburg_is_jacobian():
