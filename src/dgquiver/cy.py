@@ -264,7 +264,7 @@ def build_omega_tilde(s: SplitModel) -> OmegaTilde:
                     gens.append(OmegaGenerator(omega_gen_name(j, sub), j, sub, j + data.d_of(sub), -len(sub)))
     d_on: dict[str, BimoduleElement] = {}
     for g in gens:
-        el: BimoduleElement = {}
+        el: dict[BimoduleTerm, int] = {}
         sset = set(g.subset)
         for size_a in range(len(g.subset) + 1):
             for a in combinations(g.subset, size_a):
@@ -272,23 +272,13 @@ def build_omega_tilde(s: SplitModel) -> OmegaTilde:
                 eps = shuffle_sign(a, b)
                 mid = g.vertex + data.d_of(a)
                 if b:  # w_{j,A} . x_{mid,B}
-                    term = (
-                        Path(g.vertex),
-                        omega_gen_name(g.vertex, a),
-                        Path(mid, (mckay_arrow_name(mid, b),)),
-                    )
-                    coeff = Fraction((-1) ** len(a) * eps)
-                    el[term] = el.get(term, Fraction(0)) + coeff
+                    term = (Path(g.vertex), omega_gen_name(g.vertex, a), Path(mid, (mckay_arrow_name(mid, b),)))
+                    add_term(el, term, (-1) ** len(a) * eps)
                 if a:  # - x_{j,A} . w_{mid,B}
-                    term = (
-                        Path(g.vertex, (mckay_arrow_name(g.vertex, a),)),
-                        omega_gen_name(mid, b),
-                        Path(g.target),
-                    )
-                    el[term] = el.get(term, Fraction(0)) - Fraction(eps)
-        el = {t: c for t, c in el.items() if c}
+                    term = (Path(g.vertex, (mckay_arrow_name(g.vertex, a),)), omega_gen_name(mid, b), Path(g.target))
+                    add_term(el, term, -eps)
         if el:
-            d_on[g.name] = el
+            d_on[g.name] = {t: Fraction(c) for t, c in el.items()}
     return OmegaTilde(s, tuple(gens), d_on)
 
 

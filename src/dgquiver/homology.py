@@ -408,7 +408,7 @@ def truncated_dims(
         pivots = {}
         for row in linalg.row_reduce(rows):
             piv = min(row)
-            pivots[piv] = {cols[k]: -int_if_integral(c) for k, c in row.items() if k != piv}
+            pivots[piv] = {cols[k]: -c for k, c in row.items() if k != piv}
         for i, p in enumerate(cols):
             if i in pivots:
                 nf[p] = pivots[i]

@@ -4,9 +4,10 @@ Covers the general quadratic construction (lattice of intersections
 J_n), the explicit exterior-generator model for polynomial rings, the
 cyclic-group McKay model, and the vertex-deletion quotient.
 
-The J_n lattice runs on rows {arrow word: coefficient}, int while
-integral; compute_Jn and minimal_model_general build AlgebraElements
-from them once, at the end.
+The J_n lattice runs on integer word ids, ordered as the paths they
+stand for, with int coefficients while integral; each basis is decoded
+to rows {arrow word: coefficient} once, and compute_Jn and
+minimal_model_general build AlgebraElements from those once, at the end.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from typing import Iterator
 
 from . import linalg
-from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, int_if_integral, vertex_key
+from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, vertex_key
 from .differential import Differential, DGModel
 from .errors import InvalidInputError
 from .presentations import QuadraticPresentation
@@ -212,42 +213,68 @@ def delete_vertex(model: DGModel, v: Vertex) -> DGModel:
 # general quadratic algebras
 
 
-def _echelon_words(start: dict[str, tuple], u_rows: list[WordRow], w_rows: list[WordRow] | None = None) -> list[WordRow]:
-    """RREF basis of the span of u_rows, or of its intersection with the
-    span of w_rows, over the words ordered by (start[first arrow], word):
-    Path.sort_key on the words of one length."""
-    cols = sorted({w for row in chain(u_rows, w_rows or ()) for w in row})
-    cols.sort(key=lambda w: start[w[0]])  # stable, so by (start, word)
-    index = {w: i for i, w in enumerate(cols)}
-    u = [{index[w]: c for w, c in row.items()} for row in u_rows]
-    if w_rows is None:
-        rows = linalg.row_reduce(u)
-    else:
-        rows = linalg.intersect_rowspaces(u, [{index[w]: c for w, c in row.items()} for row in w_rows], len(cols))
-    return [{cols[i]: int_if_integral(c) for i, c in row.items()} for row in rows]
-
-
 def _jn_series(pres: QuadraticPresentation) -> Iterator[list[WordRow]]:
     """The bases of J_1, J_2, J_3, ... in turn, each row as {arrow word:
-    coefficient} with int coefficients while integral; see compute_Jn."""
+    coefficient} with int coefficients while integral; see compute_Jn.
+
+    The recursion runs on integer word ids.  With A arrows, rn ranking
+    them by name and r0 by (vertex_key of the source, name), a word w of
+    length L has the id r0(w_0)*A^(L-1) + sum_{i>=1} rn(w_i)*A^(L-1-i).
+    Lemma: the ids of the words of one length are ordered as the words
+    are by (vertex_key of the first arrow's source, word), Path.sort_key
+    on one length.  Every digit lies in 0..A-1, so an id is a base-A
+    numeral and two ids of one length compare as their digit tuples
+    (r0(w_0), rn(w_1), ...) do, lexicographically; r0(w_0) orders as
+    (vertex_key of w_0's source, w_0), as arrow names are distinct, and
+    each rn(w_i) as w_i.  So every RREF basis over the ids is the one
+    over the paths, and distinct words have distinct ids.  A row b*y has
+    the ids id(w)*A + rn(y), a row x*b the ids
+    r0(x)*A^L + id(w) + (rn(w_0) - r0(w_0))*A^(L-1), with w running over
+    the words of b.  The endpoints of a row are read off the first and
+    last arrow of any one of its words: every word of a row is a path
+    with the row's endpoints, as the relators are component-pure paths.
+    Each basis is decoded to words once, when it is yielded, each word
+    from that of its prefix: J_n lies in J_{n-1} ⊗ V, so every column of
+    J_n extends a column of J_{n-1} by one arrow."""
     q = pres.quiver
-    start = {a.name: vertex_key(a.source) for a in q.arrows}
-    into: dict[Vertex, list[str]] = {v: [] for v in q.vertices}
+    rn = sorted(a.name for a in q.arrows)
+    r0 = sorted(rn, key=lambda name: vertex_key(q.arrow(name).source))  # stable, so by (source, name)
+    n_arrows = len(rn)
+    rank_n = {name: i for i, name in enumerate(rn)}
+    rank_0 = {name: i for i, name in enumerate(r0)}
+    # per first digit: rn - r0 of that arrow, and its source; per last
+    # digit: the rn digits of the arrows that may follow
+    shift = [rank_n[name] - i for i, name in enumerate(r0)]
+    source = [q.arrow(name).source for name in r0]
+    after = [[rank_n[y.name] for y in q.out_arrows(q.arrow(name).target)] for name in rn]
+    into: dict[Vertex, list[int]] = {v: [] for v in q.vertices}  # r0 digits of the arrows into v
     for a in q.arrows:
-        into[a.target].append(a.name)
-    yield [{(name,): 1} for name in sorted(start)]
-    basis = _echelon_words(start, [{p.arrows: c for p, c in r.terms.items()} for r in pres.relators])
+        into[a.target].append(rank_0[a.name])
+
+    yield [{(name,): 1} for name in rn]
+    basis = linalg.row_reduce(
+        [{rank_0[p.arrows[0]] * n_arrows + rank_n[p.arrows[1]]: c for p, c in r.terms.items()} for r in pres.relators]
+    )
+    # {id: word} over the columns of the last basis
+    words = {k: (r0[k // n_arrows], rn[k % n_arrows]) for row in basis for k in row}
+    top = n_arrows  # the place of the first digit of the ids of basis
     while True:
-        yield basis
+        yield [{words[k]: c for k, c in row.items()} for row in basis]
         if basis:
             left, right = [], []
             for b in basis:
-                w = next(iter(b))
-                for y in q.out_arrows(q.arrow(w[-1]).target):
-                    left.append({u + (y.name,): c for u, c in b.items()})
-                for x in into[q.arrow(w[0]).source]:
-                    right.append({(x,) + u: c for u, c in b.items()})
-            basis = _echelon_words(start, left, right)
+                k = next(iter(b))
+                for y in after[k % n_arrows]:
+                    left.append({w * n_arrows + y: c for w, c in b.items()})
+                xs = into[source[k // top]]
+                if xs:
+                    tail = {w + shift[w // top] * top: c for w, c in b.items()}
+                    for x in xs:
+                        head = x * top * n_arrows
+                        right.append({head + w: c for w, c in tail.items()})
+            basis = linalg.intersect_rowspaces(left, right, top * n_arrows * n_arrows)
+            words = {k: words[k // n_arrows] + (rn[k % n_arrows],) for row in basis for k in row}
+            top *= n_arrows
 
 
 def compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
@@ -264,7 +291,9 @@ def compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
     RREF basis is unique for a fixed column order, so the bases are the
     same as those of the full intersection.
 
-    The recursion runs on word rows; the elements are built once, here.
+    The recursion runs on integer word ids, ordered as the paths (see
+    _jn_series), so the column order is the canonical one without a sort;
+    the elements are built once, here.
     """
     if n < 1:
         raise InvalidInputError("need n >= 1")

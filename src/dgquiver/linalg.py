@@ -1,21 +1,25 @@
 """Sparse exact linear algebra over Q by fraction-free elimination.
 
 Vectors are dicts ``{column index: coefficient}`` holding only nonzero
-entries; coefficients may be ``int`` or ``Fraction``.  Each incoming row
-is first cleared of denominators, and elimination then runs on integer
-rows: a pivot entry of 1 gives a plain integer axpy, any other pivot
-entry a gcd-scaled cross-multiplication (Bareiss, Math. Comp. 22, 1968),
-and every pivot row is divided by its content gcd.  Integral input thus
-never builds a ``Fraction``; results that carry coefficients are
-converted to ``Fraction`` only at the output.  There is no floating
-point anywhere.  Pivoting is always on the smallest column index, so
-every result is deterministic given the column indexing.
+entries; coefficients may be ``int`` or ``Fraction``, and column indices
+any non-negative ints.  Each incoming row is first cleared of
+denominators, and elimination then runs on integer rows: a pivot entry
+of 1 gives a plain integer axpy, any other pivot entry a gcd-scaled
+cross-multiplication (Bareiss, Math. Comp. 22, 1968), and every pivot
+row is divided by its content gcd.  Results are int while integral: an
+RREF entry is an int when the pivot entry of its integer row divides it
+and a ``Fraction`` only otherwise, so integral input never builds a
+``Fraction``.  There is no floating point anywhere.  Pivoting is always
+on the smallest column index, so every result is deterministic given
+the column indexing.
 
 Public functions: ``pivot_columns``, the pivot columns of a row space,
 which ``cohomology_dims`` calls only when two images of one step share a
 leading word (otherwise those words are the pivots) and whose result it
 skips in the next differential (clearing); its count is the rank;
-``row_reduce``; and ``intersect_rowspaces``, behind the J_n lattice.
+``row_reduce``; and ``intersect_rowspaces``, behind the J_n lattice,
+which eliminates each spanning row of the first space with a unit that
+tracks its combination rather than with a copy of the row.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ def _integral(row: SparseVec) -> IntVec:
     place, so the caller's row is never changed."""
     den = 1
     for v in row.values():
-        if v.denominator != 1:
+        if type(v) is not int and v.denominator != 1:
             den = lcm(den, v.denominator)
     if den == 1:
-        return {c: v.numerator for c, v in row.items() if v}
+        return {c: v if type(v) is int else v.numerator for c, v in row.items() if v}
     return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
 
@@ -99,7 +103,13 @@ def pivot_columns(rows: Iterable[SparseVec]) -> set[int]:
 
 
 def row_reduce(rows: Iterable[SparseVec]) -> list[SparseVec]:
-    """Reduced row echelon basis of the row space, sorted by pivot column."""
+    """Reduced row echelon basis of the row space, sorted by pivot column.
+
+    Each entry is an int when it is integral and a Fraction otherwise.
+    Each row is its primitive integer kernel row divided by the row's
+    pivot entry p > 0: the kernel row itself when p = 1, and otherwise
+    v // p for each entry v that p divides and Fraction(v, p) for the
+    rest."""
     pivots = _echelon(rows)
     # Back-substitution, last pivot first: each row with a larger pivot is
     # already reduced, so clearing its pivot column adds only non-pivot
@@ -111,19 +121,38 @@ def row_reduce(rows: Iterable[SparseVec]) -> list[SparseVec]:
             _eliminate(r, k, pivots[k])
         if later:
             pivots[c] = _primitive(r)
-    return [{k: Fraction(v, r[c]) for k, v in r.items()} for c, r in sorted(pivots.items())]
+    out = []
+    for c, r in sorted(pivots.items()):
+        p = r[c]
+        out.append(r if p == 1 else {k: v // p if v % p == 0 else Fraction(v, p) for k, v in r.items()})
+    return out
 
 
-def intersect_rowspaces(u_rows: list[SparseVec], w_rows: list[SparseVec], ncols: int) -> list[SparseVec]:
-    """RREF basis of (row space of u_rows) ∩ (row space of w_rows).
+def intersect_rowspaces(u_rows: list[SparseVec], w_rows: Iterable[SparseVec], ncols: int) -> list[SparseVec]:
+    """RREF basis of U ∩ W, U and W the row spaces of u_rows and w_rows,
+    every column below ncols.
 
-    Zassenhaus: reduce rows (u | u) and (w | 0); echelon rows supported
-    entirely in the right block give the intersection.
-    """
-    stacked = chain(({**u, **{c + ncols: v for c, v in u.items()}} for u in u_rows), w_rows)
-    inter = [
-        {c - ncols: v for c, v in row.items()}
-        for piv, row in _echelon(stacked).items()
-        if piv >= ncols
-    ]
+    Zassenhaus on combinations: reduce the rows (u_i | e_i) and (w_j | 0),
+    the unit e_i at column ncols + i.  Every row of their span is
+    (sum c_i u_i + sum d_j w_j | c), so its left half vanishes exactly
+    when sum c_i u_i lies in W, and the echelon rows with a pivot at or
+    above ncols span the c of all such rows.  Their expansions
+    sum c_i u_i therefore span U ∩ W; a zero expansion comes from a
+    dependence among the u_i and is dropped.  Only the unit, not a copy
+    of u_i, rides in the right half, and every step is exact."""
+    stacked = chain(({**u, ncols + i: 1} for i, u in enumerate(u_rows)), w_rows)
+    inter = []
+    for piv, row in _echelon(stacked).items():
+        if piv < ncols:
+            continue
+        acc: SparseVec = {}
+        for i, c in row.items():
+            for k, v in u_rows[i - ncols].items():
+                nv = acc.get(k, 0) + c * v
+                if nv:
+                    acc[k] = nv
+                else:
+                    del acc[k]
+        if acc:
+            inter.append(acc)
     return row_reduce(inter)

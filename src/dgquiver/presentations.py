@@ -14,6 +14,9 @@ def _check_relator(quiver: GradedQuiver, r: AlgebraElement, quadratic: bool):
         raise InvalidInputError("relator lives over a different quiver")
     if not r.terms:
         raise InvalidInputError("zero relator")
+    for p in r.terms:
+        if not quiver.is_valid_path(p):
+            raise InvalidInputError(f"relator term {p} is not a path of the quiver")
     r.endpoints()  # raises unless component-pure
     r.adeg()  # raises unless Adams-homogeneous
     if quadratic and any(len(p.arrows) != 2 for p in r.terms):

@@ -95,10 +95,13 @@ def _as_fractions(rows):
     return [{c: Fraction(v) for c, v in row.items()} for row in rows]
 
 
-def _assert_fraction_rows(ours, theirs):
+def _assert_exact_rows(ours, theirs):
+    """Equal to the Fraction kernel's rows, each entry an int exactly
+    when it is integral and a Fraction otherwise."""
     assert ours == theirs
     for row in ours:
-        assert all(type(v) is Fraction for v in row.values())
+        for v in row.values():
+            assert type(v) is (int if v.denominator == 1 else Fraction)
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,8 +119,8 @@ def test_rank_matches_fraction_kernel(rows):
 @given(redundant_rows())
 def test_row_reduce_matches_fraction_kernel(rows):
     expected = oracles.fraction_row_reduce(_as_fractions(rows))
-    _assert_fraction_rows(linalg.row_reduce(rows), expected)
-    _assert_fraction_rows(linalg.row_reduce(dict(r) for r in rows), expected)
+    _assert_exact_rows(linalg.row_reduce(rows), expected)
+    _assert_exact_rows(linalg.row_reduce(dict(r) for r in rows), expected)
     for row in expected:
         assert row[min(row)] == 1
     # the pivot columns are those of the RREF, whatever the row order
@@ -131,9 +134,26 @@ def test_intersection_matches_fraction_kernel(u_rows, w_rows):
     u = linalg.row_reduce(u_rows)
     w = linalg.row_reduce(w_rows)
     expected = oracles.fraction_intersect_rowspaces(u, w, NCOLS)
-    _assert_fraction_rows(linalg.intersect_rowspaces(u, w, NCOLS), expected)
+    _assert_exact_rows(linalg.intersect_rowspaces(u, w, NCOLS), expected)
     # unreduced, redundant spanning sets give the same intersection
-    _assert_fraction_rows(linalg.intersect_rowspaces(u_rows, w_rows, NCOLS), expected)
+    _assert_exact_rows(linalg.intersect_rowspaces(u_rows, w_rows, NCOLS), expected)
+
+
+def test_intersection_drops_the_zero_expansions_of_dependent_rows():
+    """u_2 = u_0 + u_1 and u_3 = 2*u_0: two of the three combinations
+    whose left half reduces to zero, u_0 + u_1 - u_2 and
+    2*u_1 - 2*u_2 + u_3, expand to 0 and are dropped; the third, u_2,
+    spans U ∩ W."""
+    u_rows = [
+        {0: 1, 2: Fraction(1, 2)},
+        {1: 1, 2: Fraction(-1, 2)},
+        {0: 1, 1: 1},
+        {0: 2, 2: 1},
+    ]
+    w_rows = [{0: 1, 1: 1}, {3: 5}]
+    expected = oracles.fraction_intersect_rowspaces(u_rows, w_rows, 4)
+    assert expected == [{0: 1, 1: 1}]
+    _assert_exact_rows(linalg.intersect_rowspaces(u_rows, w_rows, 4), expected)
 
 
 def test_kernel_examples_with_large_heights():

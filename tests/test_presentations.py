@@ -3,9 +3,11 @@
 import pytest
 
 from dgquiver import (
+    AlgebraElement,
     Arrow,
     GradedQuiver,
     InvalidInputError,
+    Path,
     PresentedAlgebra,
     QuadraticPresentation,
 )
@@ -35,6 +37,27 @@ def test_relator_validation(quiver):
         QuadraticPresentation(q, (q.gen("a"),))
     # general presentations accept linear relators
     PresentedAlgebra(q, (q.gen("a") - q.gen("c"),))
+
+
+@pytest.mark.parametrize("presentation", [QuadraticPresentation, PresentedAlgebra])
+@pytest.mark.parametrize(
+    "path",
+    [
+        Path(1, ("a", "c")),  # a ends at 1, c starts at 0
+        Path(0, ("b", "a")),  # b starts at 1, not at 0
+        Path(0, ("a", "z")),  # no arrow z
+        Path(7, ()),  # no vertex 7
+    ],
+)
+def test_relator_terms_must_be_paths(quiver, presentation, path):
+    """Relators are built over the quiver but their terms are not
+    checked there; a term that is no path of the quiver is rejected, with
+    the exit code of bad input, not a number for a non-presentation."""
+    good = Path(0, ("a", "b"))
+    with pytest.raises(InvalidInputError, match="not a path"):
+        presentation(quiver, (AlgebraElement(quiver, {path: 1}),))
+    with pytest.raises(InvalidInputError, match="not a path"):
+        presentation(quiver, (AlgebraElement(quiver, {good: 1, path: -1}),))
 
 
 def test_quadratic_requires_degree_01():

@@ -50,17 +50,25 @@ coeffs = st.builds(
 )
 
 
+VERTEX_IDS = (0, 1, 2, "u", "v")
+ARROW_NAMES = ("a", "b", "x", "y", "z")
+
+
 @st.composite
 def presentations(draw, quadratic: bool):
-    """1-3 vertices and 1-4 arrows.  Quadratic: arrows of adeg 1 and
-    relators on paths of length 2.  Otherwise arrows of adeg 1-2, relators
-    on paths of length 1-3 (each Adams-homogeneous and component-pure),
-    and possibly a degree-0 relator c * e_v."""
-    vertices = tuple(range(draw(st.integers(1, 3))))
+    """1-3 vertices, int and str ids mixed and listed in any order, and
+    1-4 arrows with names drawn in any order, so that the name order of
+    the arrows and the vertex_key order of their sources often disagree.
+    Quadratic: arrows of adeg 1 and relators on paths of length 2.
+    Otherwise arrows of adeg 1-2, relators on paths of length 1-3 (each
+    Adams-homogeneous and component-pure), and possibly a degree-0
+    relator c * e_v."""
+    vertices = tuple(draw(st.lists(st.sampled_from(VERTEX_IDS), min_size=1, max_size=3, unique=True)))
     vertex = st.sampled_from(vertices)
     adeg = st.just(1) if quadratic else st.integers(1, 2)
+    names = draw(st.permutations(ARROW_NAMES))
     arrows = tuple(
-        Arrow(f"a{i}", draw(vertex), draw(vertex), 0, draw(adeg)) for i in range(draw(st.integers(1, 4)))
+        Arrow(names[i], draw(vertex), draw(vertex), 0, draw(adeg)) for i in range(draw(st.integers(1, 4)))
     )
     q = GradedQuiver(vertices, arrows)
     blocks: dict[tuple, list[Path]] = defaultdict(list)
@@ -69,7 +77,7 @@ def presentations(draw, quadratic: bool):
             blocks[(p.start, q.path_target(p), q.path_adeg(p))].append(p)
     relators = []
     if blocks:
-        for key in draw(st.lists(st.sampled_from(sorted(blocks)), max_size=4)):
+        for key in draw(st.lists(st.sampled_from(list(blocks)), max_size=4)):
             terms = draw(st.lists(st.sampled_from(blocks[key]), min_size=1, max_size=3, unique=True))
             relators.append(AlgebraElement(q, {p: draw(coeffs) for p in terms}))
     if quadratic:
@@ -134,6 +142,38 @@ def test_truncated_dims_without_relators_counts_paths():
 def test_compute_Jn_returns_the_bases_of_the_full_intersection(pres):
     for n in range(1, 6):
         assert compute_Jn(pres, n) == old_compute_Jn(pres, n)
+
+
+def test_compute_Jn_on_mixed_vertex_ids_with_names_out_of_source_order():
+    """Vertices "v" and 0, arrows a: v -> 0, b: 0 -> v, y: v -> v and
+    z: 0 -> 0.  By name a < b < y < z, by (source, name) b < z < a < y,
+    so the first arrow of a word sorts apart from the others.  R is the
+    span of ab, ba + zz/4, by and zb, given unreduced; by hand,
+    (R ⊗ V) ∩ (V ⊗ R) is spanned by bab + zzb/4 = (ba + zz/4)b = b(ab) +
+    z(zb)/4, zby and aby, J_4 by baby + zzby/4, and J_5 is 0.  Each basis
+    is in RREF, its rows sorted by pivot: the paths at 0 before those at
+    v."""
+    q = GradedQuiver(
+        ("v", 0),
+        (Arrow("a", "v", 0, 0, 1), Arrow("b", 0, "v", 0, 1), Arrow("z", 0, 0, 0, 1), Arrow("y", "v", "v", 0, 1)),
+    )
+
+    def el(*terms):
+        return AlgebraElement(q, {Path(q.arrow(w[0]).source, tuple(w)): c for w, c in terms})
+
+    pres = QuadraticPresentation(
+        q, (el(("ab", 1)), el(("ba", 2), ("zz", Fraction(1, 2))), el(("by", 3), ("zb", -1)), el(("by", 1)))
+    )
+    want = {
+        2: [el(("ba", 1), ("zz", Fraction(1, 4))), el(("by", 1)), el(("zb", 1)), el(("ab", 1))],
+        3: [el(("bab", 1), ("zzb", Fraction(1, 4))), el(("zby", 1)), el(("aby", 1))],
+        4: [el(("baby", 1), ("zzby", Fraction(1, 4)))],
+        5: [],
+    }
+    for n, basis in want.items():
+        assert compute_Jn(pres, n) == basis == old_compute_Jn(pres, n)
+    got = dumps(model_to_json(minimal_model_general(pres, 5)))
+    assert got == dumps(model_to_json(old_minimal_model_general(pres, 5)))
 
 
 @settings(max_examples=150, deadline=None)
