@@ -4,15 +4,18 @@ Element coefficients are ``fractions.Fraction``.  The hot paths built on
 them (``Differential.apply_to_word``, which ``cohomology_dims`` applies
 to the plain arrow-name tuples of its slices, the normal forms of
 ``truncated_dims``, keyed by arrow-name tuples, the J_n rows of
-``koszul``, keyed by integer word ids, the bimodule checks of ``cy``,
-which apply a word-keyed table of d on the bimodule generators, and the
-elimination in ``linalg``, whose RREF rows come out int while integral)
-keep coefficients as ``int`` while they are integral; Python's numeric
-tower turns them into ``Fraction`` only on division.  An
-``AlgebraElement`` converts each coefficient once, when it is built, and
-keeps a ``Fraction`` as it is.  There is no floating point anywhere.
-Elements are stored sparsely as ``{Path: coefficient}`` with a canonical
-ordering of paths so that iteration and printing are deterministic.
+``koszul``, keyed by integer word ids, the bimodule of ``cy``, whose
+elements and whose d on the generators are keyed by arrow words from
+the start, and the elimination in ``linalg``, whose RREF rows come out
+int while integral) keep coefficients as ``int`` while they are
+integral; Python's numeric tower turns them into ``Fraction`` only on
+division.  An ``AlgebraElement`` converts each coefficient once, when it
+is built, and keeps a ``Fraction`` as it is.  There is no floating point
+anywhere.  Elements are stored sparsely as ``{Path: coefficient}`` with
+a canonical ordering of paths so that iteration and printing are
+deterministic.  Every sparse sum, whatever its keys, accumulates through
+``add_term``; only the elimination kernel of ``linalg`` keeps its own
+loop.
 """
 
 from __future__ import annotations
@@ -230,7 +233,7 @@ class AlgebraElement:
         self._check_compatible(other)
         out = dict(self.terms)
         for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
+            add_term(out, p, c)
         return AlgebraElement(self.quiver, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":

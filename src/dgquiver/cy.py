@@ -3,21 +3,20 @@ weight-sum condition sum(a_i) = m, the commuting-square algebra C, the
 bimodule of noncommutative differentials with its differential, and the
 pairing element omega with its three verification properties.
 
-The d^2 = 0 check on the bimodule and the closedness check of omega run
-on arrow-name words with int coefficients: OmegaTilde compiles its
-d_on_generators (Path keys, Fraction coefficients) once into a table of
-(left word, generator, right word, coefficient), and d on the paths of
-the algebra is Differential.apply_to_word."""
+The bimodule has one form: its elements, d_on_generators among them,
+are {(left word, generator, right word): coefficient} with arrow-name
+words and int coefficients while integral.  The d^2 = 0 check on it and
+the closedness check of omega apply that table as it is built, and d on
+the paths of the algebra is Differential.apply_to_word."""
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .core import GradedQuiver, Path, Scalar, Vertex, add_term, int_if_integral
+from .core import GradedQuiver, Scalar, Vertex, add_term
 from .differential import DGModel
 from .errors import InvalidInputError
 from .homology import Word, cohomology_dims, slice_order, truncated_dims
@@ -169,9 +168,8 @@ class OmegaGenerator:
     hdeg: int  # -|S|
 
 
-BimoduleTerm = tuple[Path, str, Path]  # left path, generator name, right path
+BimoduleTerm = tuple[Word, str, Word]  # left word, generator name, right word
 BimoduleElement = dict[BimoduleTerm, Scalar]
-WordTerm = tuple[Word, str, Word]  # a BimoduleTerm by the arrows of its paths
 
 
 def _parity(word: Word, odd: frozenset[str]) -> int:
@@ -199,30 +197,25 @@ class OmegaTilde:
         return {g.name: g for g in self.generators}
 
     @cached_property
-    def _compiled(self) -> tuple[dict[str, tuple[tuple[Word, str, Word, Scalar], ...]], frozenset[str], frozenset[str]]:
-        """({generator: ((left word, generator, right word, coeff), ...)}
-        from d_on_generators with every integral coefficient an int, the
-        generators of odd hdeg, the arrows of odd hdeg)."""
-        table = {
-            g: tuple((u.arrows, g2, v.arrows, int_if_integral(c)) for (u, g2, v), c in el.items())
-            for g, el in self.d_on_generators.items()
-        }
+    def _odd(self) -> tuple[frozenset[str], frozenset[str]]:
+        """(the generators of odd hdeg, the arrows of odd hdeg)."""
         odd_gens = frozenset(g.name for g in self.generators if g.hdeg % 2)
         odd_arrows = frozenset(a.name for a in self.split_model.model.quiver.arrows if a.hdeg % 2)
-        return table, odd_gens, odd_arrows
+        return odd_gens, odd_arrows
 
-    def _d_words(self, el: dict[WordTerm, Scalar]) -> dict[WordTerm, Scalar]:
-        """The bimodule Leibniz rule on word-keyed terms,
+    def d(self, el: BimoduleElement) -> BimoduleElement:
+        """The bimodule Leibniz extension of d_on_generators,
         d(u.g.v) = d(u).g.v + (-1)^|u| u.d(g).v + (-1)^(|u|+|g|) u.g.d(v)."""
-        table, odd_gens, odd_arrows = self._compiled
+        odd_gens, odd_arrows = self._odd
+        table = self.d_on_generators
         apply = self.split_model.ascending_model().differential.apply_to_word
-        out: dict[WordTerm, Scalar] = {}
+        out: BimoduleElement = {}
         for (u, g, v), c in el.items():
             for u2, cu in apply(u).items():
                 add_term(out, (u2, g, v), c * cu)
             if _parity(u, odd_arrows):
                 c = -c
-            for p, g2, r, cg in table.get(g, ()):
+            for (p, g2, r), cg in table.get(g, {}).items():
                 add_term(out, (u + p, g2, r + v), c * cg)
             if g in odd_gens:
                 c = -c
@@ -230,21 +223,9 @@ class OmegaTilde:
                 add_term(out, (u, g, v2), c * cv)
         return out
 
-    def d(self, el: BimoduleElement) -> BimoduleElement:
-        """Bimodule Leibniz extension of d_on_generators on Path-keyed
-        terms, through the word-keyed rule."""
-        q = self.split_model.model.quiver
-        by_name = self.by_name
-
-        def path(word: Word, at: Vertex) -> Path:
-            return Path(q.arrow(word[0]).source if word else at, word)
-
-        image = self._d_words({(u.arrows, g, v.arrows): c for (u, g, v), c in el.items()})
-        return {(path(u, by_name[g].vertex), g, path(v, by_name[g].target)): c for (u, g, v), c in image.items()}
-
     def check_d_squared(self) -> dict:
         for g in self.generators:
-            if self._d_words(self._d_words({((), g.name, ()): 1})):
+            if self.d(self.d({((), g.name, ()): 1})):
                 return _fail("omega_tilde_d_squared", {"generator": g.name})
         return {"check": "omega_tilde_d_squared", "status": "pass"}
 
@@ -264,7 +245,7 @@ def build_omega_tilde(s: SplitModel) -> OmegaTilde:
                     gens.append(OmegaGenerator(omega_gen_name(j, sub), j, sub, j + data.d_of(sub), -len(sub)))
     d_on: dict[str, BimoduleElement] = {}
     for g in gens:
-        el: dict[BimoduleTerm, int] = {}
+        el: BimoduleElement = {}
         sset = set(g.subset)
         for size_a in range(len(g.subset) + 1):
             for a in combinations(g.subset, size_a):
@@ -272,13 +253,11 @@ def build_omega_tilde(s: SplitModel) -> OmegaTilde:
                 eps = shuffle_sign(a, b)
                 mid = g.vertex + data.d_of(a)
                 if b:  # w_{j,A} . x_{mid,B}
-                    term = (Path(g.vertex), omega_gen_name(g.vertex, a), Path(mid, (mckay_arrow_name(mid, b),)))
-                    add_term(el, term, (-1) ** len(a) * eps)
+                    add_term(el, ((), omega_gen_name(g.vertex, a), (mckay_arrow_name(mid, b),)), (-1) ** len(a) * eps)
                 if a:  # - x_{j,A} . w_{mid,B}
-                    term = (Path(g.vertex, (mckay_arrow_name(g.vertex, a),)), omega_gen_name(mid, b), Path(g.target))
-                    add_term(el, term, -eps)
+                    add_term(el, ((mckay_arrow_name(g.vertex, a),), omega_gen_name(mid, b), ()), -eps)
         if el:
-            d_on[g.name] = {t: Fraction(c) for t, c in el.items()}
+            d_on[g.name] = el
     return OmegaTilde(s, tuple(gens), d_on)
 
 
@@ -305,13 +284,13 @@ def _trace_d(ot: OmegaTilde, el: TraceElement) -> TraceElement:
     """Differential on OmegaTilde (x)_{E^e} D: Leibniz on the two tensor
     factors, then canonical rotation putting the generator first (with
     the Koszul sign for coefficients moved across the whole term)."""
-    table, odd_gens, odd_arrows = ot._compiled
+    odd_gens, odd_arrows = ot._odd
     apply = ot.split_model.model.differential.apply_to_word
     out: TraceElement = {}
     for (gname, word), c in el.items():
         word_odd = _parity(word, odd_arrows)
         # d on the OmegaTilde factor
-        for u, g2, v, cg in table.get(gname, ()):
+        for (u, g2, v), cg in ot.d_on_generators.get(gname, {}).items():
             # u . g2 . v (x) word  ~  (-1)^{|u| (|g2| + |v| + |word|)} g2 (x) v word u
             odd = _parity(u, odd_arrows) and ((g2 in odd_gens) + _parity(v, odd_arrows) + word_odd) % 2
             add_term(out, (g2, v + word + u), -c * cg if odd else c * cg)
@@ -322,14 +301,13 @@ def _trace_d(ot: OmegaTilde, el: TraceElement) -> TraceElement:
     return out
 
 
-def build_and_check_omega(s: SplitModel, ot: OmegaTilde | None = None) -> dict:
-    """Construct omega and verify: every term has hdeg -n+1, d(omega)=0
-    in the super-cyclic trace space, and the generator pairing is a
-    perfect matching with unit coefficients against the descending arrows.
-    ot, when given, is build_omega_tilde(s), built once by the caller."""
+def build_and_check_omega(ot: OmegaTilde) -> dict:
+    """Construct omega in ot and verify: every term has hdeg -n+1,
+    d(omega)=0 in the super-cyclic trace space, and the generator pairing
+    is a perfect matching with unit coefficients against the descending
+    arrows."""
+    s = ot.split_model
     s.require_closure()
-    if ot is None:
-        ot = build_omega_tilde(s)
     n = s.data.n
     q = s.model.quiver
     omega = _omega_element(ot)
@@ -390,7 +368,7 @@ def cy_check(data: McKayData, nadams: int = 5) -> dict:
     report["koszul_truncated"] = check_C_koszul_and_model(s, nadams)
     ot = build_omega_tilde(s)
     report["omega_tilde_d_squared"] = ot.check_d_squared()
-    report["omega"] = build_and_check_omega(s, ot)
+    report["omega"] = build_and_check_omega(ot)
     ok = all(
         report[k]["status"] == "pass"
         for k in ("closure", "koszul_truncated", "omega_tilde_d_squared", "omega")

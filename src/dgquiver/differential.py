@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .core import AlgebraElement, GradedQuiver, Path, Scalar, Vertex, int_if_integral, restrict
+from .core import AlgebraElement, GradedQuiver, Path, Scalar, Vertex, add_term, int_if_integral, restrict
 from .errors import InvalidInputError
 
 
@@ -79,12 +79,7 @@ class Differential:
                 pre = word[:i]
                 post = word[i + 1 :]
                 for mid, c in image:
-                    key = pre + mid + post
-                    acc = out.get(key, 0) + (c if sign > 0 else -c)
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
+                    add_term(out, pre + mid + post, c if sign > 0 else -c)
             if name in odd:
                 sign = -sign
         return out
@@ -99,12 +94,7 @@ class Differential:
         for p, c in u.terms.items():
             c = int_if_integral(c)
             for w, v in self.apply_to_word(p.arrows).items():
-                key = (p.start, w)
-                acc = out.get(key, 0) + c * v
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
+                add_term(out, (p.start, w), c * v)
         return AlgebraElement(self.quiver, {Path(*key): c for key, c in out.items()})
 
     def __call__(self, u: AlgebraElement) -> AlgebraElement:

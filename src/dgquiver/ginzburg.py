@@ -108,14 +108,14 @@ def ginzburg_model(w: Superpotential) -> DGModel:
             on_arrows[star_name(a.name)] = lift(da)
     # d(c_v) = e_v (sum_a a*.a - a.a*) e_v
     for v in q.vertices:
-        terms: dict[Path, Fraction] = {}
+        terms: dict[Path, int] = {}
         for a in q.arrows:
             if a.target == v:  # a* then a is a cycle at target(a)
                 p = Path(v, (star_name(a.name), a.name))
-                terms[p] = terms.get(p, Fraction(0)) + 1
+                add_term(terms, p, 1)
             if a.source == v:  # a then a* is a cycle at source(a)
                 p = Path(v, (a.name, star_name(a.name)))
-                terms[p] = terms.get(p, Fraction(0)) - 1
+                add_term(terms, p, -1)
         el = AlgebraElement(tq, terms)
         if el:
             on_arrows[loop_name(v)] = el

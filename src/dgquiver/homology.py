@@ -15,7 +15,7 @@ from itertools import compress
 from typing import Iterator
 
 from . import linalg
-from .core import AlgebraElement, GradedQuiver, Scalar, Vertex, int_if_integral, vertex_key
+from .core import AlgebraElement, GradedQuiver, Scalar, Vertex, add_term, int_if_integral, vertex_key
 from .differential import DGModel, Differential
 from .errors import InvalidInputError, ResourceLimitError
 from .presentations import PresentedAlgebra
@@ -367,11 +367,7 @@ def truncated_dims(
         out: dict[Word, Scalar] = {}
         for u, c in vec.items():
             for w, cw in nf.get(u + y, {}).items():
-                acc = out.get(w, 0) + c * cw
-                if acc:
-                    out[w] = acc
-                else:
-                    del out[w]
+                add_term(out, w, c * cw)
         return out
 
     for a in range(1, nadams + 1):
@@ -397,11 +393,7 @@ def truncated_dims(
                     for u, cu in vec.items():
                         col = index.get(u + last)
                         if col is not None:
-                            acc = row.get(col, 0) + cu
-                            if acc:
-                                row[col] = acc
-                            else:
-                                del row[col]
+                            add_term(row, col, cu)
                 if row:
                     rows.append(row)
         level: dict[Vertex, list[Word]] = defaultdict(list)

@@ -19,9 +19,10 @@ from itertools import combinations, islice
 from typing import Iterator
 
 from . import linalg
-from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, vertex_key
+from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, add_term, vertex_key
 from .differential import Differential, DGModel
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
+from .homology import path_cap
 from .presentations import QuadraticPresentation
 
 WordRow = dict[tuple[str, ...], Scalar]  # {arrow word: coefficient}, a J_n basis row
@@ -55,6 +56,20 @@ def _subset_name(s: tuple[int, ...]) -> str:
     return "".join(str(i) for i in s)
 
 
+def _check_model_size(m: int, n: int) -> None:
+    """Refuse, before it is built, a model on m vertices and n variables
+    with more arrows and differential terms than the path cap.  Per
+    vertex there are 2^n - 1 arrows, one per nonempty subset of 1..n, and
+    3^n - 2^(n+1) + 1 terms, one per ordered split of such a subset into
+    two nonempty parts: m (3^n - 2^n) in all.  That is at least 2^n, so
+    an n past the bit length of the cap is refused before 3^n is formed."""
+    cap = path_cap()
+    if n > cap.bit_length() or m * (3**n - 2**n) > cap:
+        raise ResourceLimitError(
+            f"a model on {m} vertices and {n} variables has more than {cap} arrows and terms; raise DGQ_PATH_CAP"
+        )
+
+
 # ---------------------------------------------------------------------------
 # polynomial rings
 
@@ -64,6 +79,7 @@ def polynomial_model(n: int) -> DGModel:
     nonempty S in hdeg -|S|+1, adeg |S|, with the shuffle-sign differential."""
     if n < 1:
         raise InvalidInputError("need n >= 1")
+    _check_model_size(1, n)
     arrows = tuple(
         Arrow(f"x{_subset_name(s)}", 0, 0, -len(s) + 1, len(s), label=f"x_{{{_subset_name(s)}}}")
         for s in _subsets(n)
@@ -130,6 +146,7 @@ def mckay_model(data: McKayData) -> DGModel:
     """Minimal model of k[x_1..x_n] # Z/m: vertices 0..m-1, an arrow
     x_{j,S,j+d(S)} per vertex j and nonempty subset S."""
     m = data.m
+    _check_model_size(m, data.n)
     subsets = list(_subsets(data.n))
     names = [_subset_name(s) for s in subsets]
     weight = [data.d_of(s) for s in subsets]
@@ -349,11 +366,7 @@ def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
                 for ka, kb, c in found:
                     for wa, ca in words[i][ka].items():
                         for wb, cb in words[n - i][kb].items():
-                            r = rest.get(wa + wb, 0) - c * ca * cb
-                            if r:
-                                rest[wa + wb] = r
-                            else:
-                                del rest[wa + wb]
+                            add_term(rest, wa + wb, -c * ca * cb)
                     ga, gb = gen[(i, ka)], gen[(n - i, kb)]
                     terms[Path(ga.source, (ga.name, gb.name))] = c if i % 2 else -c
                 if rest:

@@ -29,6 +29,8 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable
 
+from .core import add_term
+
 SparseVec = dict[int, Fraction]
 IntVec = dict[int, int]
 
@@ -148,11 +150,7 @@ def intersect_rowspaces(u_rows: list[SparseVec], w_rows: Iterable[SparseVec], nc
         acc: SparseVec = {}
         for i, c in row.items():
             for k, v in u_rows[i - ncols].items():
-                nv = acc.get(k, 0) + c * v
-                if nv:
-                    acc[k] = nv
-                else:
-                    del acc[k]
+                add_term(acc, k, c * v)
         if acc:
             inter.append(acc)
     return row_reduce(inter)

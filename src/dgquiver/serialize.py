@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any
 
-from .core import AlgebraElement, Arrow, GradedQuiver, Path
+from .core import AlgebraElement, Arrow, GradedQuiver, Path, add_term
 from .differential import Differential, DGModel
 from .errors import InvalidInputError
 from .ginzburg import Superpotential
@@ -83,7 +83,7 @@ def element_from_json(quiver: GradedQuiver, doc: list, coeffs: dict | None = Non
             c = coeffs.get(raw)
             if c is None:
                 c = coeffs[raw] = Fraction(raw)
-            terms[p] = terms[p] + c if p in terms else c
+            add_term(terms, p, c)
     return AlgebraElement(quiver, terms)
 
 
@@ -153,5 +153,5 @@ def potential_from_json(quiver: GradedQuiver, doc: list) -> Superpotential:
             if not cycle:
                 raise InvalidInputError("empty cycle in potential")
             p = Path(quiver.arrow(cycle[0]).source, cycle)
-            terms[p] = terms.get(p, Fraction(0)) + Fraction(t["coeff"])
+            add_term(terms, p, Fraction(t["coeff"]))
     return Superpotential(quiver, terms)

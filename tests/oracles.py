@@ -535,10 +535,12 @@ def old_check_d_squared(d: Differential) -> dict:
 # ---------------------------------------------------------------------------
 # The former Path/Fraction dgquiver.homology.truncated_dims (normal words
 # and normal forms keyed by Path) and the Path-keyed bimodule Leibniz loop
-# of dgquiver.cy (OmegaTilde.d and _trace_d), kept verbatim as oracles for
-# the arrow-word loops that replaced them.  The two cy loops differentiate
-# paths with old_apply_to_path above, so they share no Leibniz loop with
-# the library.
+# of dgquiver.cy (OmegaTilde.d and _trace_d), kept as oracles for the
+# arrow-word loops that replaced them.  The two cy loops keep their logic
+# on Path keys and Fraction coefficients, but read and return the
+# word-keyed bimodule terms of the library, turning each word into its
+# Path at the boundary.  They differentiate paths with old_apply_to_path
+# above, so they share no Leibniz loop with the library.
 
 
 def old_path_truncated_dims(
@@ -628,9 +630,28 @@ def old_path_truncated_dims(
     return dims
 
 
+def _path_term(ot, term: tuple) -> tuple:
+    """(left path, generator name, right path) of the word-keyed bimodule
+    term (left word, generator name, right word)."""
+    q = ot.split_model.model.quiver
+    u, g, v = term
+    gen = ot.by_name[g]
+    return (
+        Path(q.arrow(u[0]).source if u else gen.vertex, u),
+        g,
+        Path(gen.target, v),
+    )
+
+
+def _path_d_on(ot, gname: str) -> dict:
+    """ot.d_on_generators[gname] on Path-keyed terms, Fraction coefficients."""
+    return {_path_term(ot, t): Fraction(c) for t, c in ot.d_on_generators.get(gname, {}).items()}
+
+
 def old_omega_tilde_d(ot, el: dict) -> dict:
     """Bimodule Leibniz extension of ot.d_on_generators on Path-keyed
-    terms (left path, generator name, right path)."""
+    terms (left path, generator name, right path), taking and giving
+    word-keyed terms."""
     asc = ot.split_model.ascending_model()
     q = asc.quiver
     dd = asc.differential
@@ -644,16 +665,17 @@ def old_omega_tilde_d(ot, el: dict) -> dict:
             out.pop(term, None)
 
     by_name = ot.by_name
-    for (u, g, v), c in el.items():
+    for term, c in el.items():
+        u, g, v = _path_term(ot, term)
         for u2, cu in old_apply_to_path(dd, u).items():
             add((u2, g, v), c * cu)
         sign_u = -1 if q.path_hdeg(u) % 2 else 1
-        for (p, g2, r), cg in ot.d_on_generators.get(g, {}).items():
+        for (p, g2, r), cg in _path_d_on(ot, g).items():
             add((Path(u.start, u.arrows + p.arrows), g2, Path(r.start, r.arrows + v.arrows)), c * sign_u * cg)
         sign_ug = -1 if (q.path_hdeg(u) + by_name[g].hdeg) % 2 else 1
         for v2, cv in old_apply_to_path(dd, v).items():
             add((u, g, v2), c * sign_u * sign_ug * cv)
-    return out
+    return {(u.arrows, g, v.arrows): c for (u, g, v), c in out.items()}
 
 
 def old_trace_d(ot, el: dict) -> dict:
@@ -676,7 +698,7 @@ def old_trace_d(ot, el: dict) -> dict:
         g = by_name[gname]
         word_hdeg = sum(q.arrow(a).hdeg for a in word)
         # d on the OmegaTilde factor
-        for (u, g2, v), cg in ot.d_on_generators.get(gname, {}).items():
+        for (u, g2, v), cg in _path_d_on(ot, gname).items():
             # u . g2 . v (x) word  ~  (-1)^{|u| (|g2| + |v| + |word|)} g2 (x) v word u
             rest_hdeg = by_name[g2].hdeg + q.path_hdeg(v) + word_hdeg
             sign = -1 if (q.path_hdeg(u) * rest_hdeg) % 2 else 1

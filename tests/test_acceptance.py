@@ -23,6 +23,7 @@ from dgquiver import (
     QuadraticPresentation,
     Superpotential,
     build_and_check_omega,
+    build_omega_tilde,
     build_split,
     check_C_koszul_and_model,
     check_d_squared,
@@ -283,7 +284,7 @@ def test_criterion_6_pairing_suite():
             s = build_split(McKayData(m, weights))
             assert s.closure_holds, (m, weights)
             assert check_C_koszul_and_model(s, nadams=5)["status"] == "pass", (m, weights)
-            report = build_and_check_omega(s)
+            report = build_and_check_omega(build_omega_tilde(s))
             assert report["status"] == "pass", (m, weights, report)
             assert report["degree"] == -len(weights) + 1
             assert report["closed"] and report["nondegenerate"]

@@ -205,6 +205,18 @@ def test_resource_cap_exit_3(capsys, tmp_path, monkeypatch):
     assert run(capsys, "cohomology", "--model", str(path), "--hmin", "-3", "--adams-max", "6")[0] == 3
 
 
+def test_model_size_cap_exits_3(capsys, monkeypatch):
+    """15 arrows and 50 terms for n = 4, 31 and 180 for n = 5."""
+    monkeypatch.setenv("DGQ_PATH_CAP", "100")
+    assert run(capsys, "model-poly", "--n", "4")[0] == 0
+    code, out, err = run(capsys, "model-poly", "--n", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: ")
+    for command in ("model-mckay", "cy-check"):
+        assert run(capsys, command, "--m", "5", "--weights", "1,1,1,2")[0] == 3
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
 def test_bad_path_cap_exits_2(capsys, tmp_path, monkeypatch, value):
     path = tmp_path / "model.json"

@@ -15,7 +15,7 @@ from dgquiver import (
     graded_commutator,
     multiply,
 )
-from dgquiver.core import restrict
+from dgquiver.core import add_term, restrict
 
 
 @pytest.fixture
@@ -191,3 +191,22 @@ def test_graded_antisymmetry(p, r):
     lhs = graded_commutator(u, v)
     rhs = graded_commutator(v, u)
     assert lhs == (-sign) * rhs
+
+
+_SCALARS = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcd"), _SCALARS), max_size=30))
+def test_add_term_is_the_exact_sparse_sum(seq):
+    """Over a run of (key, int | Fraction) terms, add_term keeps the exact
+    sum with its zeros dropped, never stores a zero, and stays int when
+    every term is an int."""
+    out: dict = {}
+    for k, c in seq:
+        add_term(out, k, c)
+        assert all(out.values())
+    sums = {k: sum((c for key, c in seq if key == k), Fraction(0)) for k, _c in seq}
+    assert out == {k: v for k, v in sums.items() if v}
+    if all(type(c) is int for _k, c in seq):
+        assert all(type(v) is int for v in out.values())

@@ -14,6 +14,7 @@ from dgquiver import (
     McKayData,
     PresentedAlgebra,
     QuadraticPresentation,
+    ResourceLimitError,
     check_d_squared,
     check_grading,
     cohomology_dims,
@@ -307,3 +308,31 @@ def test_commutation_presentation_counts_monomials():
     pres = mckay_commutation_presentation(data)
     assert len(pres.relators) == 3 * comb(3, 2)
     assert truncated_dims(pres, 4) == mckay_h0_oracle(3, (1, 1, 1), 4)
+
+
+@pytest.mark.parametrize(
+    "m, weights", [(1, (1,) * n) for n in range(2, 7)] + [(5, (1, 1, 1, 2)), (7, (1, 1, 1, 1, 3)), (6, (1,) * 6)]
+)
+def test_model_size_cap_is_the_count_of_arrows_and_terms(monkeypatch, m, weights):
+    """A model with m (3^n - 2^n) arrows and differential terms builds
+    under a path cap of exactly that count and is refused under one less
+    (n = 1 is left out: its one arrow leaves no smaller positive cap)."""
+    n = len(weights)
+    size = m * (3**n - 2**n)
+    build = (lambda: polynomial_model(n)) if m == 1 else (lambda: mckay_model(McKayData(m, weights)))
+    monkeypatch.setenv("DGQ_PATH_CAP", str(size))
+    model = build()
+    assert len(model.quiver.arrows) + sum(len(da.terms) for da in model.differential.on_arrows.values()) == size
+    monkeypatch.setenv("DGQ_PATH_CAP", str(size - 1))
+    with pytest.raises(ResourceLimitError):
+        build()
+
+
+@pytest.mark.parametrize("build", [lambda: polynomial_model(64), lambda: mckay_model(McKayData(10**12, (1,)))])
+def test_oversized_model_is_refused_before_it_is_built(monkeypatch, build):
+    def no_arrows(*args, **kwargs):
+        raise AssertionError("an arrow was built")
+
+    monkeypatch.setattr(koszul, "Arrow", no_arrows)
+    with pytest.raises(ResourceLimitError):
+        build()
