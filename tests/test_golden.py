@@ -21,7 +21,13 @@ commutation presentation, the ``ginzburg --delete-vertex 0`` model of a
 two-vertex potential and the algebra ``C`` of (7;11113) by the separate
 restriction routines of ``koszul``, ``presentations``, ``ginzburg`` and
 ``cy``, and the ``verify`` report of the vertex-0 deletion of (3;111)
-by the ``check_d_squared`` without a truncation bound.  Any change to the
+by the ``check_d_squared`` without a truncation bound, and the
+``model-poly`` model for n = 4, the ``model-mckay --delete-zero`` model of
+(2;1111) and the commutation presentation of (11;137), where the names
+of the arrows at vertices 10 and up sort apart from their vertex order,
+so the file pins the arrow and relator order, by the three loops that
+wrote out the subset splits of the polynomial model, the McKay model and
+the commuting squares.  Any change to the
 arithmetic, elimination, span or restriction kernels must leave these
 outputs unchanged.  To rebuild them after a deliberate change
 of output format, run ``python tests/test_golden.py --write`` from the
@@ -163,6 +169,11 @@ def golden_outputs(work: FilePath) -> dict[str, str]:
         ),
         "c_mckay7_11113.json": serialize.dumps(serialize.presentation_to_json(build_C(build_split(data7)))),
         "verify_mckay3_111_del0.json": _cli("verify", "--model", deleted3),
+        "model_poly4.json": _cli("model-poly", "--n", "4"),
+        "model_mckay2_1111_del0.json": _cli("model-mckay", "--m", "2", "--weights", "1,1,1,1", "--delete-zero"),
+        "presentation_mckay11_137.json": serialize.dumps(
+            serialize.presentation_to_json(mckay_commutation_presentation(McKayData(11, (1, 3, 7))))
+        ),
     }
 
 
@@ -192,6 +203,9 @@ def outputs(tmp_path_factory):
         "ginzburg_restricted_del0.json",
         "c_mckay7_11113.json",
         "verify_mckay3_111_del0.json",
+        "model_poly4.json",
+        "model_mckay2_1111_del0.json",
+        "presentation_mckay11_137.json",
     ],
 )
 def test_output_matches_golden_file(outputs, name):

@@ -2,7 +2,7 @@
 intersection lattice, and vertex deletion."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -21,6 +21,7 @@ from dgquiver import (
     compute_Jn,
     delete_vertex,
     graded_commutator,
+    h0_presentation,
     mckay_model,
     minimal_model_general,
     polynomial_model,
@@ -308,6 +309,22 @@ def test_commutation_presentation_counts_monomials():
     pres = mckay_commutation_presentation(data)
     assert len(pres.relators) == 3 * comb(3, 2)
     assert truncated_dims(pres, 4) == mckay_h0_oracle(3, (1, 1, 1), 4)
+
+
+def test_commutation_presentation_is_h0_of_the_mckay_model():
+    """The commuting squares are d of the two-element subsets: the same
+    singleton arrows and the same relators as h0_presentation of the
+    McKay model, for every sorted weight vector with m <= 8 and n <= 4,
+    zero weights included."""
+    for m in range(2, 9):
+        for n in range(1, 5):
+            for weights in combinations_with_replacement(range(m), n):
+                data = McKayData(m, weights)
+                pres, h0 = mckay_commutation_presentation(data), h0_presentation(mckay_model(data))
+                ends = [[(a.name, a.source, a.target) for a in p.quiver.arrows] for p in (pres, h0)]
+                assert ends[0] == ends[1], data
+                relators = [{frozenset(r.terms.items()) for r in p.relators} for p in (pres, h0)]
+                assert relators[0] == relators[1], data
 
 
 @pytest.mark.parametrize(
