@@ -5,9 +5,12 @@ pairing element omega with its three verification properties.
 
 The bimodule has one form: its elements, d_on_generators among them,
 are {(left word, generator, right word): coefficient} with arrow-name
-words and int coefficients while integral.  The d^2 = 0 check on it and
-the closedness check of omega apply that table as it is built, and d on
-the paths of the algebra is Differential.apply_to_word."""
+words and int coefficients while integral.  It has one Leibniz rule,
+OmegaTilde.d, which applies d_on_generators as it is built and the
+deleted McKay model's own d (Differential.apply_to_word) to the words;
+once closure holds that is the ascending model's d on ascending words.
+The d^2 = 0 check applies OmegaTilde.d twice, and the closedness check
+of omega applies it to each term g.word and rotates the result."""
 
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from .differential import DGModel
 from .errors import InvalidInputError
 from .homology import Word, cohomology_dims, slice_order, truncated_dims
 from .koszul import McKayData, _jn_series, _subset_name, mckay_arrow_name, mckay_commutation_presentation, shuffle_sign
-from .presentations import PresentedAlgebra, QuadraticPresentation
+from .presentations import PresentedAlgebra
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,6 @@ class SplitModel:
     def ascending_model(self) -> DGModel:
         """The ascending sub-DG-algebra, valid once closure holds."""
         self.require_closure()
-        return self._ascending_model
-
-    @cached_property
-    def _ascending_model(self) -> DGModel:
         sub = _ascending(self.model.quiver, self.ascending)
         return DGModel(sub, self.model.differential.restricted(sub), provenance="ascending")
 
@@ -108,8 +107,8 @@ def build_C(s: SplitModel) -> PresentedAlgebra:
     holds every weight is >= 1, so each term is an ascending path exactly
     when j + a_k + a_l <= m - 1."""
     s.require_closure()
-    pres = mckay_commutation_presentation(s.data).delete_vertex(0)
-    return pres.restricted(_ascending(pres.quiver, s.ascending))
+    pres = mckay_commutation_presentation(s.data)
+    return pres.restricted(_ascending(pres.quiver.without(0), s.ascending))
 
 
 def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
@@ -136,9 +135,10 @@ def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
         }
         return _fail("c_koszul", {"h0_vs_C": diff})
 
-    pres = QuadraticPresentation(c.quiver, c.relators)
+    # C is quadratic by construction, arrows of degree (0, 1) and relators
+    # of length 2, so _jn_series reads it as it is
     n = len(s.data.weights)
-    for deg, basis in zip(range(1, n + 2), _jn_series(pres)):
+    for deg, basis in zip(range(1, n + 2), _jn_series(c)):
         jn: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
         for b in basis:
             w = next(iter(b))  # every word of a row has the row's endpoints
@@ -205,10 +205,16 @@ class OmegaTilde:
 
     def d(self, el: BimoduleElement) -> BimoduleElement:
         """The bimodule Leibniz extension of d_on_generators,
-        d(u.g.v) = d(u).g.v + (-1)^|u| u.d(g).v + (-1)^(|u|+|g|) u.g.d(v)."""
+        d(u.g.v) = d(u).g.v + (-1)^|u| u.d(g).v + (-1)^(|u|+|g|) u.g.d(v),
+        with d on the words u and v that of the deleted McKay model.  On
+        the ascending algebra that is the ascending model's d: once
+        closure holds, d of an ascending arrow has only ascending terms,
+        so by the Leibniz rule so has d of an ascending word, and
+        restricting d to the ascending arrows drops no term.  The model's
+        d also applies to words with descending arrows, as _trace_d needs."""
         odd_gens, odd_arrows = self._odd
         table = self.d_on_generators
-        apply = self.split_model.ascending_model().differential.apply_to_word
+        apply = self.split_model.model.differential.apply_to_word
         out: BimoduleElement = {}
         for (u, g, v), c in el.items():
             for u2, cu in apply(u).items():
@@ -281,23 +287,15 @@ def _omega_element(ot: OmegaTilde) -> TraceElement:
 
 
 def _trace_d(ot: OmegaTilde, el: TraceElement) -> TraceElement:
-    """Differential on OmegaTilde (x)_{E^e} D: Leibniz on the two tensor
-    factors, then canonical rotation putting the generator first (with
-    the Koszul sign for coefficients moved across the whole term)."""
+    """Differential on OmegaTilde (x)_{E^e} D: ot.d of the bimodule
+    element g.word, each term u.g2.v then rotated to the canonical form
+    g2 (x) v.u with the Koszul sign (-1)^{|u| (|g2| + |v|)} of moving u
+    across the rest of the term."""
     odd_gens, odd_arrows = ot._odd
-    apply = ot.split_model.model.differential.apply_to_word
     out: TraceElement = {}
-    for (gname, word), c in el.items():
-        word_odd = _parity(word, odd_arrows)
-        # d on the OmegaTilde factor
-        for (u, g2, v), cg in ot.d_on_generators.get(gname, {}).items():
-            # u . g2 . v (x) word  ~  (-1)^{|u| (|g2| + |v| + |word|)} g2 (x) v word u
-            odd = _parity(u, odd_arrows) and ((g2 in odd_gens) + _parity(v, odd_arrows) + word_odd) % 2
-            add_term(out, (g2, v + word + u), -c * cg if odd else c * cg)
-        # (-1)^{|g|} g (x) d(word)
-        sign_g = -1 if gname in odd_gens else 1
-        for w, cw in apply(word).items():
-            add_term(out, (gname, w), c * sign_g * cw)
+    for (u, g2, v), c in ot.d({((), gname, word): c for (gname, word), c in el.items()}).items():
+        odd = _parity(u, odd_arrows) and ((g2 in odd_gens) + _parity(v, odd_arrows)) % 2
+        add_term(out, (g2, v + u), -c if odd else c)
     return out
 
 

@@ -1,8 +1,12 @@
 """Koszul-type minimal models.
 
 Covers the general quadratic construction (lattice of intersections
-J_n), the explicit exterior-generator model for polynomial rings, the
-cyclic-group McKay model, and the vertex-deletion quotient.
+J_n), the exterior-generator models, and the vertex-deletion quotient.
+
+One builder, _exterior, makes the arrows x_{j,S} of the minimal model of
+k[x_1..x_n] # Z/m and their shuffle-sign d.  The polynomial model is its
+case m = 1; the commutation presentation takes |S| <= 2, with the
+singletons as arrows and the d of the pairs as relators.
 
 The J_n lattice runs on integer word ids, ordered as the paths they
 stand for, with int coefficients while integral; each basis is decoded
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, takewhile
 from typing import Iterator
 
 from . import linalg
@@ -23,7 +27,7 @@ from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, add
 from .differential import Differential, DGModel
 from .errors import InvalidInputError, ResourceLimitError
 from .homology import path_cap
-from .presentations import QuadraticPresentation
+from .presentations import PresentedAlgebra, QuadraticPresentation
 
 WordRow = dict[tuple[str, ...], Scalar]  # {arrow word: coefficient}, a J_n basis row
 
@@ -71,30 +75,57 @@ def _check_model_size(m: int, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# polynomial rings
+# the exterior-algebra model of k[x_1..x_n] # Z/m
+
+
+_MCKAY_NAME = "x{j}_{s}"
+
+
+def _exterior(m: int, weights: tuple[int, ...], top: int, name: str, label: str):
+    """The minimal model of k[x_1..x_n] # Z/m with these weights, on the
+    subsets S of 1..n with 1 <= |S| <= top: the arrows x_{j,S} from j to
+    j + d(S) mod m in bidegree (1 - |S|, |S|), and {name: d as {Path:
+    coefficient}} for |S| >= 2, both by vertex j, then by S in _subsets
+    order, where d(x_{j,S}) = sum over S = A ⊔ B of
+    (-1)^(|A|-1) eps(A, B) x_{j,A} x_{j+d(A),B}, eps the shuffle sign.
+    name and label are format strings in j, s (the digits of S) and t
+    (the target).  Each subset's name, weight and splits are made once."""
+    subsets = list(takewhile(lambda s: len(s) <= top, _subsets(len(weights))))
+    digits = [_subset_name(s) for s in subsets]
+    weight = [sum(weights[i - 1] for i in s) for s in subsets]
+    # per subset, its signed splits as (index of A, index of B, coefficient)
+    index = {s: k for k, s in enumerate(subsets)}
+    signed = {1: Fraction(1), -1: Fraction(-1)}
+    splits = [
+        [(index[a], index[b], signed[(-1) ** (len(a) - 1) * shuffle_sign(a, b)]) for a, b in _splits(s)]
+        for s in subsets
+    ]
+    names = [[name.format(j=j, s=s) for s in digits] for j in range(m)]
+    arrows = []
+    for j, here in enumerate(names):
+        for k, s in enumerate(subsets):
+            t = (j + weight[k]) % m
+            arrows.append(Arrow(here[k], j, t, 1 - len(s), len(s), label.format(j=j, s=digits[k], t=t)))
+    d = {
+        here[k]: {Path(j, (here[a], names[(j + weight[a]) % m][b])): c for a, b, c in split}
+        for j, here in enumerate(names)
+        for k, split in enumerate(splits)
+        if split
+    }
+    return tuple(arrows), d
 
 
 def polynomial_model(n: int) -> DGModel:
     """Minimal model of k[x_1..x_n]: one vertex, a generator x_S per
-    nonempty S in hdeg -|S|+1, adeg |S|, with the shuffle-sign differential."""
+    nonempty S in hdeg -|S|+1, adeg |S|, with the shuffle-sign
+    differential; the case m = 1 of _exterior."""
     if n < 1:
         raise InvalidInputError("need n >= 1")
     _check_model_size(1, n)
-    arrows = tuple(
-        Arrow(f"x{_subset_name(s)}", 0, 0, -len(s) + 1, len(s), label=f"x_{{{_subset_name(s)}}}")
-        for s in _subsets(n)
-    )
+    arrows, d = _exterior(1, (0,) * n, n, "x{s}", "x_{{{s}}}")
     quiver = GradedQuiver((0,), arrows)
-    on_arrows: dict[str, AlgebraElement] = {}
-    for s in _subsets(n):
-        terms: dict[Path, Fraction] = {}
-        for a, b in _splits(s):
-            coeff = Fraction((-1) ** (len(a) - 1) * shuffle_sign(a, b))
-            terms[Path(0, (f"x{_subset_name(a)}", f"x{_subset_name(b)}"))] = coeff
-        if terms:
-            on_arrows[f"x{_subset_name(s)}"] = AlgebraElement(quiver, terms)
-    d = Differential(quiver, on_arrows)
-    return DGModel(quiver, d, provenance="polynomial", metadata={"n": n})
+    on_arrows = {name: AlgebraElement(quiver, terms) for name, terms in d.items()}
+    return DGModel(quiver, Differential(quiver, on_arrows), provenance="polynomial", metadata={"n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -139,74 +170,33 @@ class McKayData:
 
 
 def mckay_arrow_name(j: int, s: tuple[int, ...]) -> str:
-    return f"x{j}_{_subset_name(s)}"
+    return _MCKAY_NAME.format(j=j, s=_subset_name(s))
 
 
 def mckay_model(data: McKayData) -> DGModel:
     """Minimal model of k[x_1..x_n] # Z/m: vertices 0..m-1, an arrow
-    x_{j,S,j+d(S)} per vertex j and nonempty subset S."""
+    x_{j,S,j+d(S)} per vertex j and nonempty subset S (_exterior)."""
     m = data.m
     _check_model_size(m, data.n)
-    subsets = list(_subsets(data.n))
-    names = [_subset_name(s) for s in subsets]
-    weight = [data.d_of(s) for s in subsets]
-    # per subset, its signed splits as (index of A, index of B, coefficient)
-    index = {s: k for k, s in enumerate(subsets)}
-    signed = {1: Fraction(1), -1: Fraction(-1)}
-    splits = [
-        [(index[a], index[b], signed[(-1) ** (len(a) - 1) * shuffle_sign(a, b)]) for a, b in _splits(s)]
-        for s in subsets
-    ]
-    arrow_names = [[f"x{j}_{name}" for name in names] for j in range(m)]
-    arrows = []
-    for j in range(m):
-        for k, s in enumerate(subsets):
-            t = (j + weight[k]) % m
-            arrows.append(Arrow(arrow_names[j][k], j, t, -len(s) + 1, len(s), label=f"x_{{{j},{{{names[k]}}},{t}}}"))
-    quiver = GradedQuiver(tuple(range(m)), tuple(arrows))
-    on_arrows: dict[str, AlgebraElement] = {}
-    for j, here in enumerate(arrow_names):
-        for k, split in enumerate(splits):
-            if split:
-                on_arrows[here[k]] = AlgebraElement(
-                    quiver, {Path(j, (here[a], arrow_names[(j + weight[a]) % m][b])): c for a, b, c in split}
-                )
-    d = Differential(quiver, on_arrows)
+    arrows, d = _exterior(m, data.weights, data.n, _MCKAY_NAME, "x_{{{j},{{{s}}},{t}}}")
+    quiver = GradedQuiver(tuple(range(m)), arrows)
+    on_arrows = {name: AlgebraElement(quiver, terms) for name, terms in d.items()}
     return DGModel(
         quiver,
-        d,
+        Differential(quiver, on_arrows),
         provenance="mckay",
         metadata={"m": m, "weights": data.weights, "warnings": data.warnings},
     )
 
 
-def mckay_commutation_presentation(data: McKayData) -> "PresentedAlgebra":
-    """The degree-0 quotient presentation: the McKay quiver on the
-    singleton arrows with the commuting-square relations
-    x_{j,k} x_{j+a_k,l} = x_{j,l} x_{j+a_l,k}."""
-    from .presentations import PresentedAlgebra
-
-    m, n = data.m, data.n
-    arrows = tuple(
-        Arrow(mckay_arrow_name(j, (i,)), j, (j + data.weights[i - 1]) % m, 0, 1)
-        for j in range(m)
-        for i in range(1, n + 1)
-    )
-    quiver = GradedQuiver(tuple(range(m)), arrows)
-    relators = []
-    for j in range(m):
-        for k, l in combinations(range(1, n + 1), 2):
-            ak, al = data.weights[k - 1], data.weights[l - 1]
-            relators.append(
-                AlgebraElement(
-                    quiver,
-                    {
-                        Path(j, (mckay_arrow_name(j, (k,)), mckay_arrow_name((j + ak) % m, (l,)))): Fraction(1),
-                        Path(j, (mckay_arrow_name(j, (l,)), mckay_arrow_name((j + al) % m, (k,)))): Fraction(-1),
-                    },
-                )
-            )
-    return PresentedAlgebra(quiver, tuple(relators))
+def mckay_commutation_presentation(data: McKayData) -> PresentedAlgebra:
+    """The degree-0 quotient presentation, H^0 of mckay_model: the McKay
+    quiver on the singleton arrows with the commuting-square relators
+    d(x_{j,{k,l}}) = x_{j,k} x_{j+a_k,l} - x_{j,l} x_{j+a_l,k}, k < l,
+    built by _exterior up to two-element subsets."""
+    arrows, d = _exterior(data.m, data.weights, 2, _MCKAY_NAME, "")
+    quiver = GradedQuiver(tuple(range(data.m)), tuple(a for a in arrows if a.adeg == 1))
+    return PresentedAlgebra(quiver, tuple(AlgebraElement(quiver, terms) for terms in d.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +220,11 @@ def delete_vertex(model: DGModel, v: Vertex) -> DGModel:
 # general quadratic algebras
 
 
-def _jn_series(pres: QuadraticPresentation) -> Iterator[list[WordRow]]:
+def _jn_series(pres: QuadraticPresentation | PresentedAlgebra) -> Iterator[list[WordRow]]:
     """The bases of J_1, J_2, J_3, ... in turn, each row as {arrow word:
     coefficient} with int coefficients while integral; see compute_Jn.
+    A PresentedAlgebra must be quadratic: arrows of degree (0, 1) and
+    relators of length 2, as a QuadraticPresentation checks.
 
     The recursion runs on integer word ids.  With A arrows, rn ranking
     them by name and r0 by (vertex_key of the source, name), a word w of

@@ -54,10 +54,17 @@ def quiver_to_json(q: GradedQuiver) -> dict:
     }
 
 
+def _exact(value, *types):
+    """value if its type is one of types: a JSON float or bool is no exact number."""
+    if type(value) not in types:
+        raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 def quiver_from_json(doc: dict) -> GradedQuiver:
     with _reading("quiver"):
         arrows = tuple(
-            Arrow(a["id"], a["source"], a["target"], int(a["hdeg"]), int(a["adeg"]), a.get("label", ""))
+            Arrow(a["id"], a["source"], a["target"], _exact(a["hdeg"], int), _exact(a["adeg"], int), a.get("label", ""))
             for a in doc["arrows"]
         )
         return GradedQuiver(tuple(doc["vertices"]), arrows)
@@ -79,7 +86,7 @@ def element_from_json(quiver: GradedQuiver, doc: list, coeffs: dict | None = Non
             p = Path(t["start"], tuple(t["path"]))
             if not quiver.is_valid_path(p):
                 raise InvalidInputError(f"invalid path in element: {t}")
-            raw = t["coeff"]
+            raw = _exact(t["coeff"], str, int)
             c = coeffs.get(raw)
             if c is None:
                 c = coeffs[raw] = Fraction(raw)
@@ -153,5 +160,5 @@ def potential_from_json(quiver: GradedQuiver, doc: list) -> Superpotential:
             if not cycle:
                 raise InvalidInputError("empty cycle in potential")
             p = Path(quiver.arrow(cycle[0]).source, cycle)
-            add_term(terms, p, Fraction(t["coeff"]))
+            add_term(terms, p, Fraction(_exact(t["coeff"], str, int)))
     return Superpotential(quiver, terms)

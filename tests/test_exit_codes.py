@@ -5,7 +5,9 @@ mutated (a key or list entry dropped, a value replaced by one of the
 wrong type, a bad coefficient or another vertex id) and fed to
 cohomology, compare-h0, verify and ginzburg in-process.  No exception may
 escape main; the exit code is 1, 2 or 3, or 0 when the documents still
-read as valid; exit 1 prints a JSON report with a witness.
+read as valid; exit 1 prints a JSON report with a witness.  Validity of
+the degrees and coefficients is judged on the JSON types, not by the
+library's readers, so a reader that accepts a float or a boolean fails.
 
 The example count comes from the hypothesis profile (see conftest.py),
 so CI can run this file at a larger count."""
@@ -95,9 +97,30 @@ def _argv(command: str, files: dict, delete: str | None) -> list[str]:
     return argv + (["--delete-vertex", delete] if delete is not None else [])
 
 
+def _exact_numbers(doc) -> bool:
+    """Whether every degree of a JSON document is an integer and every
+    coefficient a string or an integer, judged on the JSON types alone,
+    so that a reader that accepts floats or booleans disagrees with it."""
+    if isinstance(doc, list):
+        return all(_exact_numbers(v) for v in doc)
+    if not isinstance(doc, dict):
+        return True
+    for key, value in doc.items():
+        if key in ("hdeg", "adeg") and type(value) is not int:
+            return False
+        if key == "coeff" and type(value) not in (str, int):
+            return False
+        if not _exact_numbers(value):
+            return False
+    return True
+
+
 def _still_valid(command: str, docs: dict) -> bool:
-    """Whether the library reads every document of the command, and a
-    model passes its grading and d^2 checks."""
+    """Whether every document of the command has exact numbers
+    (_exact_numbers), the library reads it, and a model passes its
+    grading and d^2 checks."""
+    if not all(_exact_numbers(docs[name]) for name in _READS[command]):
+        return False
     try:
         if "model" in _READS[command]:
             d = serialize.model_from_json(docs["model"]).differential
@@ -139,7 +162,9 @@ def test_mutated_documents_keep_the_exit_code_contract(data):
         at = data.draw(st.sampled_from(list(_locations(docs[name]))), label="at")
         drop = data.draw(st.booleans(), label="drop")
         value = data.draw(st.sampled_from(_POISON), label="value")
-        docs[name] = _mutate(docs[name], at, drop, value)
+        # a copy, so a later mutation inside it changes neither _POISON nor
+        # another place holding the same value
+        docs[name] = _mutate(docs[name], at, drop, copy.deepcopy(value))
     delete = data.draw(st.sampled_from([None, "0", "1", "7"]), label="delete vertex")
 
     out, err = io.StringIO(), io.StringIO()

@@ -1,5 +1,8 @@
-"""JSON round trips: parse(serialize(x)) == x and byte-identical dumps."""
+"""JSON round trips: parse(serialize(x)) == x and byte-identical dumps,
+and the exact numbers the readers accept: integer degrees, and
+coefficients as strings or integers, never floats or booleans."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,10 +14,12 @@ from dgquiver import (
     McKayData,
     Path,
     Superpotential,
+    delete_vertex,
     mckay_model,
     polynomial_model,
     serialize,
 )
+from dgquiver.cli import main
 from dgquiver.koszul import mckay_commutation_presentation
 
 
@@ -70,3 +75,48 @@ def test_malformed_documents_raise():
         serialize.element_from_json(q, [{"start": 0, "path": ["nope"], "coeff": "1"}])
     with pytest.raises(InvalidInputError):
         serialize.potential_from_json(q, [{"coeff": "1", "cycle": []}])
+
+
+def _verify(tmp_path, capsys, doc) -> tuple[int, str]:
+    """The exit code and stderr of verify on the model document doc."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "--model", str(path)])
+    return code, capsys.readouterr().err
+
+
+def _deleted_doc() -> dict:
+    return serialize.model_to_json(delete_vertex(mckay_model(McKayData(3, (1, 1, 1))), 0))
+
+
+@pytest.mark.parametrize("key, value", [("adeg", 1.7), ("hdeg", -0.9), ("adeg", True), ("hdeg", 0.0), ("adeg", "1")])
+def test_inexact_degree_exits_2(tmp_path, capsys, key, value):
+    """None of these is a JSON integer, though int() turns each into a
+    degree that makes the model pass verify."""
+    doc = _deleted_doc()
+    next(a for a in doc["quiver"]["arrows"] if a["id"] == "x1_1")[key] = value
+    code, err = _verify(tmp_path, capsys, doc)
+    assert code == 2 and err.startswith("error: malformed quiver")
+
+
+@pytest.mark.parametrize("coeff", [0.1, 1.0, True], ids=["0.1", "1.0", "true"])
+def test_inexact_coefficient_exits_2(tmp_path, capsys, coeff):
+    """A float or a boolean coefficient is refused in a model and in a
+    potential, also after an equal integer has filled the parse cache."""
+    doc = _deleted_doc()
+    terms = doc["differential"]["x1_123"]
+    terms[0]["coeff"], terms[2]["coeff"] = 1, coeff
+    code, err = _verify(tmp_path, capsys, doc)
+    assert code == 2 and err.startswith("error: malformed")
+    q = polynomial_model(2).quiver
+    with pytest.raises(InvalidInputError, match="malformed"):
+        serialize.potential_from_json(q, [{"coeff": coeff, "cycle": ["x1", "x2"]}])
+
+
+def test_exact_coefficients_are_read():
+    """Strings that Fraction parses and JSON integers."""
+    q = polynomial_model(2).quiver
+    doc = [{"start": 0, "path": ["x1"], "coeff": "1/10"}, {"start": 0, "path": ["x2"], "coeff": -3}]
+    el = serialize.element_from_json(q, doc)
+    assert el.terms == {Path(0, ("x1",)): Fraction(1, 10), Path(0, ("x2",)): Fraction(-3)}
+    assert serialize.element_to_json(el)[0]["coeff"] == "1/10"
