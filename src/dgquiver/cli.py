@@ -164,9 +164,8 @@ def cmd_compare_h0(args) -> int:
         arrow_map = doc.get("arrows")
         vertex_map = doc.get("vertices")
         for part in (arrow_map, vertex_map):
-            if part is not None and not (
-                isinstance(part, dict) and all(isinstance(v, (int, str)) for v in part.values())
-            ):
+            # a vertex id is a string or a JSON integer, not a float or a bool, as in serialize
+            if part is not None and not (isinstance(part, dict) and all(type(v) in (int, str) for v in part.values())):
                 raise InvalidInputError("malformed map document: arrows and vertices must map ids to ids")
         if vertex_map is not None:
             vertex_map = {_intish(k): v for k, v in vertex_map.items()}

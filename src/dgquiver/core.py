@@ -3,26 +3,25 @@
 Element coefficients are ``fractions.Fraction``.  The hot paths built on
 them (``Differential.apply_to_word``, which ``cohomology_dims`` applies
 to the plain arrow-name tuples of its slices, the normal forms of
-``truncated_dims``, keyed by arrow-name tuples, the J_n rows of
-``koszul``, keyed by integer word ids, the bimodule of ``cy``, whose
-elements and whose d on the generators are keyed by arrow words from
-the start, and the elimination in ``linalg``, whose RREF rows come out
-int while integral) keep coefficients as ``int`` while they are
-integral; Python's numeric tower turns them into ``Fraction`` only on
-division.  An ``AlgebraElement`` converts each coefficient once, when it
-is built, and keeps a ``Fraction`` as it is.  There is no floating point
-anywhere.  Elements are stored sparsely as ``{Path: coefficient}`` with
-a canonical ordering of paths so that iteration and printing are
-deterministic.  Every sparse sum, whatever its keys, accumulates through
-``add_term``; only the elimination kernel of ``linalg`` keeps its own
-loop.
+``truncated_dims`` and the J_n rows of ``koszul``, both keyed by the
+integer word ids of ``WordIds``, the bimodule of ``cy``, whose elements
+and whose d on the generators are keyed by arrow words from the start,
+and the elimination in ``linalg``, whose RREF rows come out int while
+integral) keep coefficients as ``int`` while they are integral; Python's
+numeric tower turns them into ``Fraction`` only on division.  An
+``AlgebraElement`` converts each coefficient once, when it is built, and
+keeps a ``Fraction`` as it is.  There is no floating point anywhere.
+Elements are stored sparsely as ``{Path: coefficient}`` with a canonical
+ordering of paths so that iteration and printing are deterministic.
+Every sparse sum, whatever its keys, accumulates through ``add_term``;
+only the elimination kernel of ``linalg`` keeps its own loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterator, Mapping, Union
 
 from .errors import InvalidInputError
@@ -179,6 +178,41 @@ class GradedQuiver:
 
     def element(self, terms: Mapping[Path, Scalar]) -> "AlgebraElement":
         return AlgebraElement(self, terms)
+
+
+class WordIds:
+    """Integer ids of paths that sort as Path.sort_key.
+
+    With B = max(2, number of arrows), rn(x) the rank of the arrow x by
+    name and rank(s) that of the vertex s by vertex_key among the V
+    vertices, the word w_0...w_{L-1} from s has the id
+    (V + rank(s))*B^L + sum_i rn(w_i)*B^(L-1-i), and e_s the id V + rank(s).
+    Lemma: the ids of length L lie in [V*B^L, 2V*B^L), below those of
+    length L + 1 as B >= 2, and within one length they are base-B
+    numerals with the digits V + rank(s), rn(w_0), ..., so they compare
+    as (vertex_key(s), word), arrow names being distinct.  So ids order
+    as Path.sort_key, distinct paths have distinct ids, and an RREF basis
+    over the ids is the one over the paths.  w*y has the id
+    id(w)*B + rn(y), and x*w, w of length L, the id id(w) + prepend[x]*B^L
+    with prepend[x] = (V + rank(source x))*B + rn(x) - V - rank(target x).
+    source(k) reads the start back from the leading digit of k."""
+
+    def __init__(self, quiver: GradedQuiver):
+        self.names = sorted(a.name for a in quiver.arrows)  # by rn
+        self.rank = {name: i for i, name in enumerate(self.names)}  # rn
+        self.base = max(2, len(self.names))
+        self.vertices = sorted(quiver.vertices, key=vertex_key)
+        self.empty = empty = {v: len(self.vertices) + i for i, v in enumerate(self.vertices)}  # the id of e_v
+        self.prepend = {a.name: empty[a.source] * self.base + self.rank[a.name] - empty[a.target] for a in quiver.arrows}
+
+    def of(self, p: Path) -> int:
+        return reduce(lambda k, name: k * self.base + self.rank[name], p.arrows, self.empty[p.start])
+
+    def source(self, k: int) -> Vertex:
+        n = len(self.vertices)
+        while k >= 2 * n:
+            k //= self.base
+        return self.vertices[k - n]
 
 
 class AlgebraElement:

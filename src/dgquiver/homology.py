@@ -1,6 +1,7 @@
 """Degree-truncated cohomology of DG path algebras by exact linear
 algebra, H^0 presentations, and truncated dimension tables for
-presented algebras.
+presented algebras, whose words are core.WordIds ids, as in the J_n
+lattice of koszul; the slices of the cohomology are arrow-name tuples.
 
 Every bidegree (hdeg, adeg) is finite dimensional because arrows carry
 adeg >= 1, so all computations here are exact at the stated truncation.
@@ -10,12 +11,12 @@ from __future__ import annotations
 
 import os
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import compress
 from typing import Iterator
 
 from . import linalg
-from .core import AlgebraElement, GradedQuiver, Scalar, Vertex, add_term, int_if_integral, vertex_key
+from .core import AlgebraElement, GradedQuiver, Scalar, Vertex, WordIds, add_term, int_if_integral, vertex_key
 from .differential import DGModel, Differential
 from .errors import InvalidInputError, ResourceLimitError
 from .presentations import PresentedAlgebra
@@ -335,86 +336,72 @@ def truncated_dims(
     p equal to its normal form modulo I, any u*r*v with v = v'*y lies in
     I_{a-|y|}*y, and u*r equals (normal form of u)*r modulo I*y terms, so
     kQ_a/I_a is the span of the candidates modulo the relation rows.  A
-    degree-0 relator c*e_v kills the vertex v.  The path cap bounds the
-    candidate columns summed over all degrees.
+    degree-0 relator c*e_v kills the vertex v, and with it every relator
+    ending at v, whose rows have no candidate column.  Every word is a
+    core.WordIds id, so a candidate w*y is id(w)*B + rn(y) and the rows
+    go to linalg in the path order with no sort and no column index.
+    The path cap bounds the candidate columns summed over all degrees.
     """
     if nadams < 0:
         raise InvalidInputError("nadams must be >= 0")
     cap = path_cap(cap)
     q = pres.quiver
+    ids = WordIds(q)
+    base, rank = ids.base, ids.rank
     killed = {r.endpoints()[0] for r in pres.relators if r.adeg() == 0}
-    # each term as (its arrows but the last as 1-tuples, the last, coeff)
-    relators = [
-        (
-            r.adeg(),
-            r.endpoints()[0],
-            [(tuple((y,) for y in p.arrows[:-1]), p.arrows[-1:], int_if_integral(c)) for p, c in r.terms.items()],
-        )
-        for r in pres.relators
-    ]
-    arrows = [y for y in q.arrows if y.target not in killed]
-    # a candidate column has an arrow, and its first arrow fixes its source
-    by_name = {y.name: y for y in arrows}
-    source_key = {y.name: vertex_key(y.source) for y in arrows}
-    # normal[a][v]: normal words of degree a ending at v (the empty word
-    # at v in degree 0); nf[p]: the normal form {normal word: coeff} of
-    # every candidate column p, coefficients int while integral
-    normal: list[dict[Vertex, list[Word]]] = [{v: [()] for v in q.vertices if v not in killed}]
-    nf: dict[Word, dict[Word, Scalar]] = {}
+    # each relator not ending at a killed vertex as (adeg, source, terms),
+    # each term as (the rn digits of its arrows but the last, the last, coeff)
+    relators = []
+    for r in pres.relators:
+        src, tgt = r.endpoints()
+        if tgt not in killed:
+            terms = [([rank[y] for y in p.arrows[:-1]], rank[p.arrows[-1]], int_if_integral(c)) for p, c in r.terms.items()]
+            relators.append((r.adeg(), src, terms))
+    arrows = [(y.adeg, y.source, rank[y.name], y.target) for y in q.arrows if y.target not in killed]
+    # normal[a][v]: the ids of the normal words of degree a >= 0 ending at
+    # v (e_v in degree 0); nf[k]: the normal form {normal word id: coeff}
+    # of every candidate column k, coefficients int while integral
+    normal: dict[int, dict[Vertex, list[int]]] = {0: {v: [ids.empty[v]] for v in q.vertices if v not in killed}}
+    nf: dict[int, dict[int, Scalar]] = {}
     total = 0
 
-    def times(vec: dict[Word, Scalar], y: tuple[str]) -> dict[Word, Scalar]:
-        out: dict[Word, Scalar] = {}
+    def times(vec: dict[int, Scalar], y: int) -> dict[int, Scalar]:
+        out: dict[int, Scalar] = {}
         for u, c in vec.items():
-            for w, cw in nf.get(u + y, {}).items():
+            for w, cw in nf.get(u * base + y, {}).items():
                 add_term(out, w, c * cw)
         return out
 
     for a in range(1, nadams + 1):
-        # Path.sort_key's order: length, source, arrows
-        cols = sorted(
-            (w + (y.name,) for y in arrows if y.adeg <= a for w in normal[a - y.adeg].get(y.source, ())),
-            key=lambda p: (len(p), source_key[p[0]], p),
-        )
+        # the candidate columns w*y as (id, target), ordered as the paths
+        cols = [(w * base + y, t) for d, src, y, t in arrows for w in normal.get(a - d, {}).get(src, ())]
         total += len(cols)
         if total > cap:
             raise ResourceLimitError(f"path count exceeds cap {cap}; raise DGQ_PATH_CAP")
-        index = {p: i for i, p in enumerate(cols)}
         rows: list[linalg.SparseVec] = []
         for d, src, terms in relators:
-            if not 1 <= d <= a:
-                continue
-            for w in normal[a - d].get(src, ()):
+            for w in normal.get(a - d, {}).get(src, ()):
                 row: linalg.SparseVec = {}
                 for steps, last, c in terms:
                     vec = {w: c}
                     for y in steps:
                         vec = times(vec, y)
                     for u, cu in vec.items():
-                        col = index.get(u + last)
-                        if col is not None:
-                            add_term(row, col, cu)
+                        add_term(row, u * base + last, cu)
                 if row:
                     rows.append(row)
-        level: dict[Vertex, list[Word]] = defaultdict(list)
-        pivots = {}
-        for row in linalg.row_reduce(rows):
-            piv = min(row)
-            pivots[piv] = {cols[k]: -c for k, c in row.items() if k != piv}
-        for i, p in enumerate(cols):
-            if i in pivots:
-                nf[p] = pivots[i]
+        pivots = {min(row): row for row in linalg.row_reduce(rows)}
+        normal[a] = level = defaultdict(list)
+        for k, t in cols:
+            if k in pivots:
+                nf[k] = {j: -c for j, c in pivots[k].items() if j != k}
             else:
-                nf[p] = {p: 1}
-                level[by_name[p[-1]].target].append(p)
-        normal.append(level)
+                nf[k] = {k: 1}
+                level[t].append(k)
 
-    dims: dict[tuple[Vertex, Vertex, int], int] = {(v, v, 0): 1 for v in sorted(normal[0], key=vertex_key)}
-    for a in range(1, len(normal)):
-        blocks: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
-        for t, words in normal[a].items():
-            for w in words:
-                blocks[(by_name[w[0]].source, t)] += 1
+    dims: dict[tuple[Vertex, Vertex, int], int] = {}
+    for a, level in normal.items():
+        blocks = Counter((ids.source(k), t) for t, words in level.items() for k in words)
         for (s, t), dim in sorted(blocks.items(), key=lambda kv: (vertex_key(kv[0][0]), vertex_key(kv[0][1]))):
             dims[(s, t, a)] = dim
     return dims

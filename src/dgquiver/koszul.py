@@ -8,9 +8,9 @@ k[x_1..x_n] # Z/m and their shuffle-sign d.  The polynomial model is its
 case m = 1; the commutation presentation takes |S| <= 2, with the
 singletons as arrows and the d of the pairs as relators.
 
-The J_n lattice runs on integer word ids, ordered as the paths they
-stand for, with int coefficients while integral; each basis is decoded
-to rows {arrow word: coefficient} once, and compute_Jn and
+The J_n lattice runs on the word ids of core.WordIds, as truncated_dims
+does, with int coefficients while integral; each basis is decoded to
+rows {arrow word: coefficient}, pivot first, once, and compute_Jn and
 minimal_model_general build AlgebraElements from those once, at the end.
 """
 
@@ -23,7 +23,7 @@ from itertools import combinations, islice, takewhile
 from typing import Iterator
 
 from . import linalg
-from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, add_term, vertex_key
+from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, WordIds, add_term
 from .differential import Differential, DGModel
 from .errors import InvalidInputError, ResourceLimitError
 from .homology import path_cap
@@ -222,68 +222,44 @@ def delete_vertex(model: DGModel, v: Vertex) -> DGModel:
 
 def _jn_series(pres: QuadraticPresentation | PresentedAlgebra) -> Iterator[list[WordRow]]:
     """The bases of J_1, J_2, J_3, ... in turn, each row as {arrow word:
-    coefficient} with int coefficients while integral; see compute_Jn.
-    A PresentedAlgebra must be quadratic: arrows of degree (0, 1) and
-    relators of length 2, as a QuadraticPresentation checks.
+    coefficient}, pivot first, with int coefficients while integral; see
+    compute_Jn.  A PresentedAlgebra must be quadratic: arrows of degree
+    (0, 1) and relators of length 2, as a QuadraticPresentation checks.
 
-    The recursion runs on integer word ids.  With A arrows, rn ranking
-    them by name and r0 by (vertex_key of the source, name), a word w of
-    length L has the id r0(w_0)*A^(L-1) + sum_{i>=1} rn(w_i)*A^(L-1-i).
-    Lemma: the ids of the words of one length are ordered as the words
-    are by (vertex_key of the first arrow's source, word), Path.sort_key
-    on one length.  Every digit lies in 0..A-1, so an id is a base-A
-    numeral and two ids of one length compare as their digit tuples
-    (r0(w_0), rn(w_1), ...) do, lexicographically; r0(w_0) orders as
-    (vertex_key of w_0's source, w_0), as arrow names are distinct, and
-    each rn(w_i) as w_i.  So every RREF basis over the ids is the one
-    over the paths, and distinct words have distinct ids.  A row b*y has
-    the ids id(w)*A + rn(y), a row x*b the ids
-    r0(x)*A^L + id(w) + (rn(w_0) - r0(w_0))*A^(L-1), with w running over
-    the words of b.  The endpoints of a row are read off the first and
-    last arrow of any one of its words: every word of a row is a path
-    with the row's endpoints, as the relators are component-pure paths.
-    Each basis is decoded to words once, when it is yielded, each word
-    from that of its prefix: J_n lies in J_{n-1} ⊗ V, so every column of
-    J_n extends a column of J_{n-1} by one arrow."""
+    The recursion runs on core.WordIds ids, so every RREF basis over the
+    ids is the one over the paths.  For a row b with words w of length L,
+    the rows b*y have the ids id(w)*B + rn(y), and the rows x*b the ids
+    id(w) + prepend[x]*B^L, x an arrow into the source of b, read off the
+    leading digit of any one word: every word of a row is a path with the
+    row's endpoints, as the relators are component-pure paths.  Each
+    basis is decoded to words once, when it is yielded, each word from
+    that of its prefix id(w) // B: J_n lies in J_{n-1} ⊗ V, so every
+    column of J_n extends a column of J_{n-1} by one arrow."""
     q = pres.quiver
-    rn = sorted(a.name for a in q.arrows)
-    r0 = sorted(rn, key=lambda name: vertex_key(q.arrow(name).source))  # stable, so by (source, name)
-    n_arrows = len(rn)
-    rank_n = {name: i for i, name in enumerate(rn)}
-    rank_0 = {name: i for i, name in enumerate(r0)}
-    # per first digit: rn - r0 of that arrow, and its source; per last
-    # digit: the rn digits of the arrows that may follow
-    shift = [rank_n[name] - i for i, name in enumerate(r0)]
-    source = [q.arrow(name).source for name in r0]
-    after = [[rank_n[y.name] for y in q.out_arrows(q.arrow(name).target)] for name in rn]
-    into: dict[Vertex, list[int]] = {v: [] for v in q.vertices}  # r0 digits of the arrows into v
-    for a in q.arrows:
-        into[a.target].append(rank_0[a.name])
+    ids = WordIds(q)
+    base, names = ids.base, ids.names
+    # per last digit, the rn digits of the arrows that may follow; per id
+    # of an e_v, the prepend of the arrows into v
+    after = [[ids.rank[y.name] for y in q.out_arrows(q.arrow(name).target)] for name in names]
+    into = {k: [ids.prepend[a.name] for a in q.arrows if a.target == v] for v, k in ids.empty.items()}
 
-    yield [{(name,): 1} for name in rn]
-    basis = linalg.row_reduce(
-        [{rank_0[p.arrows[0]] * n_arrows + rank_n[p.arrows[1]]: c for p, c in r.terms.items()} for r in pres.relators]
-    )
-    # {id: word} over the columns of the last basis
-    words = {k: (r0[k // n_arrows], rn[k % n_arrows]) for row in basis for k in row}
-    top = n_arrows  # the place of the first digit of the ids of basis
+    yield [{(name,): 1} for name in names]
+    words = {ids.of(Path(a.source, (a.name,))): (a.name,) for a in q.arrows}
+    basis = linalg.row_reduce([{ids.of(p): c for p, c in r.terms.items()} for r in pres.relators])
+    top = base * base  # B^L, L the length of the words of basis
     while True:
-        yield [{words[k]: c for k, c in row.items()} for row in basis]
+        words = {k: words[k // base] + (names[k % base],) for row in basis for k in row}
+        yield [{words[min(row)]: 1} | {words[k]: c for k, c in row.items()} for row in basis]
         if basis:
             left, right = [], []
             for b in basis:
                 k = next(iter(b))
-                for y in after[k % n_arrows]:
-                    left.append({w * n_arrows + y: c for w, c in b.items()})
-                xs = into[source[k // top]]
-                if xs:
-                    tail = {w + shift[w // top] * top: c for w, c in b.items()}
-                    for x in xs:
-                        head = x * top * n_arrows
-                        right.append({head + w: c for w, c in tail.items()})
-            basis = linalg.intersect_rowspaces(left, right, top * n_arrows * n_arrows)
-            words = {k: words[k // n_arrows] + (rn[k % n_arrows],) for row in basis for k in row}
-            top *= n_arrows
+                for y in after[k % base]:
+                    left.append({w * base + y: c for w, c in b.items()})
+                for shift in (x * top for x in into[k // top]):
+                    right.append({w + shift: c for w, c in b.items()})
+            top *= base
+            basis = linalg.intersect_rowspaces(left, right, 2 * len(ids.vertices) * top)
 
 
 def compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
@@ -320,20 +296,19 @@ def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
     J_n ⊆ J_i ⊗ J_{n-i}.  Its coefficients are read off b with no
     products and no elimination.  Every basis that _jn_series yields is
     in RREF over Path.sort_key: each row has coefficient 1 at its pivot,
-    its least path, and 0 at the pivots of the other rows, and every word
-    of J_i has length i.  So the coefficient of va*vb in b is
-    b[pivot(va) + pivot(vb)], and one scan of b finds them all, splitting
-    each word at i and looking both halves up among the pivots.  The
-    membership is still checked: b minus the sum of c*va*vb over the
-    read-off c must vanish, which holds exactly when b lies in the span
-    of the products."""
+    its least path and its first key, and 0 at the pivots of the other
+    rows, and every word of J_i has length i.  So the coefficient of
+    va*vb in b is b[pivot(va) + pivot(vb)], and one scan of b finds them
+    all, splitting each word at i and looking both halves up among the
+    pivots.  The membership is still checked: b minus the sum of c*va*vb
+    over the read-off c must vanish, which holds exactly when b lies in
+    the span of the products."""
     if nmax < 2:
         raise InvalidInputError("need nmax >= 2")
     q = pres.quiver
     # each basis row as {arrow word: coefficient}, and {pivot word: row position} per degree
     words = dict(zip(range(1, nmax + 1), _jn_series(pres)))
-    start = {a.name: vertex_key(a.source) for a in q.arrows}
-    pivots = {n: {min(b, key=lambda w: (start[w[0]], w)): k for k, b in enumerate(basis)} for n, basis in words.items()}
+    pivots = {n: {next(iter(b)): k for k, b in enumerate(basis)} for n, basis in words.items()}
 
     arrows: list[Arrow] = []
     gen: dict[tuple[int, int], Arrow] = {}  # (n, basis position) -> generator

@@ -55,7 +55,8 @@ def quiver_to_json(q: GradedQuiver) -> dict:
 
 
 def _exact(value, *types):
-    """value if its type is one of types: a JSON float or bool is no exact number."""
+    """value if its type is one of types: a JSON float or bool is no exact
+    number, and a vertex id is read as _exact(v, str, int)."""
     if type(value) not in types:
         raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
     return value
@@ -64,10 +65,11 @@ def _exact(value, *types):
 def quiver_from_json(doc: dict) -> GradedQuiver:
     with _reading("quiver"):
         arrows = tuple(
-            Arrow(a["id"], a["source"], a["target"], _exact(a["hdeg"], int), _exact(a["adeg"], int), a.get("label", ""))
+            Arrow(a["id"], _exact(a["source"], str, int), _exact(a["target"], str, int),
+                  _exact(a["hdeg"], int), _exact(a["adeg"], int), a.get("label", ""))
             for a in doc["arrows"]
         )
-        return GradedQuiver(tuple(doc["vertices"]), arrows)
+        return GradedQuiver(tuple(_exact(v, str, int) for v in doc["vertices"]), arrows)
 
 
 def element_to_json(el: AlgebraElement) -> list[dict]:
@@ -83,7 +85,7 @@ def element_from_json(quiver: GradedQuiver, doc: list, coeffs: dict | None = Non
     terms = {}
     with _reading("element"):
         for t in doc:
-            p = Path(t["start"], tuple(t["path"]))
+            p = Path(_exact(t["start"], str, int), tuple(t["path"]))
             if not quiver.is_valid_path(p):
                 raise InvalidInputError(f"invalid path in element: {t}")
             raw = _exact(t["coeff"], str, int)

@@ -189,6 +189,32 @@ def test_compare_h0_command(capsys, tmp_path):
     assert report["status"] == "pass" and report["total_dim"] == 5
 
 
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "1.0"])
+def test_compare_h0_map_refuses_a_vertex_id_that_is_no_string_or_integer(capsys, tmp_path, value):
+    """true equals the vertex 1 in Python and would make the comparison
+    pass; a mapped vertex id is a string or a JSON integer, as in every
+    document serialize reads."""
+    model_path = tmp_path / "model.json"
+    run(capsys, "model-mckay", "--m", "5", "--weights", "1,1,1,2", "--delete-zero", "--out", str(model_path))
+    pres = mckay_commutation_presentation(McKayData(5, (1, 1, 1, 2))).delete_vertex(0)
+    pres_path = tmp_path / "pres.json"
+    pres_path.write_text(serialize.dumps(serialize.presentation_to_json(pres)))
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"vertices": {"1": value}}))
+    code, out, err = run(
+        capsys, "compare-h0", "--model", str(model_path), "--presentation", str(pres_path),
+        "--map", str(map_path), "--adams-max", "4",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed map")
+    map_path.write_text(json.dumps({"vertices": {"1": 1}}))
+    code, out, _ = run(
+        capsys, "compare-h0", "--model", str(model_path), "--presentation", str(pres_path),
+        "--map", str(map_path), "--adams-max", "4",
+    )
+    assert code == 0 and json.loads(out)["status"] == "pass"
+
+
 def test_cy_check_command(capsys):
     code, out, _ = run(capsys, "cy-check", "--m", "3", "--weights", "1,1,1", "--adams-max", "4")
     assert code == 0

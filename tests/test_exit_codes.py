@@ -6,8 +6,9 @@ wrong type, a bad coefficient or another vertex id) and fed to
 cohomology, compare-h0, verify and ginzburg in-process.  No exception may
 escape main; the exit code is 1, 2 or 3, or 0 when the documents still
 read as valid; exit 1 prints a JSON report with a witness.  Validity of
-the degrees and coefficients is judged on the JSON types, not by the
-library's readers, so a reader that accepts a float or a boolean fails.
+the degrees, coefficients and vertex ids is judged on the JSON types, not
+by the library's readers, so a reader that accepts a float or a boolean
+fails.
 
 The example count comes from the hypothesis profile (see conftest.py),
 so CI can run this file at a larger count."""
@@ -97,29 +98,34 @@ def _argv(command: str, files: dict, delete: str | None) -> list[str]:
     return argv + (["--delete-vertex", delete] if delete is not None else [])
 
 
-def _exact_numbers(doc) -> bool:
-    """Whether every degree of a JSON document is an integer and every
-    coefficient a string or an integer, judged on the JSON types alone,
-    so that a reader that accepts floats or booleans disagrees with it."""
+def _exact_values(doc) -> bool:
+    """Whether every degree of a JSON document is an integer, and every
+    coefficient and every vertex id (an arrow's source or target, a
+    term's start, an entry of a quiver's vertex list or of a map's vertex
+    object) a string or an integer, judged on the JSON types alone, so
+    that a reader that accepts floats or booleans disagrees with it."""
     if isinstance(doc, list):
-        return all(_exact_numbers(v) for v in doc)
+        return all(_exact_values(v) for v in doc)
     if not isinstance(doc, dict):
         return True
     for key, value in doc.items():
         if key in ("hdeg", "adeg") and type(value) is not int:
             return False
-        if key == "coeff" and type(value) not in (str, int):
+        if key in ("coeff", "source", "target", "start") and type(value) not in (str, int):
             return False
-        if not _exact_numbers(value):
+        if key == "vertices" and isinstance(value, (list, dict)):
+            if any(type(v) not in (str, int) for v in (value.values() if isinstance(value, dict) else value)):
+                return False
+        if not _exact_values(value):
             return False
     return True
 
 
 def _still_valid(command: str, docs: dict) -> bool:
-    """Whether every document of the command has exact numbers
-    (_exact_numbers), the library reads it, and a model passes its
-    grading and d^2 checks."""
-    if not all(_exact_numbers(docs[name]) for name in _READS[command]):
+    """Whether every document of the command has exact numbers and
+    vertex ids (_exact_values), the library reads it, and a model passes
+    its grading and d^2 checks."""
+    if not all(_exact_values(docs[name]) for name in _READS[command]):
         return False
     try:
         if "model" in _READS[command]:

@@ -139,6 +139,45 @@ def test_truncated_dims_free_algebra():
     assert [dims[(0, 0, a)] for a in range(5)] == [1, 2, 4, 8, 16]
 
 
+def test_truncated_dims_by_hand_on_mixed_ids_and_two_word_lengths():
+    """Vertices 1, "u", "v", 0 and arrows a: 0 -> 1, b: 1 -> 0, c: 0 -> 0
+    of adeg 2, d: 0 -> u, e: v -> 0; relators e_u, 2ab - 3c, ba and
+    cd - abd.  e_u kills u, and with it d and cd - abd, which ends at u.
+    So c = (2/3)ab and ba = 0: the paths from 0 are e_0, a and ab ~ c,
+    as aba, ca and cc all contain ba; from 1, e_1 and b, as bab and
+    bc ~ (2/3)bab vanish; from v, e_v, e, ea and eab ~ (3/2)ec, while
+    eaba and eca vanish.  Adams degree 2 holds c and ab, and degree 3
+    ec and eab, words of two lengths whose ids order them by length.
+    Keys come by degree, then by vertex_key: 0, 1, then "v"."""
+    q = GradedQuiver(
+        (1, "u", "v", 0),
+        (
+            Arrow("a", 0, 1, 0, 1),
+            Arrow("b", 1, 0, 0, 1),
+            Arrow("c", 0, 0, 0, 2),
+            Arrow("d", 0, "u", 0, 1),
+            Arrow("e", "v", 0, 0, 1),
+        ),
+    )
+
+    def el(*terms):
+        return q.element({Path(start, tuple(w)): c for start, w, c in terms})
+
+    relators = (
+        el(("u", "", 1)),
+        el((0, "ab", 2), (0, "c", -3)),
+        el((1, "ba", 1)),
+        el((0, "cd", 1), (0, "abd", -1)),
+    )
+    dims = truncated_dims(PresentedAlgebra(q, relators), 4)
+    assert list(dims.items()) == [
+        ((0, 0, 0), 1), ((1, 1, 0), 1), (("v", "v", 0), 1),
+        ((0, 1, 1), 1), ((1, 0, 1), 1), (("v", 0, 1), 1),
+        ((0, 0, 2), 1), (("v", 1, 2), 1),
+        (("v", 0, 3), 1),
+    ]
+
+
 def test_truncated_dims_deleted_commutation_presentation():
     pres = mckay_commutation_presentation(McKayData(3, (1, 1, 1))).delete_vertex(0)
     dims = truncated_dims(pres, 6)

@@ -1,13 +1,15 @@
 """The normal-word recursion of truncated_dims and the J_n recursion of
 compute_Jn against the span builders they replaced, on random
-presentations, the word-keyed truncated_dims against the Path-keyed
+presentations, the id-keyed truncated_dims against the Path-keyed
 recursion it replaced, the differential of minimal_model_general, read
 off the RREF pivots, against the product-and-solve loop it replaced,
-and mckay_model, built from a per-subset table, against the per-vertex
-loop it replaced."""
+mckay_model, built from a per-subset table, against the per-vertex
+loop it replaced, and the order lemma of core.WordIds, whose ids both
+recursions run on, with the column bound of the J_n intersections."""
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,9 @@ from dgquiver import (
     minimal_model_general,
     truncated_dims,
 )
-from dgquiver.koszul import mckay_commutation_presentation
+from dgquiver import linalg
+from dgquiver.core import WordIds, vertex_key
+from dgquiver.koszul import _jn_series, mckay_commutation_presentation
 from dgquiver.serialize import dumps, model_to_json
 from oracles import (
     old_compute_Jn,
@@ -144,15 +148,10 @@ def test_compute_Jn_returns_the_bases_of_the_full_intersection(pres):
         assert compute_Jn(pres, n) == old_compute_Jn(pres, n)
 
 
-def test_compute_Jn_on_mixed_vertex_ids_with_names_out_of_source_order():
+def _mixed_id_presentation():
     """Vertices "v" and 0, arrows a: v -> 0, b: 0 -> v, y: v -> v and
-    z: 0 -> 0.  By name a < b < y < z, by (source, name) b < z < a < y,
-    so the first arrow of a word sorts apart from the others.  R is the
-    span of ab, ba + zz/4, by and zb, given unreduced; by hand,
-    (R ⊗ V) ∩ (V ⊗ R) is spanned by bab + zzb/4 = (ba + zz/4)b = b(ab) +
-    z(zb)/4, zby and aby, J_4 by baby + zzby/4, and J_5 is 0.  Each basis
-    is in RREF, its rows sorted by pivot: the paths at 0 before those at
-    v."""
+    z: 0 -> 0, and R the span of ab, ba + zz/4, by and zb, given
+    unreduced; also the element of the words w with coefficients c."""
     q = GradedQuiver(
         ("v", 0),
         (Arrow("a", "v", 0, 0, 1), Arrow("b", 0, "v", 0, 1), Arrow("z", 0, 0, 0, 1), Arrow("y", "v", "v", 0, 1)),
@@ -164,6 +163,17 @@ def test_compute_Jn_on_mixed_vertex_ids_with_names_out_of_source_order():
     pres = QuadraticPresentation(
         q, (el(("ab", 1)), el(("ba", 2), ("zz", Fraction(1, 2))), el(("by", 3), ("zb", -1)), el(("by", 1)))
     )
+    return pres, el
+
+
+def test_compute_Jn_on_mixed_vertex_ids_with_names_out_of_source_order():
+    """The presentation of _mixed_id_presentation.  By name a < b < y < z,
+    by (source, name) b < z < a < y, so the first arrow of a word sorts
+    apart from the others.  By hand, (R ⊗ V) ∩ (V ⊗ R) is spanned by
+    bab + zzb/4 = (ba + zz/4)b = b(ab) + z(zb)/4, zby and aby, J_4 by
+    baby + zzby/4, and J_5 is 0.  Each basis is in RREF, its rows sorted
+    by pivot: the paths at 0 before those at v."""
+    pres, el = _mixed_id_presentation()
     want = {
         2: [el(("ba", 1), ("zz", Fraction(1, 4))), el(("by", 1)), el(("zb", 1)), el(("ab", 1))],
         3: [el(("bab", 1), ("zzb", Fraction(1, 4))), el(("zby", 1)), el(("aby", 1))],
@@ -211,3 +221,54 @@ def test_mckay_model_matches_the_per_vertex_loop(m, weights):
         for name, el in got.differential.on_arrows.items():
             assert list(el.terms.items()) == list(want.differential.on_arrows[name].terms.items()), name
         assert (got.provenance, got.metadata) == (want.provenance, want.metadata)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(quadratic=False))
+def test_word_ids_order_as_the_paths(pres):
+    """The lemma of core.WordIds on every path of length <= 4: the ids
+    follow the stated formula, sort as Path.sort_key and are distinct,
+    source(k) recovers the start, and w*y and x*w have the stated ids.
+    With one arrow B is its floor 2."""
+    q = pres.quiver
+    ids = WordIds(q)
+    base = max(2, len(q.arrows))
+    assert ids.base == base
+    names, vertices = sorted(a.name for a in q.arrows), sorted(q.vertices, key=vertex_key)
+    paths = [p for n in range(5) for p in paths_of_length(q, n)]
+    for p in paths:
+        digits = [len(vertices) + vertices.index(p.start)] + [names.index(name) for name in p.arrows]
+        assert ids.of(p) == sum(d * base ** (len(p) - i) for i, d in enumerate(digits))
+    assert sorted(reversed(paths), key=ids.of) == sorted(paths, key=Path.sort_key)
+    assert len({ids.of(p) for p in paths}) == len(paths)
+    for p in (p for p in paths if len(p) < 4):
+        k = ids.of(p)
+        assert ids.source(k) == p.start
+        for y in q.out_arrows(q.path_target(p)):
+            assert ids.of(Path(p.start, p.arrows + (y.name,))) == k * base + ids.rank[y.name]
+        for x in q.arrows:
+            if x.target == p.start:
+                assert ids.of(Path(x.source, (x.name,) + p.arrows)) == k + ids.prepend[x.name] * base ** len(p)
+
+
+@pytest.mark.parametrize("case", ["mckay7_11113", "mixed_ids"])
+def test_jn_columns_lie_below_ncols(monkeypatch, case):
+    """Every column that _jn_series hands to intersect_rowspaces while it
+    computes J_1..J_6, an id of a word of length n, lies below the ncols
+    it passes, 2V*B^n.  There is one call per nonzero J_2..J_5."""
+    if case == "mixed_ids":
+        pres, _el = _mixed_id_presentation()
+    else:
+        pres = mckay_commutation_presentation(McKayData(7, (1, 1, 1, 1, 3)))
+    real, columns = linalg.intersect_rowspaces, []
+
+    def checked(u_rows, w_rows, ncols):
+        w_rows = list(w_rows)
+        columns.append([k for row in u_rows + w_rows for k in row])
+        assert all(0 <= k < ncols for k in columns[-1])
+        return real(u_rows, w_rows, ncols)
+
+    monkeypatch.setattr(linalg, "intersect_rowspaces", checked)
+    bases = list(islice(_jn_series(pres), 6))
+    assert len(columns) == sum(1 for basis in bases[1:5] if basis) >= 3
+    assert all(columns)

@@ -99,6 +99,39 @@ def test_inexact_degree_exits_2(tmp_path, capsys, key, value):
     assert code == 2 and err.startswith("error: malformed quiver")
 
 
+def _set_vertex_id(doc: dict, where: str, value) -> None:
+    if where == "vertices":
+        doc["quiver"]["vertices"] = value
+    elif where == "source":
+        next(a for a in doc["quiver"]["arrows"] if a["id"] == "x1_1")["source"] = value
+    else:
+        doc["differential"]["x1_123"][0]["start"] = value
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [("source", True), ("source", 1.0), ("vertices", [True, 2]), ("start", 1.0)],
+    ids=["source-true", "source-1.0", "vertices-true", "start-1.0"],
+)
+def test_inexact_vertex_id_exits_2(tmp_path, capsys, where, value):
+    """A vertex id is a string or a JSON integer.  Each of these equals
+    the id 1 of the model in Python (True == 1.0 == 1), so a reader that
+    took it would let the model pass verify."""
+    doc = _deleted_doc()
+    _set_vertex_id(doc, where, value)
+    code, err = _verify(tmp_path, capsys, doc)
+    assert code == 2 and err.startswith("error: malformed")
+
+
+def test_exact_vertex_ids_are_read():
+    """Strings and JSON integers, mixed."""
+    doc = {"vertices": [0, "u"], "arrows": [{"id": "a", "source": "u", "target": 0, "hdeg": 0, "adeg": 1}]}
+    q = serialize.quiver_from_json(doc)
+    assert q.vertices == (0, "u") and q.arrow("a").source == "u"
+    el = serialize.element_from_json(q, [{"start": "u", "path": ["a"], "coeff": 1}])
+    assert el.terms == {Path("u", ("a",)): 1}
+
+
 @pytest.mark.parametrize("coeff", [0.1, 1.0, True], ids=["0.1", "1.0", "true"])
 def test_inexact_coefficient_exits_2(tmp_path, capsys, coeff):
     """A float or a boolean coefficient is refused in a model and in a
