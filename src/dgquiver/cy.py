@@ -3,14 +3,17 @@ weight-sum condition sum(a_i) = m, the commuting-square algebra C, the
 bimodule of noncommutative differentials with its differential, and the
 pairing element omega with its three verification properties.
 
-The bimodule has one form: its elements, d_on_generators among them,
-are {(left word, generator, right word): coefficient} with arrow-name
-words and int coefficients while integral.  It has one Leibniz rule,
-OmegaTilde.d, which applies d_on_generators as it is built and the
-deleted McKay model's own d (Differential.apply_to_word) to the words;
-once closure holds that is the ascending model's d on ascending words.
-The d^2 = 0 check applies OmegaTilde.d twice, and the closedness check
-of omega applies it to each term g.word and rotates the result."""
+A bimodule term u.g.v is the flat word u + (g,) + v over the arrow
+names and the generator names (w..., disjoint from the arrow names x...),
+with exactly one generator letter.  The bimodule elements,
+d_on_generators among them, and the trace elements g (x) word, read as
+the word (g,) + word, are {word: coefficient} with int coefficients while
+integral.  OmegaTilde.d is the deleted McKay model's own Leibniz loop
+(differential.leibniz) with d_on_generators added as the images of the
+generator letters; once closure holds that is the ascending model's d on
+ascending words.  The d^2 = 0 check applies OmegaTilde.d twice, and the
+closedness check of omega applies it to each term g.word and rotates the
+result."""
 
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .core import GradedQuiver, Scalar, Vertex, add_term
-from .differential import DGModel
+from .differential import DGModel, leibniz
 from .errors import InvalidInputError
 from .homology import Word, cohomology_dims, slice_order, truncated_dims
 from .koszul import McKayData, _jn_series, _subset_name, mckay_arrow_name, mckay_commutation_presentation, shuffle_sign
@@ -168,12 +171,8 @@ class OmegaGenerator:
     hdeg: int  # -|S|
 
 
-BimoduleTerm = tuple[Word, str, Word]  # left word, generator name, right word
-BimoduleElement = dict[BimoduleTerm, Scalar]
-
-
 def _parity(word: Word, odd: frozenset[str]) -> int:
-    """hdeg(word) mod 2, given the arrows of odd hdeg."""
+    """hdeg(word) mod 2, given the letters of odd hdeg."""
     return sum(a in odd for a in word) % 2
 
 
@@ -190,20 +189,21 @@ class OmegaTilde:
 
     split_model: SplitModel
     generators: tuple[OmegaGenerator, ...]
-    d_on_generators: dict[str, BimoduleElement]
+    d_on_generators: dict[str, dict[Word, Scalar]]
 
     @cached_property
     def by_name(self) -> dict[str, OmegaGenerator]:
         return {g.name: g for g in self.generators}
 
     @cached_property
-    def _odd(self) -> tuple[frozenset[str], frozenset[str]]:
-        """(the generators of odd hdeg, the arrows of odd hdeg)."""
-        odd_gens = frozenset(g.name for g in self.generators if g.hdeg % 2)
-        odd_arrows = frozenset(a.name for a in self.split_model.model.quiver.arrows if a.hdeg % 2)
-        return odd_gens, odd_arrows
+    def _letters(self) -> tuple[dict[str, tuple[tuple[Word, Scalar], ...]], frozenset[str]]:
+        """(the images of the letters under d, the letters of odd hdeg),
+        the letters being the deleted model's arrows and the generators."""
+        images, odd_arrows = self.split_model.model.differential._compiled
+        images = {**images, **{g: tuple(el.items()) for g, el in self.d_on_generators.items()}}
+        return images, odd_arrows | {g.name for g in self.generators if g.hdeg % 2}
 
-    def d(self, el: BimoduleElement) -> BimoduleElement:
+    def d(self, el: dict[Word, Scalar]) -> dict[Word, Scalar]:
         """The bimodule Leibniz extension of d_on_generators,
         d(u.g.v) = d(u).g.v + (-1)^|u| u.d(g).v + (-1)^(|u|+|g|) u.g.d(v),
         with d on the words u and v that of the deleted McKay model.  On
@@ -212,26 +212,16 @@ class OmegaTilde:
         so by the Leibniz rule so has d of an ascending word, and
         restricting d to the ascending arrows drops no term.  The model's
         d also applies to words with descending arrows, as _trace_d needs."""
-        odd_gens, odd_arrows = self._odd
-        table = self.d_on_generators
-        apply = self.split_model.model.differential.apply_to_word
-        out: BimoduleElement = {}
-        for (u, g, v), c in el.items():
-            for u2, cu in apply(u).items():
-                add_term(out, (u2, g, v), c * cu)
-            if _parity(u, odd_arrows):
-                c = -c
-            for (p, g2, r), cg in table.get(g, {}).items():
-                add_term(out, (u + p, g2, r + v), c * cg)
-            if g in odd_gens:
-                c = -c
-            for v2, cv in apply(v).items():
-                add_term(out, (u, g, v2), c * cv)
+        images, odd = self._letters
+        out: dict[Word, Scalar] = {}
+        for w, c in el.items():
+            for w2, cw in leibniz(w, images, odd).items():
+                add_term(out, w2, c * cw)
         return out
 
     def check_d_squared(self) -> dict:
         for g in self.generators:
-            if self.d(self.d({((), g.name, ()): 1})):
+            if self.d(self.d({(g.name,): 1})):
                 return _fail("omega_tilde_d_squared", {"generator": g.name})
         return {"check": "omega_tilde_d_squared", "status": "pass"}
 
@@ -249,9 +239,9 @@ def build_omega_tilde(s: SplitModel) -> OmegaTilde:
             for sub in combinations(range(1, n + 1), size):
                 if j + data.d_of(sub) <= m - 1:
                     gens.append(OmegaGenerator(omega_gen_name(j, sub), j, sub, j + data.d_of(sub), -len(sub)))
-    d_on: dict[str, BimoduleElement] = {}
+    d_on: dict[str, dict[Word, Scalar]] = {}
     for g in gens:
-        el: BimoduleElement = {}
+        el: dict[Word, Scalar] = {}
         sset = set(g.subset)
         for size_a in range(len(g.subset) + 1):
             for a in combinations(g.subset, size_a):
@@ -259,9 +249,9 @@ def build_omega_tilde(s: SplitModel) -> OmegaTilde:
                 eps = shuffle_sign(a, b)
                 mid = g.vertex + data.d_of(a)
                 if b:  # w_{j,A} . x_{mid,B}
-                    add_term(el, ((), omega_gen_name(g.vertex, a), (mckay_arrow_name(mid, b),)), (-1) ** len(a) * eps)
+                    add_term(el, (omega_gen_name(g.vertex, a), mckay_arrow_name(mid, b)), (-1) ** len(a) * eps)
                 if a:  # - x_{j,A} . w_{mid,B}
-                    add_term(el, ((mckay_arrow_name(g.vertex, a),), omega_gen_name(mid, b), ()), -eps)
+                    add_term(el, (mckay_arrow_name(g.vertex, a), omega_gen_name(mid, b)), -eps)
         if el:
             d_on[g.name] = el
     return OmegaTilde(s, tuple(gens), d_on)
@@ -271,31 +261,28 @@ def build_omega_tilde(s: SplitModel) -> OmegaTilde:
 # the pairing element omega in OmegaTilde (x) D, up to super-cyclic rotation
 
 
-TraceTerm = tuple[str, tuple[str, ...]]  # generator name, closing word in the full quiver
-TraceElement = dict[TraceTerm, Scalar]
-
-
-def _omega_element(ot: OmegaTilde) -> TraceElement:
+def _omega_element(ot: OmegaTilde) -> dict[Word, Scalar]:
     data = ot.split_model.data
     full = set(range(1, data.n + 1))
-    el: TraceElement = {}
+    el: dict[Word, Scalar] = {}
     for g in ot.generators:
         comp = tuple(sorted(full - set(g.subset)))
         coeff = (1 if len(g.subset) % 2 else -1) * shuffle_sign(g.subset, comp)
-        add_term(el, (g.name, (mckay_arrow_name(g.target, comp),)), coeff)
+        add_term(el, (g.name, mckay_arrow_name(g.target, comp)), coeff)
     return el
 
 
-def _trace_d(ot: OmegaTilde, el: TraceElement) -> TraceElement:
+def _trace_d(ot: OmegaTilde, el: dict[Word, Scalar]) -> dict[Word, Scalar]:
     """Differential on OmegaTilde (x)_{E^e} D: ot.d of the bimodule
     element g.word, each term u.g2.v then rotated to the canonical form
     g2 (x) v.u with the Koszul sign (-1)^{|u| (|g2| + |v|)} of moving u
     across the rest of the term."""
-    odd_gens, odd_arrows = ot._odd
-    out: TraceElement = {}
-    for (u, g2, v), c in ot.d({((), gname, word): c for (gname, word), c in el.items()}).items():
-        odd = _parity(u, odd_arrows) and ((g2 in odd_gens) + _parity(v, odd_arrows)) % 2
-        add_term(out, (g2, v + u), -c if odd else c)
+    odd = ot._letters[1]
+    out: dict[Word, Scalar] = {}
+    for w, c in ot.d(el).items():
+        i = next(i for i, a in enumerate(w) if a in ot.by_name)
+        u, rest = w[:i], w[i:]
+        add_term(out, rest + u, -c if _parity(u, odd) and _parity(rest, odd) else c)
     return out
 
 
@@ -311,20 +298,20 @@ def build_and_check_omega(ot: OmegaTilde) -> dict:
     omega = _omega_element(ot)
     by_name = ot.by_name
 
-    for (gname, word), c in omega.items():
+    for (gname, *word), c in omega.items():
         h = by_name[gname].hdeg + sum(q.arrow(a).hdeg for a in word)
         if h != -n + 1:
-            return _fail("omega", {"term": (gname, list(word)), "hdeg": h, "expected": -n + 1})
+            return _fail("omega", {"term": (gname, word), "hdeg": h, "expected": -n + 1})
 
     residue = _trace_d(ot, omega)
     if residue:
         term, c = next(iter(sorted(residue.items())))
-        return _fail("omega", {"d_omega_term": (term[0], list(term[1])), "coeff": str(c)})
+        return _fail("omega", {"d_omega_term": (term[0], list(term[1:])), "coeff": str(c)})
 
     pairing: dict[str, tuple[str, Scalar]] = {}
-    for (gname, word), c in omega.items():
+    for (gname, *word), c in omega.items():
         if len(word) != 1 or gname in pairing:
-            return _fail("omega", {"reason": "pairing is not a matching", "term": (gname, list(word))})
+            return _fail("omega", {"reason": "pairing is not a matching", "term": (gname, word)})
         pairing[gname] = (word[0], c)
     partners = [p for p, _c in pairing.values()]
     if set(pairing) != {g.name for g in ot.generators}:

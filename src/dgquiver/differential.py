@@ -5,7 +5,8 @@ Leibniz rule
 
     d(a1 ... ak) = sum_i (-1)^{hdeg(a1...a_{i-1})} a1...a_{i-1} d(a_i) a_{i+1}...ak
 
-with d(e_v) = 0.
+with d(e_v) = 0.  leibniz is the one loop of this rule, on words over any
+letters: a model's arrows, and in cy also the bimodule's generators.
 """
 
 from __future__ import annotations
@@ -16,6 +17,24 @@ from typing import Mapping
 
 from .core import AlgebraElement, GradedQuiver, Path, Scalar, Vertex, add_term, int_if_integral, restrict
 from .errors import InvalidInputError
+
+
+def leibniz(word: tuple[str, ...], images: Mapping[str, tuple], odd: frozenset[str]) -> dict[tuple[str, ...], Scalar]:
+    """d of the word by the graded Leibniz rule, given {letter: ((mid
+    word, coeff), ...)} for the letters of nonzero d and the letters of
+    odd hdeg; coefficients stay int while integral."""
+    out: dict[tuple[str, ...], Scalar] = {}
+    sign = 1
+    for i, name in enumerate(word):
+        image = images.get(name)
+        if image:
+            pre = word[:i]
+            post = word[i + 1 :]
+            for mid, c in image:
+                add_term(out, pre + mid + post, c if sign > 0 else -c)
+        if name in odd:
+            sign = -sign
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,22 +86,9 @@ class Differential:
         return frozenset(smaller), least
 
     def apply_to_word(self, word: tuple[str, ...]) -> dict[tuple[str, ...], Scalar]:
-        """d of the path with these arrows by the Leibniz rule, keyed by
-        arrow words (every term starts where the path does); coefficients
-        stay int while integral."""
-        images, odd = self._compiled
-        out: dict[tuple[str, ...], Scalar] = {}
-        sign = 1
-        for i, name in enumerate(word):
-            image = images.get(name)
-            if image:
-                pre = word[:i]
-                post = word[i + 1 :]
-                for mid, c in image:
-                    add_term(out, pre + mid + post, c if sign > 0 else -c)
-            if name in odd:
-                sign = -sign
-        return out
+        """d of the path with these arrows (leibniz), keyed by arrow words
+        (every term starts where the path does)."""
+        return leibniz(word, *self._compiled)
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         """d(u) by the Leibniz rule, accumulated on (start, arrow word)

@@ -443,6 +443,8 @@ def compare_h0(
                 vmap[v] = v
             else:
                 raise InvalidInputError(f"unmapped vertex {v!r}")
+    if len({vmap[v] for v in h0.quiver.vertices}) != len(h0.quiver.vertices):
+        raise InvalidInputError("vertex map sends two vertices to one")
 
     left = truncated_dims(h0, nadams, cap)
     right = truncated_dims(pres, nadams, cap)

@@ -56,7 +56,8 @@ def quiver_to_json(q: GradedQuiver) -> dict:
 
 def _exact(value, *types):
     """value if its type is one of types: a JSON float or bool is no exact
-    number, and a vertex id is read as _exact(v, str, int)."""
+    number, "aa" is no word; vertex ids are read as _exact(v, str, int),
+    arrow ids as _exact(a, str), paths and cycles as _exact(p, list)."""
     if type(value) not in types:
         raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
     return value
@@ -65,7 +66,7 @@ def _exact(value, *types):
 def quiver_from_json(doc: dict) -> GradedQuiver:
     with _reading("quiver"):
         arrows = tuple(
-            Arrow(a["id"], _exact(a["source"], str, int), _exact(a["target"], str, int),
+            Arrow(_exact(a["id"], str), _exact(a["source"], str, int), _exact(a["target"], str, int),
                   _exact(a["hdeg"], int), _exact(a["adeg"], int), a.get("label", ""))
             for a in doc["arrows"]
         )
@@ -85,7 +86,7 @@ def element_from_json(quiver: GradedQuiver, doc: list, coeffs: dict | None = Non
     terms = {}
     with _reading("element"):
         for t in doc:
-            p = Path(_exact(t["start"], str, int), tuple(t["path"]))
+            p = Path(_exact(t["start"], str, int), tuple(_exact(t["path"], list)))
             if not quiver.is_valid_path(p):
                 raise InvalidInputError(f"invalid path in element: {t}")
             raw = _exact(t["coeff"], str, int)
@@ -158,7 +159,7 @@ def potential_from_json(quiver: GradedQuiver, doc: list) -> Superpotential:
     terms = {}
     with _reading("potential"):
         for t in doc:
-            cycle = tuple(t["cycle"])
+            cycle = tuple(_exact(t["cycle"], list))
             if not cycle:
                 raise InvalidInputError("empty cycle in potential")
             p = Path(quiver.arrow(cycle[0]).source, cycle)

@@ -537,10 +537,10 @@ def old_check_d_squared(d: Differential) -> dict:
 # and normal forms keyed by Path) and the Path-keyed bimodule Leibniz loop
 # of dgquiver.cy (OmegaTilde.d and _trace_d), kept as oracles for the
 # arrow-word loops that replaced them.  The two cy loops keep their logic
-# on Path keys and Fraction coefficients, but read and return the
-# word-keyed bimodule terms of the library, turning each word into its
-# Path at the boundary.  They differentiate paths with old_apply_to_path
-# above, so they share no Leibniz loop with the library.
+# on Path keys and Fraction coefficients, but read and return the flat
+# bimodule words of the library, split at their generator letter and
+# turned into Paths at the boundary.  They differentiate paths with
+# old_apply_to_path above, so they share no Leibniz loop with the library.
 
 
 def old_path_truncated_dims(
@@ -630,11 +630,12 @@ def old_path_truncated_dims(
     return dims
 
 
-def _path_term(ot, term: tuple) -> tuple:
-    """(left path, generator name, right path) of the word-keyed bimodule
-    term (left word, generator name, right word)."""
+def _path_term(ot, word: tuple) -> tuple:
+    """(left path, generator name, right path) of the bimodule word
+    u + (g,) + v, split at its generator letter g."""
     q = ot.split_model.model.quiver
-    u, g, v = term
+    i = next(i for i, a in enumerate(word) if a in ot.by_name)
+    u, g, v = word[:i], word[i], word[i + 1 :]
     gen = ot.by_name[g]
     return (
         Path(q.arrow(u[0]).source if u else gen.vertex, u),
@@ -675,7 +676,7 @@ def old_omega_tilde_d(ot, el: dict) -> dict:
         sign_ug = -1 if (q.path_hdeg(u) + by_name[g].hdeg) % 2 else 1
         for v2, cv in old_apply_to_path(dd, v).items():
             add((u, g, v2), c * sign_u * sign_ug * cv)
-    return {(u.arrows, g, v.arrows): c for (u, g, v), c in out.items()}
+    return {u.arrows + (g,) + v.arrows: c for (u, g, v), c in out.items()}
 
 
 def old_trace_d(ot, el: dict) -> dict:
@@ -694,7 +695,8 @@ def old_trace_d(ot, el: dict) -> dict:
         else:
             out.pop(term, None)
 
-    for (gname, word), c in el.items():
+    for key, c in el.items():
+        gname, word = key[0], key[1:]
         g = by_name[gname]
         word_hdeg = sum(q.arrow(a).hdeg for a in word)
         # d on the OmegaTilde factor
@@ -702,12 +704,12 @@ def old_trace_d(ot, el: dict) -> dict:
             # u . g2 . v (x) word  ~  (-1)^{|u| (|g2| + |v| + |word|)} g2 (x) v word u
             rest_hdeg = by_name[g2].hdeg + q.path_hdeg(v) + word_hdeg
             sign = -1 if (q.path_hdeg(u) * rest_hdeg) % 2 else 1
-            add((g2, v.arrows + word + u.arrows), c * cg * sign)
+            add((g2,) + v.arrows + word + u.arrows, c * cg * sign)
         # (-1)^{|g|} g (x) d(word)
         sign_g = -1 if g.hdeg % 2 else 1
         dword = old_apply_to_path(d_full, Path(g.target, word))
         for p, cw in dword.items():
-            add((gname, p.arrows), c * sign_g * cw)
+            add((gname,) + p.arrows, c * sign_g * cw)
     return out
 
 

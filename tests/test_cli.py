@@ -215,6 +215,26 @@ def test_compare_h0_map_refuses_a_vertex_id_that_is_no_string_or_integer(capsys,
     assert code == 0 and json.loads(out)["status"] == "pass"
 
 
+def test_compare_h0_refuses_a_vertex_map_that_is_not_injective(capsys, tmp_path):
+    """Vertices 1 and 2 with a loop x at 1, mapped onto the one vertex of
+    k[x]: e_2 would be lost and compare-h0 would pass with total_dim 3,
+    though H^0 of the model has dimension 4 at the truncation 2."""
+    loop = {"id": "x", "source": 1, "target": 1, "hdeg": 0, "adeg": 1}
+    files = {
+        "model": {"quiver": {"vertices": [1, 2], "arrows": [loop]}, "differential": {}},
+        "presentation": {"quiver": {"vertices": [1], "arrows": [loop]}, "relators": []},
+        "map": {"arrows": {"x": "x"}, "vertices": {"2": 1}},
+    }
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "compare-h0", "--model", str(tmp_path / "model.json"), "--presentation", str(tmp_path / "presentation.json"),
+        "--map", str(tmp_path / "map.json"), "--adams-max", "2",
+    )
+    assert (code, out) == (2, "")
+    assert "two vertices to one" in err
+
+
 def test_cy_check_command(capsys):
     code, out, _ = run(capsys, "cy-check", "--m", "3", "--weights", "1,1,1", "--adams-max", "4")
     assert code == 0

@@ -3,6 +3,7 @@ bimodule of noncommutative differentials and the pairing element, with
 its word-keyed Leibniz loops against the Path-based ones they replaced
 and against broken copies of d and omega."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -120,8 +121,8 @@ def test_omega_tilde_generators_m3():
     # d(w_{1,{i}}) = w_{1,()} . x_{1,{i}} - x_{1,{i}} . w_{2,()}
     d = ot.d_on_generators[omega_gen_name(1, (1,))]
     assert d == {
-        ((), omega_gen_name(1, ()), (mckay_arrow_name(1, (1,)),)): 1,
-        ((mckay_arrow_name(1, (1,)),), omega_gen_name(2, ()), ()): -1,
+        (omega_gen_name(1, ()), mckay_arrow_name(1, (1,))): 1,
+        (mckay_arrow_name(1, (1,)), omega_gen_name(2, ())): -1,
     }
     assert all(type(c) is int for el in ot.d_on_generators.values() for c in el.values())
 
@@ -138,7 +139,7 @@ def test_omega_m3_pair_structure():
     omega = _omega_element(ot)
     assert len(omega) == 5
     # every generator is paired against exactly one descending arrow
-    partners = {word[0] for (_g, word) in omega}
+    partners = {partner for (_g, partner) in omega}
     assert partners == set(s.descending)
 
 
@@ -172,7 +173,7 @@ def test_cy_check_pipeline():
 
 
 def _generator(g) -> dict:
-    return {((), g.name, ()): 1}
+    return {(g.name,): 1}
 
 
 @pytest.mark.parametrize("m, weights", CY_CASES)
@@ -203,7 +204,7 @@ def test_check_d_squared_names_the_generator_with_a_flipped_sign():
     ot = build_omega_tilde(build_split(McKayData(4, (1, 1, 1, 1))))
     # only later generators' d involve a generator at vertex 1, so it fails first
     g = next(g for g in ot.generators if g.vertex == 1 and len(g.subset) == 2)
-    term = next(t for t in ot.d_on_generators[g.name] if ot.by_name[t[1]].subset)
+    term = next(t for t in ot.d_on_generators[g.name] if any(ot.by_name[a].subset for a in t if a in ot.by_name))
     d_on = dict(ot.d_on_generators)
     d_on[g.name] = {t: -c if t == term else c for t, c in d_on[g.name].items()}
     bad = OmegaTilde(ot.split_model, ot.generators, d_on)
@@ -222,6 +223,28 @@ def test_doubled_omega_coefficient_leaves_a_residue():
     for term in omega:
         doubled = {t: 2 * c if t == term else c for t, c in omega.items()}
         assert _trace_d(ot, doubled)
+
+
+def test_broken_omega_reports_its_witness():
+    """The full omega reports of (4;1111) with the first term of d(w1_12)
+    sign-flipped, and with the first generator's hdeg lowered by one."""
+    ot = build_omega_tilde(build_split(McKayData(4, (1, 1, 1, 1))))
+    g = next(g for g in ot.generators if g.vertex == 1 and len(g.subset) == 2)
+    first = next(iter(ot.d_on_generators[g.name]))
+    d_on = dict(ot.d_on_generators)
+    d_on[g.name] = {t: -c if t == first else c for t, c in d_on[g.name].items()}
+    assert build_and_check_omega(OmegaTilde(ot.split_model, ot.generators, d_on)) == {
+        "check": "omega",
+        "status": "fail",
+        "witness": {"d_omega_term": ("w1_e", ["x1_12", "x3_34"]), "coeff": "2"},
+    }
+    g0 = ot.generators[0]
+    lowered = (replace(g0, hdeg=g0.hdeg - 1),) + ot.generators[1:]
+    assert build_and_check_omega(OmegaTilde(ot.split_model, lowered, ot.d_on_generators)) == {
+        "check": "omega",
+        "status": "fail",
+        "witness": {"term": ("w1_e", ["x1_1234"]), "hdeg": -4, "expected": -3},
+    }
 
 
 def test_cy_check_builds_one_omega_tilde(monkeypatch):
@@ -248,7 +271,7 @@ def test_d_squared_vanishes_on_two_sided_terms():
     for g in ot.generators:
         for x in (a for a in arrows if a.target == g.vertex):
             for y in (a for a in arrows if a.source == g.target):
-                el = {((x.name,), g.name, (y.name,)): 1}
+                el = {(x.name, g.name, y.name): 1}
                 assert ot.d(ot.d(el)) == {}
                 old_fails += bool(old_omega_tilde_d(ot, old_omega_tilde_d(ot, el)))
     assert old_fails

@@ -99,11 +99,13 @@ def _argv(command: str, files: dict, delete: str | None) -> list[str]:
 
 
 def _exact_values(doc) -> bool:
-    """Whether every degree of a JSON document is an integer, and every
+    """Whether every degree of a JSON document is an integer, every
     coefficient and every vertex id (an arrow's source or target, a
     term's start, an entry of a quiver's vertex list or of a map's vertex
-    object) a string or an integer, judged on the JSON types alone, so
-    that a reader that accepts floats or booleans disagrees with it."""
+    object) a string or an integer, every arrow id a string and every
+    path and cycle a list, judged on the JSON types alone, so that a
+    reader that accepts floats, booleans, integer arrow ids or string
+    words disagrees with it."""
     if isinstance(doc, list):
         return all(_exact_values(v) for v in doc)
     if not isinstance(doc, dict):
@@ -112,6 +114,8 @@ def _exact_values(doc) -> bool:
         if key in ("hdeg", "adeg") and type(value) is not int:
             return False
         if key in ("coeff", "source", "target", "start") and type(value) not in (str, int):
+            return False
+        if (key == "id" and type(value) is not str) or (key in ("path", "cycle") and type(value) is not list):
             return False
         if key == "vertices" and isinstance(value, (list, dict)):
             if any(type(v) not in (str, int) for v in (value.values() if isinstance(value, dict) else value)):

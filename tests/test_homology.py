@@ -217,6 +217,25 @@ def test_compare_h0_requires_total_generator_map():
         compare_h0(model, pres, 4, arrow_map={n: names[0] for n in names})
 
 
+def _loop_at_1(vertices: tuple) -> GradedQuiver:
+    return GradedQuiver(vertices, (Arrow("x", 1, 1, 0, 1),))
+
+
+def test_compare_h0_refuses_a_vertex_map_that_is_not_injective():
+    """Sending e_2 onto e_1 would drop e_2 from the mapped table, and the
+    tables would agree on the dimension 3 of k[x]/x^3 at the truncation
+    2, though H^0 of the model has dimension 4."""
+    model = DGModel(_loop_at_1((1, 2)), Differential(_loop_at_1((1, 2)), {}))
+    pres = PresentedAlgebra(_loop_at_1((1,)), ())
+    with pytest.raises(InvalidInputError, match="two vertices to one"):
+        compare_h0(model, pres, 2, vertex_map={2: 1})
+    # injective onto part of the presentation's vertices: the tables differ
+    wider = PresentedAlgebra(_loop_at_1((1, 2, 3)), ())
+    report = compare_h0(model, wider, 2, vertex_map={2: 3})
+    assert report["status"] == "fail"
+    assert report["witness"] == {"source": 2, "target": 2, "adeg": 0, "model_dim": 0, "presentation_dim": 1}
+
+
 def test_resource_cap():
     model = polynomial_model(3)
     with pytest.raises(ResourceLimitError):

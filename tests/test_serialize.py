@@ -153,3 +153,49 @@ def test_exact_coefficients_are_read():
     el = serialize.element_from_json(q, doc)
     assert el.terms == {Path(0, ("x1",)): Fraction(1, 10), Path(0, ("x2",)): Fraction(-3)}
     assert serialize.element_to_json(el)[0]["coeff"] == "1/10"
+
+
+def _rename_arrow(doc, old: str, new) -> None:
+    """Rename the arrow old to new in its quiver entry and in every path."""
+    if isinstance(doc, list):
+        for i, v in enumerate(doc):
+            if v == old:
+                doc[i] = new
+            else:
+                _rename_arrow(v, old, new)
+    elif isinstance(doc, dict):
+        if doc.get("id") == old:
+            doc["id"] = new
+        for v in doc.values():
+            _rename_arrow(v, old, new)
+
+
+def test_integer_arrow_id_exits_2(tmp_path, capsys):
+    """An arrow id is a JSON string: the integer 7 made verify pass and
+    cohomology raise a TypeError while it sorted the arrow names."""
+    doc = _deleted_doc()
+    _rename_arrow(doc, "x1_1", 7)
+    assert any(a["id"] == 7 for a in doc["quiver"]["arrows"])
+    code, err = _verify(tmp_path, capsys, doc)
+    assert code == 2 and err.startswith("error: malformed quiver")
+    path = tmp_path / "model.json"
+    assert main(["cohomology", "--model", str(path), "--hmin", "-2", "--adams-max", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed quiver")
+
+
+def test_string_path_and_cycle_are_refused(tmp_path, capsys):
+    """A path or a cycle is a JSON list of arrow ids: the string "aa" is
+    not read as the word a.a, nor "aaa" as a 3-cycle."""
+    arrows = [
+        {"id": "a", "source": 0, "target": 0, "hdeg": 0, "adeg": 1},
+        {"id": "b", "source": 0, "target": 0, "hdeg": -1, "adeg": 2},
+    ]
+    doc = {"quiver": {"vertices": [0], "arrows": arrows}, "differential": {"b": [{"start": 0, "path": "aa", "coeff": "1"}]}}
+    code, err = _verify(tmp_path, capsys, doc)
+    assert code == 2 and err.startswith("error: malformed")
+    doc["differential"]["b"][0]["path"] = ["a", "a"]
+    assert _verify(tmp_path, capsys, doc)[0] == 0
+    q = serialize.quiver_from_json({"vertices": [0], "arrows": arrows[:1]})
+    with pytest.raises(InvalidInputError, match="malformed potential"):
+        serialize.potential_from_json(q, [{"coeff": "1", "cycle": "aaa"}])
+    assert serialize.potential_from_json(q, [{"coeff": "1", "cycle": ["a", "a", "a"]}]).terms == {Path(0, ("a", "a", "a")): 1}
