@@ -87,6 +87,13 @@ def _stream_slices(
     computed then, from the leads of the levels within the largest arrow
     adeg below it, the only ones kept.  With the default leads every
     lead is -1.
+
+    Most blocks need no per-word work, so each is appended whole when it
+    can be: as a copy of the parent's leads when these are all -1 and
+    d(y) = 0, as the range walk, walk + 1, ... when no parent word is
+    fixed and d(y) != 0, and as the parent's leads shifted by the block
+    offset when every one of them is fixed or, with d(y) = 0, is not -1.
+    Only a block whose parent mixes the two cases is built word by word.
     """
     cap = path_cap(cap)
     smaller, least = leads
@@ -98,17 +105,24 @@ def _stream_slices(
         levels: list[dict[tuple[int, Vertex], tuple[list[Word], list]]] = [{} for _ in range(nadams + 1)]
         levels[0][(0, s)] = ([()], [])
         offset: dict[tuple[int, int, Vertex, str], int] = {}  # (hdeg, adeg, target, arrow) of a block
-        kept: dict[int, dict[tuple[int, Vertex], tuple[array, bytearray]]] = {}
+        # kept[a][(h, t)]: the leads and fixed flags of a bucket, with the
+        # count of its -1 leads and of its fixed words
+        kept: dict[int, dict[tuple[int, Vertex], tuple[array, bytearray, int, int]]] = {}
         for a in range(nadams + 1):
             level: dict[tuple[int, Vertex], Bucket] = {}
             for (h, t), (words, blocks) in levels[a].items():
                 _check_cap((h, a, s, t), words, cap)
                 lead, fixed = (array("q"), bytearray()) if blocks else (array("q", [-1]), bytearray(1))
                 for ph, pt, pa, y in blocks:
-                    plead, pfixed = kept[pa][(ph, pt)]
+                    plead, pfixed, zero, nfixed = kept[pa][(ph, pt)]
                     k = offset.get((ph + 1, pa, pt, y))
                     if y not in least:
-                        lead.extend([l + k if l >= 0 else -1 for l in plead])
+                        if zero == len(plead):
+                            lead.extend(plead)
+                        elif not zero:
+                            lead.extend([l + k for l in plead])
+                        else:
+                            lead.extend([l + k if l >= 0 else -1 for l in plead])
                         fixed += pfixed
                         continue
                     walk, wh, wa, wt = 0, ph, pa, pt
@@ -121,11 +135,16 @@ def _stream_slices(
                         wt = None
                     if (wh, wa, wt) != (h + 1, a, t):
                         raise InvalidInputError(f"d({y}) has a term of another bidegree or endpoints than {y}")
-                    lead.extend([l + k if f else walk + i for i, (l, f) in enumerate(zip(plead, pfixed))])
+                    if not nfixed:
+                        lead.extend(range(walk, walk + len(plead)))
+                    elif nfixed == len(pfixed):
+                        lead.extend([l + k for l in plead])
+                    else:
+                        lead.extend([l + k if f else walk + i for i, (l, f) in enumerate(zip(plead, pfixed))])
                     fixed += b"\x01" * len(pfixed) if y in smaller else pfixed
                 level[(h, t)] = (words, lead, fixed)
             levels[a] = {}  # once yielded, the caller may drop the level
-            kept[a] = {key: (lead, fixed) for key, (_words, lead, fixed) in level.items()}
+            kept[a] = {key: (lead, fixed, lead.count(-1), fixed.count(1)) for key, (_words, lead, fixed) in level.items()}
             kept.pop(a - span, None)
             for (h, t), (words, _lead, _fixed) in level.items():
                 for arr in quiver.out_arrows(t):
@@ -443,6 +462,8 @@ def compare_h0(
                 vmap[v] = v
             else:
                 raise InvalidInputError(f"unmapped vertex {v!r}")
+        elif vmap[v] not in pres.quiver.vertices:
+            raise InvalidInputError(f"vertex {v!r} maps to unknown vertex {vmap[v]!r}")
     if len({vmap[v] for v in h0.quiver.vertices}) != len(h0.quiver.vertices):
         raise InvalidInputError("vertex map sends two vertices to one")
 

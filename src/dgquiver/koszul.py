@@ -9,8 +9,9 @@ case m = 1; the commutation presentation takes |S| <= 2, with the
 singletons as arrows and the d of the pairs as relators.
 
 The J_n lattice runs on the word ids of core.WordIds, as truncated_dims
-does, with int coefficients while integral; each basis is decoded to
-rows {arrow word: coefficient}, pivot first, once, and compute_Jn and
+does, and on integer rows, the integer RREF of linalg, whatever the
+relators' coefficients; each basis is normalized and decoded to rows
+{arrow word: coefficient}, pivot first, once, and compute_Jn and
 minimal_model_general build AlgebraElements from those once, at the end.
 """
 
@@ -226,6 +227,14 @@ def _jn_series(pres: QuadraticPresentation | PresentedAlgebra) -> Iterator[list[
     compute_Jn.  A PresentedAlgebra must be quadratic: arrows of degree
     (0, 1) and relators of length 2, as a QuadraticPresentation checks.
 
+    From J_2 on, the recursion carries the integer RREF of linalg, the
+    primitive integer multiples of the RREF rows: the rows b*y and x*b of
+    an integer row are integer rows, so every intersection runs on ints,
+    whatever the relators' coefficients.  A rational row space has one
+    integer RREF, as it has one RREF, so each basis is normalized once,
+    by linalg.normalize, when it is yielded, and what is yielded is the
+    RREF over Q.
+
     The recursion runs on core.WordIds ids, so every RREF basis over the
     ids is the one over the paths.  For a row b with words w of length L,
     the rows b*y have the ids id(w)*B + rn(y), and the rows x*b the ids
@@ -245,11 +254,11 @@ def _jn_series(pres: QuadraticPresentation | PresentedAlgebra) -> Iterator[list[
 
     yield [{(name,): 1} for name in names]
     words = {ids.of(Path(a.source, (a.name,))): (a.name,) for a in q.arrows}
-    basis = linalg.row_reduce([{ids.of(p): c for p, c in r.terms.items()} for r in pres.relators])
+    basis = linalg.rref([{ids.of(p): c for p, c in r.terms.items()} for r in pres.relators])
     top = base * base  # B^L, L the length of the words of basis
     while True:
         words = {k: words[k // base] + (names[k % base],) for row in basis for k in row}
-        yield [{words[min(row)]: 1} | {words[k]: c for k, c in row.items()} for row in basis]
+        yield [{words[min(row)]: 1} | {words[k]: c for k, c in linalg.normalize(row).items()} for row in basis]
         if basis:
             left, right = [], []
             for b in basis:
@@ -302,7 +311,11 @@ def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
     all, splitting each word at i and looking both halves up among the
     pivots.  The membership is still checked: b minus the sum of c*va*vb
     over the read-off c must vanish, which holds exactly when b lies in
-    the span of the products."""
+    the span of the products.  That residual runs in ints: every row is
+    scaled by linalg._integral to an integer row, which is the row times
+    its pivot entry, and each (b, i) takes one common multiplier, a
+    multiple of the products of the pivot entries of the found va and vb,
+    so that the residual times it is a sum of integer rows."""
     if nmax < 2:
         raise InvalidInputError("need nmax >= 2")
     q = pres.quiver
@@ -320,21 +333,31 @@ def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
             arrows.append(gen[(n, k)])
     quiver = GradedQuiver(q.vertices, tuple(arrows))
 
+    # each basis row v as the integer row s*v, and s, its pivot entry, as
+    # every row v has 1 at its pivot
+    scaled = {n: [linalg._integral(b) for b in basis] for n, basis in words.items()}
+    scale = {n: [r[next(iter(r))] for r in rows] for n, rows in scaled.items()}
+
     on_arrows: dict[str, AlgebraElement] = {}
     for n in range(2, nmax + 1):
         for k, b in enumerate(words[n]):
             terms: dict[Path, Scalar] = {}
+            ib = scaled[n][k]
             for i in range(1, n):
                 left, right = pivots[i], pivots[n - i]
-                found = sorted(
-                    (left[w[:i]], right[w[i:]], c) for w, c in b.items() if w[:i] in left and w[i:] in right
-                )
-                rest = dict(b)
-                for ka, kb, c in found:
-                    for wa, ca in words[i][ka].items():
-                        for wb, cb in words[n - i][kb].items():
-                            add_term(rest, wa + wb, -c * ca * cb)
+                found = sorted((left[w[:i]], right[w[i:]], w) for w in b if w[:i] in left and w[i:] in right)
+                # ib = t*b for an int t > 0 and va*vb = (sa*va)*(sb*vb)/(sa*sb),
+                # so with m a common multiple of the sa*sb, rest is m*t times
+                # b - sum b[w]*va*vb, in ints
+                m = math.lcm(*(scale[i][ka] * scale[n - i][kb] for ka, kb, _w in found))
+                rest = {w: m * c for w, c in ib.items()}
+                for ka, kb, w in found:
+                    f = -ib[w] * (m // (scale[i][ka] * scale[n - i][kb]))
+                    for wa, ca in scaled[i][ka].items():
+                        for wb, cb in scaled[n - i][kb].items():
+                            add_term(rest, wa + wb, f * ca * cb)
                     ga, gb = gen[(i, ka)], gen[(n - i, kb)]
+                    c = b[w]
                     terms[Path(ga.source, (ga.name, gb.name))] = c if i % 2 else -c
                 if rest:
                     raise RuntimeError(

@@ -6,20 +6,30 @@ any non-negative ints.  Each incoming row is first cleared of
 denominators, and elimination then runs on integer rows: a pivot entry
 of 1 gives a plain integer axpy, any other pivot entry a gcd-scaled
 cross-multiplication (Bareiss, Math. Comp. 22, 1968), and every pivot
-row is divided by its content gcd.  Results are int while integral: an
-RREF entry is an int when the pivot entry of its integer row divides it
-and a ``Fraction`` only otherwise, so integral input never builds a
-``Fraction``.  There is no floating point anywhere.  Pivoting is always
-on the smallest column index, so every result is deterministic given
-the column indexing.
+row is divided by its content gcd.  There is no floating point
+anywhere.  Pivoting is always on the smallest column index, so every
+result is deterministic given the column indexing.
 
-Public functions: ``pivot_columns``, the pivot columns of a row space,
-which ``cohomology_dims`` calls only when two images of one step share a
-leading word (otherwise those words are the pivots) and whose result it
-skips in the next differential (clearing); its count is the rank;
-``row_reduce``; and ``intersect_rowspaces``, behind the J_n lattice,
-which eliminates each spanning row of the first space with a unit that
-tracks its combination rather than with a copy of the row.
+The one reduced form is the integer RREF: the rows of the reduced row
+echelon basis, each scaled to its primitive integer multiple, with a
+positive pivot entry, sorted by pivot column.  It is unique for the row
+space and the column indexing, as the reduced basis is, and it holds
+only ints whatever the input.  Public functions:
+
+- ``rref``, the integer RREF of a row space;
+- ``normalize``, an integer row divided by its pivot entry: an int where
+  the pivot entry divides the entry and a ``Fraction`` only otherwise;
+- ``row_reduce``, the reduced row echelon basis, ``normalize`` of each
+  row of ``rref``, so integral input never builds a ``Fraction``;
+- ``intersect_rowspaces``, behind the J_n lattice, which returns the
+  integer RREF of the intersection as it is: it eliminates each
+  spanning row of the first space with a unit that tracks its
+  combination rather than with a copy of the row, so integer rows in
+  give integer arithmetic throughout;
+- ``pivot_columns``, the pivot columns of a row space, which
+  ``cohomology_dims`` calls only when two images of one step share a
+  leading word (otherwise those words are the pivots) and whose result
+  it skips in the next differential (clearing); its count is the rank.
 """
 
 from __future__ import annotations
@@ -104,14 +114,10 @@ def pivot_columns(rows: Iterable[SparseVec]) -> set[int]:
     return set(_echelon(rows))
 
 
-def row_reduce(rows: Iterable[SparseVec]) -> list[SparseVec]:
-    """Reduced row echelon basis of the row space, sorted by pivot column.
-
-    Each entry is an int when it is integral and a Fraction otherwise.
-    Each row is its primitive integer kernel row divided by the row's
-    pivot entry p > 0: the kernel row itself when p = 1, and otherwise
-    v // p for each entry v that p divides and Fraction(v, p) for the
-    rest."""
+def rref(rows: Iterable[SparseVec]) -> list[IntVec]:
+    """The integer RREF of the row space: primitive integer rows with a
+    positive pivot entry and 0 at every other row's pivot, sorted by
+    pivot column."""
     pivots = _echelon(rows)
     # Back-substitution, last pivot first: each row with a larger pivot is
     # already reduced, so clearing its pivot column adds only non-pivot
@@ -123,16 +129,27 @@ def row_reduce(rows: Iterable[SparseVec]) -> list[SparseVec]:
             _eliminate(r, k, pivots[k])
         if later:
             pivots[c] = _primitive(r)
-    out = []
-    for c, r in sorted(pivots.items()):
-        p = r[c]
-        out.append(r if p == 1 else {k: v // p if v % p == 0 else Fraction(v, p) for k, v in r.items()})
-    return out
+    return [pivots[c] for c in sorted(pivots)]
 
 
-def intersect_rowspaces(u_rows: list[SparseVec], w_rows: Iterable[SparseVec], ncols: int) -> list[SparseVec]:
-    """RREF basis of U ∩ W, U and W the row spaces of u_rows and w_rows,
-    every column below ncols.
+def normalize(row: IntVec) -> SparseVec:
+    """An integer row divided by its pivot entry p, its entry at its
+    smallest column: the row itself when p = 1, and otherwise v // p for
+    each entry v that p divides and Fraction(v, p) for the rest."""
+    p = row[min(row)]
+    return row if p == 1 else {k: v // p if v % p == 0 else Fraction(v, p) for k, v in row.items()}
+
+
+def row_reduce(rows: Iterable[SparseVec]) -> list[SparseVec]:
+    """Reduced row echelon basis of the row space, sorted by pivot column:
+    each row of rref normalized, so each entry is an int when it is
+    integral and a Fraction otherwise."""
+    return [normalize(r) for r in rref(rows)]
+
+
+def intersect_rowspaces(u_rows: list[SparseVec], w_rows: Iterable[SparseVec], ncols: int) -> list[IntVec]:
+    """The integer RREF of U ∩ W, U and W the row spaces of u_rows and
+    w_rows, every column below ncols.
 
     Zassenhaus on combinations: reduce the rows (u_i | e_i) and (w_j | 0),
     the unit e_i at column ncols + i.  Every row of their span is
@@ -141,7 +158,9 @@ def intersect_rowspaces(u_rows: list[SparseVec], w_rows: Iterable[SparseVec], nc
     above ncols span the c of all such rows.  Their expansions
     sum c_i u_i therefore span U ∩ W; a zero expansion comes from a
     dependence among the u_i and is dropped.  Only the unit, not a copy
-    of u_i, rides in the right half, and every step is exact."""
+    of u_i, rides in the right half, and every step is exact.  The c are
+    integers, so integer rows in build no Fraction anywhere; rows with
+    Fraction entries are cleared of denominators first, as everywhere."""
     stacked = chain(({**u, ncols + i: 1} for i, u in enumerate(u_rows)), w_rows)
     inter = []
     for piv, row in _echelon(stacked).items():
@@ -153,4 +172,4 @@ def intersect_rowspaces(u_rows: list[SparseVec], w_rows: Iterable[SparseVec], nc
                 add_term(acc, k, c * v)
         if acc:
             inter.append(acc)
-    return row_reduce(inter)
+    return rref(inter)

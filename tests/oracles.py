@@ -365,7 +365,7 @@ def old_compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
     for i in range(1, n - 1):
         if not basis:
             return []
-        basis = linalg.intersect_rowspaces(basis, factor_space(i), len(paths))
+        basis = linalg.row_reduce(linalg.intersect_rowspaces(basis, factor_space(i), len(paths)))
     return [_from_sparse(q, row, paths) for row in basis]
 
 

@@ -235,6 +235,27 @@ def test_compare_h0_refuses_a_vertex_map_that_is_not_injective(capsys, tmp_path)
     assert "two vertices to one" in err
 
 
+def test_compare_h0_refuses_a_vertex_map_onto_an_unknown_vertex(capsys, tmp_path):
+    """Vertices 1 and 2 with a loop x at 1 on both sides, and vertex 2
+    sent to 9, which the presentation does not have: exit 2, where a
+    check failure with a witness at vertex 2 (exit 1) was reported."""
+    loop = {"id": "x", "source": 1, "target": 1, "hdeg": 0, "adeg": 1}
+    quiver = {"vertices": [1, 2], "arrows": [loop]}
+    files = {
+        "model": {"quiver": quiver, "differential": {}},
+        "presentation": {"quiver": quiver, "relators": []},
+        "map": {"arrows": {"x": "x"}, "vertices": {"2": 9}},
+    }
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "compare-h0", "--model", str(tmp_path / "model.json"), "--presentation", str(tmp_path / "presentation.json"),
+        "--map", str(tmp_path / "map.json"), "--adams-max", "2",
+    )
+    assert (code, out) == (2, "")
+    assert "maps to unknown vertex 9" in err and "Traceback" not in err
+
+
 def test_cy_check_command(capsys):
     code, out, _ = run(capsys, "cy-check", "--m", "3", "--weights", "1,1,1", "--adams-max", "4")
     assert code == 0

@@ -236,6 +236,16 @@ def test_compare_h0_refuses_a_vertex_map_that_is_not_injective():
     assert report["witness"] == {"source": 2, "target": 2, "adeg": 0, "model_dim": 0, "presentation_dim": 1}
 
 
+def test_compare_h0_refuses_a_vertex_map_onto_an_unknown_vertex():
+    """Vertex 9 is not a vertex of the presentation: bad input, not a
+    check failure with a witness at the presentation's vertex 2."""
+    model = DGModel(_loop_at_1((1, 2)), Differential(_loop_at_1((1, 2)), {}))
+    pres = PresentedAlgebra(_loop_at_1((1, 2)), ())
+    with pytest.raises(InvalidInputError, match="vertex 2 maps to unknown vertex 9"):
+        compare_h0(model, pres, 2, vertex_map={2: 9})
+    assert compare_h0(model, pres, 2, vertex_map={2: 2})["status"] == "pass"
+
+
 def test_resource_cap():
     model = polynomial_model(3)
     with pytest.raises(ResourceLimitError):

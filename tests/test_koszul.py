@@ -177,11 +177,22 @@ def test_minimal_model_general_is_dg():
     assert check_d_squared(model.differential)["status"] == "pass"
 
 
-@pytest.mark.parametrize("changed", range(6))
-def test_minimal_model_general_rejects_a_J3_vector_outside_J1_J2(monkeypatch, changed):
-    """The membership check is live: a J_3 basis vector of k[y1,y2,y3]
-    with one of its six coefficients doubled lies outside V ⊗ R, and both
-    the pivot read-off and the product-and-solve loop it replaced say so."""
+def quantum_presentation(qs: tuple[Fraction, ...]) -> QuadraticPresentation:
+    """k<y_1..y_n>/(y_i y_j - q_ij y_j y_i), the q_ij in the order of the
+    pairs i < j."""
+    n = next(n for n in range(2, 10) if n * (n - 1) // 2 == len(qs))
+    q = GradedQuiver((0,), tuple(Arrow(f"y{i}", 0, 0, 0, 1) for i in range(1, n + 1)))
+    relators = tuple(
+        q.gen(f"y{i}") * q.gen(f"y{j}") - (q.gen(f"y{j}") * q.gen(f"y{i}")).scale(c)
+        for (i, j), c in zip(combinations(range(1, n + 1), 2), qs)
+    )
+    return QuadraticPresentation(q, relators)
+
+
+def _assert_a_doubled_J3_coefficient_raises(monkeypatch, pres, changed):
+    """Double the coefficient at sorted position changed of the one J_3
+    basis vector: both the pivot read-off and the product-and-solve loop
+    it replaced must find it outside J_1 ⊗ J_2."""
     series = koszul._jn_series
 
     def broken(pres):
@@ -193,10 +204,28 @@ def test_minimal_model_general_rejects_a_J3_vector_outside_J1_J2(monkeypatch, ch
             yield basis
 
     monkeypatch.setattr(koszul, "_jn_series", broken)
-    pres = commutative_presentation(3)
     for build in (minimal_model_general, old_minimal_model_general):
         with pytest.raises(RuntimeError, match="J_3 basis vector not inside J_1 ⊗ J_2: internal bug"):
             build(pres, 3)
+
+
+@pytest.mark.parametrize("changed", range(6))
+def test_minimal_model_general_rejects_a_J3_vector_outside_J1_J2(monkeypatch, changed):
+    """The membership check is live: a J_3 basis vector of k[y1,y2,y3]
+    with one of its six coefficients doubled lies outside V ⊗ R."""
+    _assert_a_doubled_J3_coefficient_raises(monkeypatch, commutative_presentation(3), changed)
+
+
+@pytest.mark.parametrize("changed", range(6))
+def test_minimal_model_general_rejects_a_non_integral_J3_vector_outside_J1_J2(monkeypatch, changed):
+    """The same on the quantum k<y1,y2,y3> with q_ij = -13/7, 29/11,
+    -3/41: its J_3 row has non-integral coefficients, so the membership
+    residual runs on rows scaled to integers."""
+    pres = quantum_presentation((Fraction(-13, 7), Fraction(29, 11), Fraction(-3, 41)))
+    (b,) = compute_Jn(pres, 3)
+    assert len(b.terms) == 6 and any(c.denominator != 1 for c in b.terms.values())
+    assert minimal_model_general(pres, 3).quiver.arrow("j3_0")
+    _assert_a_doubled_J3_coefficient_raises(monkeypatch, pres, changed)
 
 
 def test_every_coefficient_is_a_Fraction():

@@ -1,6 +1,7 @@
 """Sparse exact linear algebra, cross-checked against dense sympy."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,9 +34,9 @@ def test_row_reduce_is_rref_of_same_space(rows):
 @settings(max_examples=100, deadline=None)
 @given(sparse_rows, sparse_rows)
 def test_intersection_matches_sympy(u_rows, w_rows):
-    ours = linalg.intersect_rowspaces(
+    ours = _normalized(linalg.intersect_rowspaces(
         linalg.row_reduce(u_rows), linalg.row_reduce(w_rows), NCOLS
-    )
+    ))
     theirs = intersect_two(
         rowspace_basis(dense(u_rows, NCOLS)), rowspace_basis(dense(w_rows, NCOLS))
     )
@@ -52,6 +53,12 @@ def test_rref_examples():
         {2: Fraction(1)},
     ]
     assert linalg.pivot_columns(rows) == {0, 2}
+    # the integer RREF keeps the primitive row; row_reduce divides it by
+    # its pivot entry 2
+    rows = [{0: Fraction(2, 3), 1: 1, 2: Fraction(-4, 3)}]
+    assert linalg.rref(rows) == [{0: 2, 1: 3, 2: -4}]
+    assert linalg.row_reduce(rows) == [{0: 1, 1: Fraction(3, 2), 2: -2}]
+    assert linalg.normalize({0: 2, 1: 3, 2: -4}) == {0: 1, 1: Fraction(3, 2), 2: -2}
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +111,20 @@ def _assert_exact_rows(ours, theirs):
             assert type(v) is (int if v.denominator == 1 else Fraction)
 
 
+def _normalized(rows):
+    """Each row divided by its pivot entry, its entry at its least column."""
+    return [{k: Fraction(v, row[min(row)]) for k, v in row.items()} for row in rows]
+
+
+def _assert_integer_rref(ours, theirs):
+    """Rows of ints, each primitive with a positive pivot entry, which
+    divided by their pivot entries are the Fraction kernel's RREF rows."""
+    for row in ours:
+        assert all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1 and row[min(row)] > 0
+    assert _normalized(ours) == theirs
+
+
 @settings(max_examples=200, deadline=None)
 @given(redundant_rows())
 def test_rank_matches_fraction_kernel(rows):
@@ -119,6 +140,7 @@ def test_rank_matches_fraction_kernel(rows):
 @given(redundant_rows())
 def test_row_reduce_matches_fraction_kernel(rows):
     expected = oracles.fraction_row_reduce(_as_fractions(rows))
+    _assert_integer_rref(linalg.rref(rows), expected)
     _assert_exact_rows(linalg.row_reduce(rows), expected)
     _assert_exact_rows(linalg.row_reduce(dict(r) for r in rows), expected)
     for row in expected:
@@ -134,9 +156,11 @@ def test_intersection_matches_fraction_kernel(u_rows, w_rows):
     u = linalg.row_reduce(u_rows)
     w = linalg.row_reduce(w_rows)
     expected = oracles.fraction_intersect_rowspaces(u, w, NCOLS)
-    _assert_exact_rows(linalg.intersect_rowspaces(u, w, NCOLS), expected)
-    # unreduced, redundant spanning sets give the same intersection
-    _assert_exact_rows(linalg.intersect_rowspaces(u_rows, w_rows, NCOLS), expected)
+    _assert_integer_rref(linalg.intersect_rowspaces(u, w, NCOLS), expected)
+    # unreduced, redundant spanning sets give the same intersection, and
+    # so do the integer RREF rows of the two spaces
+    _assert_integer_rref(linalg.intersect_rowspaces(u_rows, w_rows, NCOLS), expected)
+    _assert_integer_rref(linalg.intersect_rowspaces(linalg.rref(u_rows), linalg.rref(w_rows), NCOLS), expected)
 
 
 def test_intersection_drops_the_zero_expansions_of_dependent_rows():
@@ -153,7 +177,7 @@ def test_intersection_drops_the_zero_expansions_of_dependent_rows():
     w_rows = [{0: 1, 1: 1}, {3: 5}]
     expected = oracles.fraction_intersect_rowspaces(u_rows, w_rows, 4)
     assert expected == [{0: 1, 1: 1}]
-    _assert_exact_rows(linalg.intersect_rowspaces(u_rows, w_rows, 4), expected)
+    _assert_integer_rref(linalg.intersect_rowspaces(u_rows, w_rows, 4), expected)
 
 
 def test_kernel_examples_with_large_heights():

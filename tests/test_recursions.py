@@ -251,6 +251,34 @@ def test_word_ids_order_as_the_paths(pres):
                 assert ids.of(Path(x.source, (x.name,) + p.arrows)) == k + ids.prepend[x.name] * base ** len(p)
 
 
+def test_jn_lattice_runs_on_integer_rows(monkeypatch):
+    """J_1..J_5 of the quantum k<x1..x5>/(x_i x_j - q_ij x_j x_i) with
+    q_ij = ±p/r: every row that _jn_series hands to intersect_rowspaces
+    holds only int entries, although the bases it yields hold Fractions,
+    and the bases equal those of the Path-keyed oracle."""
+    primes = iter((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+    q = GradedQuiver((0,), tuple(Arrow(f"x{i}", 0, 0, 0, 1) for i in range(1, 6)))
+    relators = tuple(
+        AlgebraElement(q, {Path(0, (f"x{i}", f"x{j}")): 1, Path(0, (f"x{j}", f"x{i}")): Fraction((-1) ** j * next(primes), next(primes))})
+        for i in range(1, 6)
+        for j in range(i + 1, 6)
+    )
+    pres = QuadraticPresentation(q, relators)
+    expected = [old_compute_Jn(pres, n) for n in range(1, 6)]
+    real, entries = linalg.intersect_rowspaces, []
+
+    def checked(u_rows, w_rows, ncols):
+        w_rows = list(w_rows)
+        entries.extend(v for row in u_rows + w_rows for v in row.values())
+        return real(u_rows, w_rows, ncols)
+
+    monkeypatch.setattr(linalg, "intersect_rowspaces", checked)
+    bases = [compute_Jn(pres, n) for n in range(1, 6)]
+    assert bases == expected and [len(b) for b in bases] == [5, 10, 10, 5, 1]
+    assert entries and all(type(v) is int for v in entries)
+    assert any(c.denominator != 1 for b in bases[2] for c in b.terms.values())
+
+
 @pytest.mark.parametrize("case", ["mckay7_11113", "mixed_ids"])
 def test_jn_columns_lie_below_ncols(monkeypatch, case):
     """Every column that _jn_series hands to intersect_rowspaces while it

@@ -138,11 +138,46 @@ def _assert_lead_words_match_the_full_images(model, hmin=-6, nadams=6):
                 assert (target[i] if i >= 0 else None) == want, w
 
 
+def _quantum_model(n: int) -> DGModel:
+    """Minimal model, to J_n, of k<x_1..x_n>/(x_i x_j - q_ij x_j x_i)
+    with fixed q_ij = ±p/r."""
+    qs = iter((Fraction(3, 7), Fraction(-5, 11), Fraction(13, 2), Fraction(-17, 19), Fraction(23, 29), Fraction(-31, 37)))
+    quiver = GradedQuiver((0,), tuple(Arrow(f"x{i}", 0, 0, 0, 1) for i in range(1, n + 1)))
+    relators = tuple(
+        AlgebraElement(quiver, {Path(0, (f"x{i}", f"x{j}")): 1, Path(0, (f"x{j}", f"x{i}")): -next(qs)})
+        for i, j in combinations(range(1, n + 1), 2)
+    )
+    return minimal_model_general(QuadraticPresentation(quiver, relators), n)
+
+
+def _mixed_blocks(model, hmin=-6, nadams=6) -> int:
+    """The blocks (parent bucket, arrow y) of _stream_slices whose leads
+    are built word by word: d(y) = 0 and the parent's leads mix -1 with
+    others, or d(y) != 0 and the parent mixes fixed and unfixed words."""
+    smaller, least = model.differential._leads
+    mixed = 0
+    for _s, a, level in _stream_slices(model.quiver, hmin, nadams, leads=(smaller, least)):
+        for (h, t), (_words, lead, fixed) in level.items():
+            for arr in model.quiver.out_arrows(t):
+                if h + arr.hdeg >= hmin and a + arr.adeg <= nadams:
+                    flags = fixed.count(1) if arr.name in least else len(lead) - lead.count(-1)
+                    mixed += 0 < flags < len(lead)
+    return mixed
+
+
 def test_lead_word_is_the_least_word_of_the_full_image():
     """Every word of every slice at -6/6 of the fixed models, the McKay
-    vertex deletions among them, and of the Ginzburg vertex deletions."""
+    vertex deletions among them, of the Ginzburg vertex deletions and of
+    a quantum polynomial ring with Fraction coefficients, which has six
+    blocks whose leads are built word by word, as the benchmark's
+    quantum model has; the undeleted polynomial and McKay models have
+    none."""
     deleted = [delete_vertex(m, v) for m in _ginzburg_models() for v in m.quiver.vertices if len(m.quiver.vertices) > 1]
-    for model in fixed_models() + deleted:
+    quantum = _quantum_model(4)
+    assert _mixed_blocks(quantum) == 6
+    undeleted = [m for m in fixed_models() if m.provenance in ("polynomial", "mckay") and "deleted_vertex" not in m.metadata]
+    assert len(undeleted) == 7 and not any(_mixed_blocks(m) for m in undeleted)
+    for model in fixed_models() + deleted + [quantum]:
         _assert_lead_words_match_the_full_images(model)
 
 
