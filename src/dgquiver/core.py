@@ -1,16 +1,16 @@
 """Graded quivers, paths and exact-rational path algebra elements.
 
-Element coefficients are ``fractions.Fraction``.  The hot paths built on
-them (``Differential.apply_to_word``, which ``cohomology_dims`` applies
-to the plain arrow-name tuples of its slices, the normal forms of
-``truncated_dims`` and the J_n rows of ``koszul``, both keyed by the
-integer word ids of ``WordIds``, the bimodule of ``cy``, whose elements
-and whose d on the generators are keyed by arrow words from the start,
-and the elimination in ``linalg``, whose RREF rows come out int while
-integral) keep coefficients as ``int`` while they are integral; Python's
-numeric tower turns them into ``Fraction`` only on division.  An
-``AlgebraElement`` converts each coefficient once, when it is built, and
-keeps a ``Fraction`` as it is.  There is no floating point anywhere.
+One rule holds every coefficient: an ``int`` when it is integral, a
+``fractions.Fraction`` with a denominator other than 1 otherwise.
+``exact`` decides it, and only here: ``AlgebraElement`` applies it to
+each coefficient it is built from and to the factor of ``scale``, and
+``Superpotential`` to each sum of rotations.  It refuses anything else,
+a float, a bool or a str among them, so there is no floating point
+anywhere.  Every other module takes the rule as given and converts no
+coefficient: the hot paths (``Differential.apply_to_word``, the normal
+forms of ``truncated_dims``, the J_n rows of ``koszul``, the bimodule of
+``cy``) use element coefficients as they are, and ``linalg`` returns its
+rows in the same form.
 Elements are stored sparsely as ``{Path: coefficient}`` with a canonical
 ordering of paths so that iteration and printing are deterministic.
 Every sparse sum, whatever its keys, accumulates through ``add_term``;
@@ -30,9 +30,14 @@ Vertex = Union[int, str]
 Scalar = Union[int, Fraction]
 
 
-def int_if_integral(c: Fraction) -> Scalar:
-    """c as an int when it is integral, else c itself."""
-    return c.numerator if c.denominator == 1 else c
+def exact(c: object) -> Scalar:
+    """c as a coefficient: an int as it is, an integral Fraction as an
+    int and any other Fraction as it is; anything else raises."""
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    raise InvalidInputError(f"coefficient {c!r} is neither an int nor a Fraction")
 
 
 def vertex_key(v: Vertex):
@@ -167,14 +172,14 @@ class GradedQuiver:
     def idempotent(self, v: Vertex) -> "AlgebraElement":
         if v not in self._out:
             raise InvalidInputError(f"unknown vertex {v!r}")
-        return AlgebraElement(self, {Path(v): Fraction(1)})
+        return AlgebraElement(self, {Path(v): 1})
 
     def identity(self) -> "AlgebraElement":
-        return AlgebraElement(self, {Path(v): Fraction(1) for v in self.vertices})
+        return AlgebraElement(self, {Path(v): 1 for v in self.vertices})
 
     def gen(self, name: str) -> "AlgebraElement":
         a = self.arrow(name)
-        return AlgebraElement(self, {Path(a.source, (name,)): Fraction(1)})
+        return AlgebraElement(self, {Path(a.source, (name,)): 1})
 
     def element(self, terms: Mapping[Path, Scalar]) -> "AlgebraElement":
         return AlgebraElement(self, terms)
@@ -221,10 +226,9 @@ class AlgebraElement:
     __slots__ = ("quiver", "terms")
 
     def __init__(self, quiver: GradedQuiver, terms: Mapping[Path, Scalar]):
-        clean: dict[Path, Fraction] = {}
+        clean: dict[Path, Scalar] = {}
         for p, c in terms.items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
+            c = exact(c)
             if c:
                 clean[p] = c
         self.quiver = quiver
@@ -238,10 +242,10 @@ class AlgebraElement:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def sorted_terms(self) -> list[tuple[Path, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Path, Scalar]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
-    def __iter__(self) -> Iterator[tuple[Path, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Path, Scalar]]:
         return iter(self.sorted_terms())
 
     def __eq__(self, other) -> bool:
@@ -277,7 +281,7 @@ class AlgebraElement:
         return AlgebraElement(self.quiver, {p: -c for p, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "AlgebraElement":
-        c = Fraction(c)
+        c = exact(c)
         return AlgebraElement(self.quiver, {p: c * v for p, v in self.terms.items()})
 
     def __rmul__(self, other: Scalar) -> "AlgebraElement":
@@ -335,7 +339,7 @@ def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of path concatenation; mismatches give zero."""
     u._check_compatible(v)
     q = u.quiver
-    out: dict[Path, Fraction] = {}
+    out: dict[Path, Scalar] = {}
     for p, c in u.terms.items():
         pt = q.path_target(p)
         for r, d in v.terms.items():

@@ -139,7 +139,7 @@ def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
         return _fail("c_koszul", {"h0_vs_C": diff})
 
     # C is quadratic by construction, arrows of degree (0, 1) and relators
-    # of length 2, so _jn_series reads it as it is
+    # of length 2, as _jn_series checks
     n = len(s.data.weights)
     for deg, basis in zip(range(1, n + 2), _jn_series(c)):
         jn: dict[tuple[Vertex, Vertex], int] = defaultdict(int)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .core import AlgebraElement, GradedQuiver, Path, Scalar, Vertex, add_term, int_if_integral, restrict
+from .core import AlgebraElement, GradedQuiver, Path, Scalar, Vertex, add_term, restrict
 from .errors import InvalidInputError
 
 
@@ -58,10 +58,9 @@ class Differential:
 
     @cached_property
     def _compiled(self) -> tuple[dict[str, tuple[tuple[tuple[str, ...], Scalar], ...]], frozenset[str]]:
-        """({arrow: ((mid arrows, coeff), ...)}, odd arrows), with every
-        integral coefficient stored as an int."""
+        """({arrow: ((mid arrows, coeff), ...)}, odd arrows)."""
         images = {
-            name: tuple((mid.arrows, int_if_integral(c)) for mid, c in da.terms.items())
+            name: tuple((mid.arrows, c) for mid, c in da.terms.items())
             for name, da in self.on_arrows.items()
             if da.terms
         }
@@ -92,13 +91,12 @@ class Differential:
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
         """d(u) by the Leibniz rule, accumulated on (start, arrow word)
-        keys with int coefficients while integral (apply_to_word); the
-        AlgebraElement is built once, from what does not cancel."""
+        keys (apply_to_word); the AlgebraElement is built once, from what
+        does not cancel."""
         if not u.is_hdeg_homogeneous():
             raise InvalidInputError("d applies to hdeg-homogeneous elements only")
         out: dict[tuple[Vertex, tuple[str, ...]], Scalar] = {}
         for p, c in u.terms.items():
-            c = int_if_integral(c)
             for w, v in self.apply_to_word(p.arrows).items():
                 add_term(out, (p.start, w), c * v)
         return AlgebraElement(self.quiver, {Path(*key): c for key, c in out.items()})

@@ -4,47 +4,43 @@ algebra, the Jacobian presentation and the vertex-deletion restriction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
-from .core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex, add_term, restrict
+from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, add_term, exact, restrict
 from .differential import Differential, DGModel
 from .errors import InvalidInputError
 from .presentations import PresentedAlgebra
 
 
-def _rotations(p: Path, quiver: GradedQuiver):
-    for i in range(len(p.arrows)):
-        arrows = p.arrows[i:] + p.arrows[:i]
-        yield Path(quiver.arrow(arrows[0]).source, arrows)
-
-
 def _canonical_rotation(p: Path, quiver: GradedQuiver) -> Path:
-    if not p.arrows:
-        return p
-    return min(_rotations(p, quiver), key=lambda r: r.arrows)
+    """The rotation of the nonempty cycle p with the least arrow tuple."""
+    arrows = min(p.arrows[i:] + p.arrows[:i] for i in range(len(p.arrows)))
+    return Path(quiver.arrow(arrows[0]).source, arrows)
 
 
 @dataclass(frozen=True)
 class Superpotential:
     """A rational combination of cycles, normalized so that every cycle
-    is stored in its lexicographically least rotation."""
+    is stored in its lexicographically least rotation, with the sum of the
+    coefficients of its rotations as its coefficient."""
 
     quiver: GradedQuiver
-    terms: Mapping[Path, Fraction]
+    terms: Mapping[Path, Scalar]
 
     def __post_init__(self):
         for a in self.quiver.arrows:
             if a.hdeg != 0:
                 raise InvalidInputError("superpotential quivers live in hdeg 0")
-        norm: dict[Path, Fraction] = {}
+        norm: dict[Path, Scalar] = {}
         for p, c in self.terms.items():
             if not self.quiver.is_valid_path(p):
                 raise InvalidInputError(f"invalid path {p}")
             if self.quiver.path_target(p) != p.start or not p.arrows:
                 raise InvalidInputError(f"superpotential term {p} is not a cycle")
-            add_term(norm, _canonical_rotation(p, self.quiver), Fraction(c))
-        object.__setattr__(self, "terms", norm)
+            add_term(norm, _canonical_rotation(p, self.quiver), exact(c))
+        # exact refuses each input that is not a coefficient, before a sum
+        # could hide it (0 + True is 1), and makes each integral sum an int
+        object.__setattr__(self, "terms", {p: exact(c) for p, c in norm.items()})
 
     def as_element(self) -> AlgebraElement:
         return AlgebraElement(self.quiver, self.terms)
@@ -56,7 +52,7 @@ class Superpotential:
 def cyclic_derivative(w: Superpotential, arrow: str) -> AlgebraElement:
     """Sum over occurrences p = u a v of cycles of w of the paths v u."""
     a = w.quiver.arrow(arrow)
-    out: dict[Path, Fraction] = {}
+    out: dict[Path, Scalar] = {}
     for p, c in w.terms.items():
         for i, name in enumerate(p.arrows):
             if name != arrow:

@@ -16,7 +16,7 @@ from itertools import compress
 from typing import Iterator
 
 from . import linalg
-from .core import AlgebraElement, GradedQuiver, Scalar, Vertex, WordIds, add_term, int_if_integral, vertex_key
+from .core import AlgebraElement, GradedQuiver, Scalar, Vertex, WordIds, add_term, vertex_key
 from .differential import DGModel, Differential
 from .errors import InvalidInputError, ResourceLimitError
 from .presentations import PresentedAlgebra
@@ -374,7 +374,7 @@ def truncated_dims(
     for r in pres.relators:
         src, tgt = r.endpoints()
         if tgt not in killed:
-            terms = [([rank[y] for y in p.arrows[:-1]], rank[p.arrows[-1]], int_if_integral(c)) for p, c in r.terms.items()]
+            terms = [([rank[y] for y in p.arrows[:-1]], rank[p.arrows[-1]], c) for p, c in r.terms.items()]
             relators.append((r.adeg(), src, terms))
     arrows = [(y.adeg, y.source, rank[y.name], y.target) for y in q.arrows if y.target not in killed]
     # normal[a][v]: the ids of the normal words of degree a >= 0 ending at

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, islice, takewhile
 from typing import Iterator
 
@@ -28,7 +27,7 @@ from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, Wor
 from .differential import Differential, DGModel
 from .errors import InvalidInputError, ResourceLimitError
 from .homology import path_cap
-from .presentations import PresentedAlgebra, QuadraticPresentation
+from .presentations import PresentedAlgebra, QuadraticPresentation, check_quadratic
 
 WordRow = dict[tuple[str, ...], Scalar]  # {arrow word: coefficient}, a J_n basis row
 
@@ -96,9 +95,8 @@ def _exterior(m: int, weights: tuple[int, ...], top: int, name: str, label: str)
     weight = [sum(weights[i - 1] for i in s) for s in subsets]
     # per subset, its signed splits as (index of A, index of B, coefficient)
     index = {s: k for k, s in enumerate(subsets)}
-    signed = {1: Fraction(1), -1: Fraction(-1)}
     splits = [
-        [(index[a], index[b], signed[(-1) ** (len(a) - 1) * shuffle_sign(a, b)]) for a, b in _splits(s)]
+        [(index[a], index[b], (-1) ** (len(a) - 1) * shuffle_sign(a, b)) for a, b in _splits(s)]
         for s in subsets
     ]
     names = [[name.format(j=j, s=s) for s in digits] for j in range(m)]
@@ -225,7 +223,8 @@ def _jn_series(pres: QuadraticPresentation | PresentedAlgebra) -> Iterator[list[
     """The bases of J_1, J_2, J_3, ... in turn, each row as {arrow word:
     coefficient}, pivot first, with int coefficients while integral; see
     compute_Jn.  A PresentedAlgebra must be quadratic: arrows of degree
-    (0, 1) and relators of length 2, as a QuadraticPresentation checks.
+    (0, 1) and relators of length 2, as presentations.check_quadratic
+    checks here, before the first basis.
 
     From J_2 on, the recursion carries the integer RREF of linalg, the
     primitive integer multiples of the RREF rows: the rows b*y and x*b of
@@ -244,6 +243,8 @@ def _jn_series(pres: QuadraticPresentation | PresentedAlgebra) -> Iterator[list[
     basis is decoded to words once, when it is yielded, each word from
     that of its prefix id(w) // B: J_n lies in J_{n-1} ⊗ V, so every
     column of J_n extends a column of J_{n-1} by one arrow."""
+    if not isinstance(pres, QuadraticPresentation):
+        check_quadratic(pres.quiver, pres.relators)
     q = pres.quiver
     ids = WordIds(q)
     base, names = ids.base, ids.names

@@ -39,9 +39,9 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable
 
-from .core import add_term
+from .core import Scalar, add_term
 
-SparseVec = dict[int, Fraction]
+SparseVec = dict[int, Scalar]
 IntVec = dict[int, int]
 
 

@@ -9,7 +9,7 @@ from .core import AlgebraElement, GradedQuiver, Vertex, restrict
 from .errors import InvalidInputError
 
 
-def _check_relator(quiver: GradedQuiver, r: AlgebraElement, quadratic: bool):
+def _check_relator(quiver: GradedQuiver, r: AlgebraElement):
     if r.quiver != quiver:
         raise InvalidInputError("relator lives over a different quiver")
     if not r.terms:
@@ -19,7 +19,14 @@ def _check_relator(quiver: GradedQuiver, r: AlgebraElement, quadratic: bool):
             raise InvalidInputError(f"relator term {p} is not a path of the quiver")
     r.endpoints()  # raises unless component-pure
     r.adeg()  # raises unless Adams-homogeneous
-    if quadratic and any(len(p.arrows) != 2 for p in r.terms):
+
+
+def check_quadratic(quiver: GradedQuiver, relators: tuple[AlgebraElement, ...]):
+    """Raise unless every arrow has degree (0, 1) and every relator term length 2."""
+    for a in quiver.arrows:
+        if a.hdeg != 0 or a.adeg != 1:
+            raise InvalidInputError(f"arrow {a.name}: quadratic input needs hdeg 0, adeg 1")
+    if any(len(p.arrows) != 2 for r in relators for p in r.terms):
         raise InvalidInputError("quadratic relators must be length-2")
 
 
@@ -31,11 +38,9 @@ class QuadraticPresentation:
     relators: tuple[AlgebraElement, ...]
 
     def __post_init__(self):
-        for a in self.quiver.arrows:
-            if a.hdeg != 0 or a.adeg != 1:
-                raise InvalidInputError(f"arrow {a.name}: quadratic input needs hdeg 0, adeg 1")
         for r in self.relators:
-            _check_relator(self.quiver, r, quadratic=True)
+            _check_relator(self.quiver, r)
+        check_quadratic(self.quiver, self.relators)
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,7 @@ class PresentedAlgebra:
             if a.hdeg != 0:
                 raise InvalidInputError(f"arrow {a.name}: presented algebras live in hdeg 0")
         for r in self.relators:
-            _check_relator(self.quiver, r, quadratic=False)
+            _check_relator(self.quiver, r)
 
     def delete_vertex(self, v: Vertex) -> "PresentedAlgebra":
         """Quotient by the two-sided ideal of the idempotent e_v: the

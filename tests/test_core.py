@@ -12,6 +12,7 @@ from dgquiver import (
     GradedQuiver,
     InvalidInputError,
     Path,
+    Superpotential,
     graded_commutator,
     multiply,
 )
@@ -59,6 +60,36 @@ def test_path_bookkeeping(two_vertex):
     assert not q.is_valid_path(Path(1, ("a",)))
     assert q.compose(Path(0, ("a",)), Path(1, ("b",))) == p
     assert q.compose(Path(0, ("a",)), Path(0, ("a",))) is None
+
+
+@pytest.fixture
+def loops():
+    """One vertex with the loops x and y in degree (0, 1)."""
+    return GradedQuiver((0,), (Arrow("x", 0, 0, 0, 1), Arrow("y", 0, 0, 0, 1)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda q: AlgebraElement(q, {Path(0, ("x",)): 0.1}),
+        lambda q: AlgebraElement(q, {Path(0, ("x",)): True}),
+        lambda q: AlgebraElement(q, {Path(0, ("x",)): "1"}),
+        lambda q: q.gen("x").scale(0.5),
+        lambda q: Superpotential(q, {Path(0, ("x", "y")): 0.5}),
+        lambda q: Superpotential(q, {Path(0, ("x", "y")): True}),
+    ],
+    ids=["float", "bool", "str", "scale by a float", "float potential", "bool potential"],
+)
+def test_the_library_refuses_a_coefficient_that_is_not_exact(loops, build):
+    with pytest.raises(InvalidInputError, match="neither an int nor a Fraction"):
+        build(loops)
+
+
+def test_an_integral_Fraction_is_stored_as_an_int(loops):
+    x = Path(0, ("x",))
+    (c,) = AlgebraElement(loops, {x: Fraction(4, 2)}).terms.values()
+    assert type(c) is int and c == 2
+    assert type(loops.gen("x").scale(Fraction(3, 2)).scale(Fraction(2, 3)).terms[x]) is int
 
 
 def test_multiplication_concatenates_left_to_right(two_vertex):

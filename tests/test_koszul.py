@@ -12,9 +12,11 @@ from dgquiver import (
     GradedQuiver,
     InvalidInputError,
     McKayData,
+    Path,
     PresentedAlgebra,
     QuadraticPresentation,
     ResourceLimitError,
+    Superpotential,
     check_d_squared,
     check_grading,
     cohomology_dims,
@@ -228,10 +230,11 @@ def test_minimal_model_general_rejects_a_non_integral_J3_vector_outside_J1_J2(mo
     _assert_a_doubled_J3_coefficient_raises(monkeypatch, pres, changed)
 
 
-def test_every_coefficient_is_a_Fraction():
-    """The J_n rows and the McKay split table keep integral coefficients
-    as int; each AlgebraElement built from them, and each one read from a
-    file, holds Fractions.  Equality cannot see an int leak, as
+def test_every_coefficient_is_an_int_or_a_non_integral_Fraction():
+    """Every coefficient is an int when it is integral and a Fraction
+    otherwise: in the elements built from the J_n rows and the McKay
+    split table, in those read from a file, and in a superpotential whose
+    rotations sum to an integer.  Equality cannot see the difference, as
     1 == Fraction(1), so this checks the types."""
     data = McKayData(3, (1, 1, 1))
     commutation = mckay_commutation_presentation(data)
@@ -242,8 +245,27 @@ def test_every_coefficient_is_a_Fraction():
         elements += [*model.differential.on_arrows.values(), *loaded.differential.on_arrows.values()]
     elements += serialize.presentation_from_json(serialize.presentation_to_json(commutation)).relators
     assert len(elements) == 85
-    for el in elements:
-        assert el.terms and all(type(c) is Fraction for c in el.terms.values()), el
+    quantum = quantum_presentation((Fraction(2, 3), Fraction(-5, 7), Fraction(3, 11)))
+    elements += [b for n in range(1, 5) for b in compute_Jn(quantum, n)]
+    elements += minimal_model_general(quantum, 3).differential.on_arrows.values()
+    assert len(elements) == 85 + 7 + 4
+    q = quantum.quiver
+    halves = Superpotential(q, {Path(0, ("y1", "y2")): Fraction(1, 2), Path(0, ("y2", "y1")): Fraction(1, 2)})
+    coefficients = [c for el in elements for c in el.terms.values()] + list(halves.terms.values())
+    assert all(el.terms for el in elements) and halves.terms == {Path(0, ("y1", "y2")): 1}
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in coefficients)
+    assert any(type(c) is Fraction for c in coefficients)
+
+
+def test_Jn_refuses_a_presentation_that_is_not_quadratic():
+    """xyx - yxy is not quadratic: the J_n lattice refuses it before it
+    yields its first basis."""
+    q = GradedQuiver((0,), (Arrow("x", 0, 0, 0, 1), Arrow("y", 0, 0, 0, 1)))
+    x, y = q.gen("x"), q.gen("y")
+    pres = PresentedAlgebra(q, (x * y * x - y * x * y,))
+    for build, n in ((compute_Jn, 2), (minimal_model_general, 2), (compute_Jn, 1)):
+        with pytest.raises(InvalidInputError, match="length-2"):
+            build(pres, n)
 
 
 # -- McKay models -------------------------------------------------------------
