@@ -168,17 +168,10 @@ def cmd_compare_h0(args) -> int:
             if part is not None and not (isinstance(part, dict) and all(type(v) in (int, str) for v in part.values())):
                 raise InvalidInputError("malformed map document: arrows and vertices must map ids to ids")
         if vertex_map is not None:
-            vertex_map = {_intish(k): v for k, v in vertex_map.items()}
+            vertex_map = {_coerce_vertex(model.quiver, k): v for k, v in vertex_map.items()}
     report = compare_h0(model, pres, args.adams_max, arrow_map, vertex_map)
     _emit(args, report)
     return 0 if report["status"] == "pass" else 1
-
-
-def _intish(key):
-    try:
-        return int(key)
-    except (TypeError, ValueError):
-        return key
 
 
 def cmd_cy_check(args) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import InvalidInputError
 
@@ -111,10 +111,10 @@ class GradedQuiver:
         return {v: tuple(lst) for v, lst in out.items()}
 
     def arrow(self, name: str) -> Arrow:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise InvalidInputError(f"unknown arrow id {name!r}") from None
+        a = self._by_name.get(name)
+        if a is None:
+            raise InvalidInputError(f"unknown arrow id {name!r}")
+        return a
 
     def has_arrow(self, name: str) -> bool:
         return name in self._by_name
@@ -302,37 +302,30 @@ class AlgebraElement:
 
     # -- degrees -------------------------------------------------------------
 
+    def _common(self, of: Callable[[Path], object], what: str):
+        """The value of of(p) that every term p shares, None for the zero
+        element; raises when two terms differ."""
+        values = {of(p) for p in self.terms}
+        if len(values) > 1:
+            raise InvalidInputError(f"element is not {what}")
+        return values.pop() if values else None
+
     def hdeg(self) -> int | None:
         """Common homological degree, or raises when inhomogeneous.
 
         Returns None for the zero element (homogeneous of every degree).
         """
-        degs = {self.quiver.path_hdeg(p) for p in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise InvalidInputError(f"element not hdeg-homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
+        return self._common(self.quiver.path_hdeg, "hdeg-homogeneous")
 
     def adeg(self) -> int | None:
-        degs = {self.quiver.path_adeg(p) for p in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise InvalidInputError(f"element not adeg-homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
+        return self._common(self.quiver.path_adeg, "adeg-homogeneous")
 
     def is_hdeg_homogeneous(self) -> bool:
         return len({self.quiver.path_hdeg(p) for p in self.terms}) <= 1
 
     def endpoints(self) -> tuple[Vertex, Vertex] | None:
         """Common (source, target), or raises when mixed; None when zero."""
-        ends = {(p.start, self.quiver.path_target(p)) for p in self.terms}
-        if not ends:
-            return None
-        if len(ends) > 1:
-            raise InvalidInputError("element is not component-pure")
-        return ends.pop()
+        return self._common(lambda p: (p.start, self.quiver.path_target(p)), "component-pure")
 
 
 def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
@@ -349,24 +342,10 @@ def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(q, out)
 
 
-def graded_commutator(
-    u: AlgebraElement,
-    v: AlgebraElement,
-    hu: int | None = None,
-    hv: int | None = None,
-) -> AlgebraElement:
-    """[u, v] = uv - (-1)^{hu*hv} vu for hdeg-homogeneous u, v."""
-    du = u.hdeg()
-    dv = v.hdeg()
-    if hu is None:
-        hu = du if du is not None else 0
-    elif du is not None and du != hu:
-        raise InvalidInputError(f"u has hdeg {du}, not {hu}")
-    if hv is None:
-        hv = dv if dv is not None else 0
-    elif dv is not None and dv != hv:
-        raise InvalidInputError(f"v has hdeg {dv}, not {hv}")
-    sign = -1 if (hu * hv) % 2 else 1
+def graded_commutator(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
+    """[u, v] = uv - (-1)^{|u||v|} vu for hdeg-homogeneous u, v, a zero
+    argument counting as hdeg 0."""
+    sign = -1 if ((u.hdeg() or 0) * (v.hdeg() or 0)) % 2 else 1
     return u * v - sign * (v * u)
 
 

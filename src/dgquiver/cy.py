@@ -25,8 +25,17 @@ from itertools import combinations
 from .core import GradedQuiver, Scalar, Vertex, add_term
 from .differential import DGModel, leibniz
 from .errors import InvalidInputError
-from .homology import Word, cohomology_dims, slice_order, truncated_dims
-from .koszul import McKayData, _jn_series, _subset_name, mckay_arrow_name, mckay_commutation_presentation, shuffle_sign
+from .homology import Word, cohomology_dims, truncated_dims
+from .koszul import (
+    McKayData,
+    _jn_series,
+    _subset_name,
+    delete_vertex,
+    mckay_arrow_name,
+    mckay_commutation_presentation,
+    mckay_model,
+    shuffle_sign,
+)
 from .presentations import PresentedAlgebra
 
 
@@ -97,8 +106,6 @@ def split(model: DGModel, data: McKayData) -> SplitModel:
 
 def build_split(data: McKayData) -> SplitModel:
     """Convenience: McKay model, delete vertex 0, split."""
-    from .koszul import delete_vertex, mckay_model
-
     return split(delete_vertex(mckay_model(data), 0), data)
 
 
@@ -124,10 +131,9 @@ def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
     asc = s.ascending_model()
 
     dims = cohomology_dims(asc, -nadams, nadams, by_component=True)
-    negative = {k: v for k, v in dims.items() if k[0] < 0}
+    negative = {str(k): v for k, v in dims.items() if k[0] < 0}
     if negative:
-        witness = {str(k): negative[k] for k in sorted(negative, key=slice_order)}
-        return _fail("c_koszul", {"nonzero_negative_cohomology": witness})
+        return _fail("c_koszul", {"nonzero_negative_cohomology": negative})
     h0 = {(st, tt, a): v for (h, a, st, tt), v in dims.items() if h == 0}
     c_dims = truncated_dims(c, nadams)
     if h0 != c_dims:

@@ -68,21 +68,17 @@ class Differential:
 
     @cached_property
     def _leads(self) -> tuple[frozenset[str], dict[str, tuple[str, ...]]]:
-        """(the arrows a with a term of d(a) that starts below a, {a: the
-        least term of d(a)} for every arrow with d(a) != 0), once the
-        hypothesis of the lead lemma in homology.cohomology_dims is
-        checked: no term of d(a) is empty, starts with a or is a proper
-        prefix of another; otherwise this raises InvalidInputError."""
-        smaller, least = set(), {}
-        for name in self._compiled[0]:
-            mids = tuple(self.apply_to_word((name,)))
-            if any(not m or m[0] == name or any(m != n and m == n[: len(m)] for n in mids) for m in mids):
-                raise InvalidInputError(f"d({name}) has a term that is empty, starts with {name} or prefixes another")
-            if mids:
-                least[name] = min(mids)
-                if least[name][0] < name:
-                    smaller.add(name)
-        return frozenset(smaller), least
+        """(the arrows a whose least term of d(a) starts below a, {a: the
+        least term of d(a)} for every arrow with d(a) != 0).  The lead
+        lemma in homology.cohomology_dims holds for every d that passes
+        check_grading, its one judge: otherwise this raises
+        InvalidInputError with check_grading's witness."""
+        report = check_grading(self)
+        if report["status"] != "pass":
+            witness = report["witness"]
+            raise InvalidInputError(f"d fails the grading check at arrow {witness['arrow']}: {witness['reason']}")
+        least = {name: min(mid for mid, _c in image) for name, image in self._compiled[0].items()}
+        return frozenset(name for name, mid in least.items() if mid[0] < name), least
 
     def apply_to_word(self, word: tuple[str, ...]) -> dict[tuple[str, ...], Scalar]:
         """d of the path with these arrows (leibniz), keyed by arrow words
@@ -125,8 +121,11 @@ class DGModel:
 def check_grading(d: Differential) -> dict:
     """Arrow-by-arrow check of the differential invariants.
 
-    For every arrow a, each path of d(a) must share a's endpoints, have
-    hdeg(a)+1 and adeg(a), and have length >= 2 (minimality).
+    For every arrow a, each term of d(a) must be a path of the quiver
+    with a's endpoints, have hdeg(a)+1 and adeg(a), and have length >= 2
+    (minimality).  This is the one judge of a well-formed d:
+    Differential._leads, and so homology.cohomology_dims, refuses every
+    d it fails.
     """
     q = d.quiver
     for a in q.arrows:
@@ -134,6 +133,8 @@ def check_grading(d: Differential) -> dict:
         if da is None or not da.terms:
             continue
         for p in da.terms:
+            if not q.is_valid_path(p):
+                return _fail("grading", a.name, f"term {p} is not a path of the quiver")
             if p.start != a.source or q.path_target(p) != a.target:
                 return _fail("grading", a.name, f"term {p} has wrong endpoints")
             if q.path_hdeg(p) != a.hdeg + 1:

@@ -79,14 +79,15 @@ def _stream_slices(
     lead(w)*y, the word offset[(LP, y)] + lead(w), when w's lead is fixed
     or d(y) = 0.  Otherwise it is w*least(y), the word i + K of the lead
     bucket, with K the sum of the offsets along the walk from P through
-    the arrows of least(y).  That lead has the adeg of w*y and one more
-    hdeg, so it lies in the window, and so does every prefix of it, as
-    hdeg never rises and adeg never falls along a path: every block of
-    the walk exists.  Each of those blocks starts in a level below a, so
-    its offset is final once level a is reached, and a level's leads are
-    computed then, from the leads of the levels within the largest arrow
-    adeg below it, the only ones kept.  With the default leads every
-    lead is -1.
+    the arrows of least(y).  As d passes check_grading, which _leads
+    runs, least(y) is a path with y's endpoints, so that lead has the
+    adeg of w*y and one more hdeg and lies in the window, and so does
+    every prefix of it, as hdeg never rises and adeg never falls along a
+    path: every block of the walk exists.  Each of those blocks starts in
+    a level below a, so its offset is final once level a is reached, and
+    a level's leads are computed then, from the leads of the levels
+    within the largest arrow adeg below it, the only ones kept.  With the
+    default leads every lead is -1.
 
     Most blocks need no per-word work, so each is appended whole when it
     can be: as a copy of the parent's leads when these are all -1 and
@@ -126,15 +127,10 @@ def _stream_slices(
                         fixed += pfixed
                         continue
                     walk, wh, wa, wt = 0, ph, pa, pt
-                    try:
-                        for m in least[y]:
-                            walk += offset[(wh, wa, wt, m)]
-                            arr = arrows[m]
-                            wh, wa, wt = wh + arr.hdeg, wa + arr.adeg, arr.target
-                    except KeyError:  # no such block: least(y) is no path from y's source
-                        wt = None
-                    if (wh, wa, wt) != (h + 1, a, t):
-                        raise InvalidInputError(f"d({y}) has a term of another bidegree or endpoints than {y}")
+                    for m in least[y]:
+                        walk += offset[(wh, wa, wt, m)]
+                        arr = arrows[m]
+                        wh, wa, wt = wh + arr.hdeg, wa + arr.adeg, arr.target
                     if not nfixed:
                         lead.extend(range(walk, walk + len(plead)))
                     elif nfixed == len(pfixed):
@@ -292,17 +288,19 @@ def cohomology_dims(
     below it, or when d(y) = 0, and otherwise it is w*least(y).
     _stream_slices names it by its index in the target slice, found by
     block offset arithmetic from the prefix's lead index or from the
-    prefix's own index, so no lead word is ever built.  A d that breaks
-    the hypothesis, or whose least terms break check_grading, makes this
-    function raise InvalidInputError; it cannot pass check_grading, which
-    the CLI runs first.
+    prefix's own index, so no lead word is ever built.
+
+    This function refuses, with InvalidInputError and check_grading's
+    witness, every d that check_grading refuses, and only those: the CLI
+    cohomology runs the same check first.  That includes a graded d with
+    a term of length 1, which the lemma would allow.
     """
     if hmin > 0:
         raise InvalidInputError("hmin must be <= 0")
     if nadams < 1:
         raise InvalidInputError("nadams must be >= 1")
     d = model.differential
-    leads = d._leads  # raises here when the lemma above does not apply
+    leads = d._leads  # raises here unless d passes check_grading
     comp: dict[SliceKey, int] = {}
     for s, a, level in _stream_slices(model.quiver, hmin - 1, nadams, cap, leads):
         for h, t, dim in _level_dims(d, level, hmin):
@@ -441,6 +439,9 @@ def compare_h0(
     if arrow_map is None:
         arrow_map = {n: n for n in gen_names}
     vmap: dict[Vertex, Vertex] = dict(vertex_map or {})
+    for v in vmap:
+        if v not in h0.quiver.vertices:
+            raise InvalidInputError(f"vertex map names {v!r}, which is no vertex of the model")
     for name in gen_names:
         if name not in arrow_map:
             raise InvalidInputError(f"unmapped generator {name!r}")

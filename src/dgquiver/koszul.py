@@ -219,12 +219,12 @@ def delete_vertex(model: DGModel, v: Vertex) -> DGModel:
 # general quadratic algebras
 
 
-def _jn_series(pres: QuadraticPresentation | PresentedAlgebra) -> Iterator[list[WordRow]]:
+def _jn_series(pres: PresentedAlgebra) -> Iterator[list[WordRow]]:
     """The bases of J_1, J_2, J_3, ... in turn, each row as {arrow word:
     coefficient}, pivot first, with int coefficients while integral; see
-    compute_Jn.  A PresentedAlgebra must be quadratic: arrows of degree
-    (0, 1) and relators of length 2, as presentations.check_quadratic
-    checks here, before the first basis.
+    compute_Jn.  pres must be quadratic: arrows of degree (0, 1) and
+    relators of length 2, as presentations.check_quadratic checks here,
+    before the first basis.
 
     From J_2 on, the recursion carries the integer RREF of linalg, the
     primitive integer multiples of the RREF rows: the rows b*y and x*b of
@@ -243,8 +243,7 @@ def _jn_series(pres: QuadraticPresentation | PresentedAlgebra) -> Iterator[list[
     basis is decoded to words once, when it is yielded, each word from
     that of its prefix id(w) // B: J_n lies in J_{n-1} ⊗ V, so every
     column of J_n extends a column of J_{n-1} by one arrow."""
-    if not isinstance(pres, QuadraticPresentation):
-        check_quadratic(pres.quiver, pres.relators)
+    check_quadratic(pres.quiver, pres.relators)
     q = pres.quiver
     ids = WordIds(q)
     base, names = ids.base, ids.names

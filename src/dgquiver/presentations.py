@@ -31,19 +31,6 @@ def check_quadratic(quiver: GradedQuiver, relators: tuple[AlgebraElement, ...]):
 
 
 @dataclass(frozen=True)
-class QuadraticPresentation:
-    """T_l V / (R) with V the arrow bimodule of a degree-(0,1) quiver."""
-
-    quiver: GradedQuiver
-    relators: tuple[AlgebraElement, ...]
-
-    def __post_init__(self):
-        for r in self.relators:
-            _check_relator(self.quiver, r)
-        check_quadratic(self.quiver, self.relators)
-
-
-@dataclass(frozen=True)
 class PresentedAlgebra:
     """kQ / (relators) for a quiver concentrated in hdeg 0.
 
@@ -72,3 +59,11 @@ class PresentedAlgebra:
         terms disappear."""
         images = (restrict(r, sub) for r in self.relators)
         return PresentedAlgebra(sub, tuple(r for r in images if r))
+
+
+class QuadraticPresentation(PresentedAlgebra):
+    """T_l V / (R) with V the arrow bimodule of a degree-(0,1) quiver."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_quadratic(self.quiver, self.relators)

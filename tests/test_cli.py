@@ -256,6 +256,48 @@ def test_compare_h0_refuses_a_vertex_map_onto_an_unknown_vertex(capsys, tmp_path
     assert "maps to unknown vertex 9" in err and "Traceback" not in err
 
 
+def _two_vertex_quiver(s, t) -> dict:
+    """A loop x at s and an arrow y: s -> t, both of degree (0, 1)."""
+    arrows = [
+        {"id": "x", "source": s, "target": s, "hdeg": 0, "adeg": 1},
+        {"id": "y", "source": s, "target": t, "hdeg": 0, "adeg": 1},
+    ]
+    return {"vertices": [s, t], "arrows": arrows}
+
+
+@pytest.mark.parametrize(
+    "ids, vertices, message",
+    [
+        (("1", "2", "a", "b"), {"1": "b"}, "inconsistent vertex map at '1'"),
+        (("1", "2", "a", "b"), {"9": "a"}, "unknown vertex '9'"),
+        (("1", "2", "a", "b"), {"x": "a"}, "unknown vertex 'x'"),
+        ((1, 2, 1, 2), {"9": 1}, "unknown vertex '9'"),
+        ((1, 2, 1, 2), {"x": 1}, "unknown vertex 'x'"),
+    ],
+    ids=["str-contradicts-arrows", "str-unknown-9", "str-unknown-x", "int-unknown-9", "int-unknown-x"],
+)
+def test_compare_h0_reads_map_keys_as_model_vertices(capsys, tmp_path, ids, vertices, message):
+    """Each key of the vertex map names a vertex of the model, read as
+    --delete-vertex reads one: "1" is the string vertex "1", which the
+    arrows send to "a", not "b", and a key that names no vertex is bad
+    input.  Every case passed with exit 0 while digit keys were read as
+    ints and keys that named no vertex were dropped."""
+    s, t, ps, pt = ids
+    files = {
+        "model": {"quiver": _two_vertex_quiver(s, t), "differential": {}},
+        "presentation": {"quiver": _two_vertex_quiver(ps, pt), "relators": []},
+        "map": {"vertices": vertices},
+    }
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "compare-h0", "--model", str(tmp_path / "model.json"), "--presentation", str(tmp_path / "presentation.json"),
+        "--map", str(tmp_path / "map.json"), "--adams-max", "2",
+    )
+    assert (code, out) == (2, "")
+    assert message in err and "Traceback" not in err
+
+
 def test_cy_check_command(capsys):
     code, out, _ = run(capsys, "cy-check", "--m", "3", "--weights", "1,1,1", "--adams-max", "4")
     assert code == 0

@@ -127,7 +127,7 @@ def test_graded_commutator_signs(two_vertex):
     # odd x odd: [u, u] = 2 u^2
     ba = q.gen("b") * q.gen("a")  # hdeg -1 loop at 1
     assert graded_commutator(ba, ba) == 2 * (ba * ba)
-    assert graded_commutator(l, e0, hv=0) == l * e0 - e0 * l
+    assert graded_commutator(l, e0) == l * e0 - e0 * l
 
 
 def test_without_drops_the_vertex_and_its_arrows(two_vertex):

@@ -246,6 +246,16 @@ def test_compare_h0_refuses_a_vertex_map_onto_an_unknown_vertex():
     assert compare_h0(model, pres, 2, vertex_map={2: 2})["status"] == "pass"
 
 
+def test_compare_h0_refuses_a_vertex_map_from_an_unknown_vertex():
+    """A key of the vertex map that is no vertex of H^0, such as 9 or the
+    string "1" for the int vertex 1, is refused, not dropped."""
+    model = DGModel(_loop_at_1((1, 2)), Differential(_loop_at_1((1, 2)), {}))
+    pres = PresentedAlgebra(_loop_at_1((1, 2)), ())
+    for key in (9, "1"):
+        with pytest.raises(InvalidInputError, match="no vertex of the model"):
+            compare_h0(model, pres, 2, vertex_map={key: 2})
+
+
 def test_resource_cap():
     model = polynomial_model(3)
     with pytest.raises(ResourceLimitError):

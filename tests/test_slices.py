@@ -23,6 +23,7 @@ from dgquiver import (
     QuadraticPresentation,
     ResourceLimitError,
     Superpotential,
+    check_grading,
     cohomology_dims,
     delete_vertex,
     ginzburg_model,
@@ -234,6 +235,40 @@ def test_lead_word_rejects_a_differential_outside_its_lemma(term, tmp_path, caps
     report = json.loads(out)
     assert report["check"] == "grading" and report["witness"]["arrow"] == "y"
     assert "Traceback" not in err
+
+
+def _graded_model(term: tuple[str, ...]) -> DGModel:
+    """Vertices 0, 1, loops x, z at 0, an arrow u: 0 -> 1, all of degree
+    (0, 1), and y: 0 -> 0 of degree (-1, 2) with d(y) = 2*x*z + term."""
+    arrows = (Arrow("u", 0, 1, 0, 1), Arrow("x", 0, 0, 0, 1), Arrow("y", 0, 0, -1, 2), Arrow("z", 0, 0, 0, 1))
+    quiver = GradedQuiver((0, 1), arrows)
+    dy = AlgebraElement(quiver, {Path(0, ("x", "z")): 1, Path(0, term): 1})
+    return DGModel(quiver, Differential(quiver, {"y": dy}))
+
+
+def test_cohomology_dims_refuses_exactly_what_check_grading_refuses():
+    """check_grading is the one judge of a well-formed d.  d(y) = x on
+    k<x, y>, |x| = (0, 1) and |y| = (-1, 1), is graded but not minimal:
+    the lead lemma would allow it, yet it is refused with check_grading's
+    witness.  The word u*z has the endpoints, hdeg and adeg of y but is
+    no path, and the arrow w does not exist."""
+    quiver = GradedQuiver((0,), (Arrow("x", 0, 0, 0, 1), Arrow("y", 0, 0, -1, 1)))
+    nonminimal = DGModel(quiver, Differential(quiver, {"y": quiver.gen("x")}))
+    with pytest.raises(InvalidInputError, match=r"arrow y: .*\(minimality\)"):
+        cohomology_dims(nonminimal, -2, 2)
+    bad = [nonminimal] + [_bad_model(t) for t in [("y", "x"), (), ("x", "x", "x"), ("x", "x")]]
+    bad += [_graded_model(t) for t in [("u", "z"), ("x", "w")]]
+    good = [_graded_model(("z", "x")), _long_word_model()] + fixed_models()[:4] + _ginzburg_models()
+    for model, refused in [(m, True) for m in bad] + [(m, False) for m in good]:
+        report = check_grading(model.differential)
+        assert (report["status"] == "fail") == refused
+        if not refused:
+            cohomology_dims(model, -2, 2)
+            continue
+        with pytest.raises(InvalidInputError) as caught:
+            cohomology_dims(model, -2, 2)
+        witness = report["witness"]
+        assert f"arrow {witness['arrow']}: {witness['reason']}" in str(caught.value)
 
 
 def test_by_component_tables_come_in_slice_order():
