@@ -23,6 +23,7 @@ from .koszul import (
     McKayData,
     compute_Jn,
     delete_vertex,
+    deleted_mckay_model,
     mckay_model,
     minimal_model_general,
     polynomial_model,
@@ -57,6 +58,7 @@ __all__ = [
     "cy_check",
     "cyclic_derivative",
     "delete_vertex",
+    "deleted_mckay_model",
     "ginzburg_model",
     "graded_commutator",
     "h0_presentation",

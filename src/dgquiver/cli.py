@@ -16,7 +16,7 @@ from .differential import DGModel, check_d_squared, check_grading
 from .errors import InvalidInputError, ResourceLimitError
 from .ginzburg import ginzburg_model, restrict_potential
 from .homology import cohomology_dims, compare_h0
-from .koszul import McKayData, delete_vertex, mckay_model, polynomial_model
+from .koszul import McKayData, deleted_mckay_model, mckay_model, polynomial_model
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -93,9 +93,8 @@ def cmd_model_poly(args) -> int:
 
 
 def cmd_model_mckay(args) -> int:
-    model = mckay_model(_mckay_data(args))
-    if args.delete_zero:
-        model = delete_vertex(model, 0)
+    data = _mckay_data(args)
+    model = deleted_mckay_model(data, 0) if args.delete_zero else mckay_model(data)
     reports = _run_verifications(model, args.verify) if args.verify else []
     _emit(args, serialize.model_to_json(model))
     return _report_status(reports)

@@ -20,22 +20,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .core import GradedQuiver, Scalar, Vertex, add_term
 from .differential import DGModel, leibniz
 from .errors import InvalidInputError
 from .homology import Word, cohomology_dims, truncated_dims
-from .koszul import (
-    McKayData,
-    _jn_series,
-    _subset_name,
-    delete_vertex,
-    mckay_arrow_name,
-    mckay_commutation_presentation,
-    mckay_model,
-    shuffle_sign,
-)
+from .koszul import _MCKAY_NAME, McKayData, _commuting_squares, _jn_series, _subset_table, deleted_mckay_model
 from .presentations import PresentedAlgebra
 
 
@@ -56,6 +46,18 @@ class SplitModel:
             raise InvalidInputError("condition (6.6) fails: sum of weights != m")
         if not self.closure_holds:
             raise InvalidInputError(f"split closure violated: {self.closure['witness']}")
+
+    @cached_property
+    def _table(self) -> tuple:
+        """(the subsets S of 1..n, their weights, their splits, and per
+        vertex j the names w_{j,S} and the names x_{j,S}, all by the index
+        of S): koszul._subset_table with the names of the generators of ω̃
+        and of the arrows, made once per split model, for build_omega_tilde
+        and _omega_element."""
+        subsets, digits, weight, splits = _subset_table(self.data.weights, self.data.n)
+        w = [[f"w{j}_{s or 'e'}" for s in digits] for j in range(self.data.m)]
+        x = [[_MCKAY_NAME.format(j=j, s=s) for s in digits] for j in range(self.data.m)]
+        return subsets, weight, splits, w, x
 
     def ascending_model(self) -> DGModel:
         """The ascending sub-DG-algebra, valid once closure holds."""
@@ -105,20 +107,20 @@ def split(model: DGModel, data: McKayData) -> SplitModel:
 
 
 def build_split(data: McKayData) -> SplitModel:
-    """Convenience: McKay model, delete vertex 0, split."""
-    return split(delete_vertex(mckay_model(data), 0), data)
+    """Convenience: the McKay model without vertex 0, split."""
+    return split(deleted_mckay_model(data, 0), data)
 
 
 def build_C(s: SplitModel) -> PresentedAlgebra:
     """The path algebra on the degree-0 ascending arrows modulo the
     commuting squares whose four corners all avoid the deleted vertex:
-    the commutation presentation without vertex 0, restricted to its
-    ascending arrows.  A square keeps both terms or neither: once closure
-    holds every weight is >= 1, so each term is an ascending path exactly
-    when j + a_k + a_l <= m - 1."""
+    the commutation presentation without vertex 0, built without it,
+    restricted to its ascending arrows.  A square keeps both terms or
+    neither: once closure holds every weight is >= 1, so each term is an
+    ascending path exactly when j + a_k + a_l <= m - 1."""
     s.require_closure()
-    pres = mckay_commutation_presentation(s.data)
-    return pres.restricted(_ascending(pres.quiver.without(0), s.ascending))
+    pres = _commuting_squares(s.data, 0)
+    return pres.restricted(_ascending(pres.quiver, s.ascending))
 
 
 def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
@@ -182,10 +184,6 @@ def _parity(word: Word, odd: frozenset[str]) -> int:
     return sum(a in odd for a in word) % 2
 
 
-def omega_gen_name(j: int, subset: tuple[int, ...]) -> str:
-    return f"w{j}_{_subset_name(subset)}" if subset else f"w{j}_e"
-
-
 @dataclass(frozen=True)
 class OmegaTilde:
     """Free bimodule over the ascending algebra on generators w_{j,S}
@@ -221,8 +219,7 @@ class OmegaTilde:
         images, odd = self._letters
         out: dict[Word, Scalar] = {}
         for w, c in el.items():
-            for w2, cw in leibniz(w, images, odd).items():
-                add_term(out, w2, c * cw)
+            leibniz(w, images, odd, out, c)
         return out
 
     def check_d_squared(self) -> dict:
@@ -235,31 +232,27 @@ class OmegaTilde:
 def build_omega_tilde(s: SplitModel) -> OmegaTilde:
     """Generators w_{j,S} for proper S with j + d(S) <= m-1, with the
     differential induced by d(Db) = -D(db) + [b, g] on the cone of the
-    noncommutative differentials."""
+    noncommutative differentials, read off the split model's subset
+    table."""
     s.require_closure()
-    data = s.data
-    m, n = data.m, data.n
+    m = s.data.m
+    subsets, weight, splits, w, x = s._table
     gens = []
-    for j in range(1, m):
-        for size in range(n):  # proper subsets only
-            for sub in combinations(range(1, n + 1), size):
-                if j + data.d_of(sub) <= m - 1:
-                    gens.append(OmegaGenerator(omega_gen_name(j, sub), j, sub, j + data.d_of(sub), -len(sub)))
     d_on: dict[str, dict[Word, Scalar]] = {}
-    for g in gens:
-        el: dict[Word, Scalar] = {}
-        sset = set(g.subset)
-        for size_a in range(len(g.subset) + 1):
-            for a in combinations(g.subset, size_a):
-                b = tuple(sorted(sset - set(a)))
-                eps = shuffle_sign(a, b)
-                mid = g.vertex + data.d_of(a)
-                if b:  # w_{j,A} . x_{mid,B}
-                    add_term(el, (omega_gen_name(g.vertex, a), mckay_arrow_name(mid, b)), (-1) ** len(a) * eps)
+    for j in range(1, m):
+        for k, sub in enumerate(subsets[:-1]):  # proper subsets only
+            if j + weight[k] > m - 1:
+                continue
+            gens.append(OmegaGenerator(w[j][k], j, sub, j + weight[k], -len(sub)))
+            el: dict[Word, Scalar] = {}
+            for a, b, eps in splits[k]:  # index 0 is the empty set
+                mid = j + weight[a]
+                if b:  # (-1)^|A| w_{j,A} . x_{mid,B}
+                    add_term(el, (w[j][a], x[mid][b]), -eps if len(subsets[a]) % 2 else eps)
                 if a:  # - x_{j,A} . w_{mid,B}
-                    add_term(el, (mckay_arrow_name(g.vertex, a), omega_gen_name(mid, b)), -eps)
-        if el:
-            d_on[g.name] = el
+                    add_term(el, (x[j][a], w[mid][b]), -eps)
+            if el:
+                d_on[w[j][k]] = el
     return OmegaTilde(s, tuple(gens), d_on)
 
 
@@ -268,13 +261,13 @@ def build_omega_tilde(s: SplitModel) -> OmegaTilde:
 
 
 def _omega_element(ot: OmegaTilde) -> dict[Word, Scalar]:
-    data = ot.split_model.data
-    full = set(range(1, data.n + 1))
+    subsets, _weight, splits, _w, x = ot.split_model._table
+    # the splits of the full set pair each S with its complement C and eps(S, C)
+    complement = {subsets[a]: (b, eps) for a, b, eps in splits[-1]}
     el: dict[Word, Scalar] = {}
     for g in ot.generators:
-        comp = tuple(sorted(full - set(g.subset)))
-        coeff = (1 if len(g.subset) % 2 else -1) * shuffle_sign(g.subset, comp)
-        add_term(el, (g.name, mckay_arrow_name(g.target, comp)), coeff)
+        c, eps = complement[g.subset]
+        add_term(el, (g.name, x[g.target][c]), eps if len(g.subset) % 2 else -eps)
     return el
 
 

@@ -19,22 +19,19 @@ from .core import AlgebraElement, GradedQuiver, Path, Scalar, Vertex, add_term, 
 from .errors import InvalidInputError
 
 
-def leibniz(word: tuple[str, ...], images: Mapping[str, tuple], odd: frozenset[str]) -> dict[tuple[str, ...], Scalar]:
-    """d of the word by the graded Leibniz rule, given {letter: ((mid
-    word, coeff), ...)} for the letters of nonzero d and the letters of
-    odd hdeg; coefficients stay int while integral."""
-    out: dict[tuple[str, ...], Scalar] = {}
-    sign = 1
+def leibniz(word: tuple[str, ...], images: Mapping[str, tuple], odd: frozenset[str], out: dict, c: Scalar = 1) -> None:
+    """Add c times d of the word, by the graded Leibniz rule, into out,
+    given {letter: ((mid word, coeff), ...)} for the letters of nonzero d
+    and the letters of odd hdeg; coefficients stay int while integral."""
     for i, name in enumerate(word):
         image = images.get(name)
         if image:
             pre = word[:i]
             post = word[i + 1 :]
-            for mid, c in image:
-                add_term(out, pre + mid + post, c if sign > 0 else -c)
+            for mid, x in image:
+                add_term(out, pre + mid + post, c * x)
         if name in odd:
-            sign = -sign
-    return out
+            c = -c
 
 
 @dataclass(frozen=True)
@@ -67,13 +64,34 @@ class Differential:
         return images, frozenset(a.name for a in self.quiver.arrows if a.hdeg % 2)
 
     @cached_property
+    def _grading(self) -> dict:
+        """check_grading's report, made once per differential."""
+        q = self.quiver
+        for a in q.arrows:
+            da = self.on_arrows.get(a.name)
+            if da is None or not da.terms:
+                continue
+            for p in da.terms:
+                if not q.is_valid_path(p):
+                    return _fail("grading", a.name, f"term {p} is not a path of the quiver")
+                if p.start != a.source or q.path_target(p) != a.target:
+                    return _fail("grading", a.name, f"term {p} has wrong endpoints")
+                if q.path_hdeg(p) != a.hdeg + 1:
+                    return _fail("grading", a.name, f"term {p} has hdeg {q.path_hdeg(p)}, want {a.hdeg + 1}")
+                if q.path_adeg(p) != a.adeg:
+                    return _fail("grading", a.name, f"term {p} has adeg {q.path_adeg(p)}, want {a.adeg}")
+                if len(p.arrows) < 2:
+                    return _fail("grading", a.name, f"term {p} has length {len(p.arrows)} < 2 (minimality)")
+        return {"check": "grading", "status": "pass"}
+
+    @cached_property
     def _leads(self) -> tuple[frozenset[str], dict[str, tuple[str, ...]]]:
         """(the arrows a whose least term of d(a) starts below a, {a: the
         least term of d(a)} for every arrow with d(a) != 0).  The lead
         lemma in homology.cohomology_dims holds for every d that passes
         check_grading, its one judge: otherwise this raises
         InvalidInputError with check_grading's witness."""
-        report = check_grading(self)
+        report = self._grading
         if report["status"] != "pass":
             witness = report["witness"]
             raise InvalidInputError(f"d fails the grading check at arrow {witness['arrow']}: {witness['reason']}")
@@ -83,19 +101,21 @@ class Differential:
     def apply_to_word(self, word: tuple[str, ...]) -> dict[tuple[str, ...], Scalar]:
         """d of the path with these arrows (leibniz), keyed by arrow words
         (every term starts where the path does)."""
-        return leibniz(word, *self._compiled)
+        out: dict[tuple[str, ...], Scalar] = {}
+        leibniz(word, *self._compiled, out)
+        return out
 
     def apply(self, u: AlgebraElement) -> AlgebraElement:
-        """d(u) by the Leibniz rule, accumulated on (start, arrow word)
-        keys (apply_to_word); the AlgebraElement is built once, from what
-        does not cancel."""
+        """d(u) by the Leibniz rule, accumulated in place on arrow words,
+        one sum per start vertex (leibniz); the AlgebraElement is built
+        once, from what does not cancel."""
         if not u.is_hdeg_homogeneous():
             raise InvalidInputError("d applies to hdeg-homogeneous elements only")
-        out: dict[tuple[Vertex, tuple[str, ...]], Scalar] = {}
+        images, odd = self._compiled
+        out: dict[Vertex, dict[tuple[str, ...], Scalar]] = {}
         for p, c in u.terms.items():
-            for w, v in self.apply_to_word(p.arrows).items():
-                add_term(out, (p.start, w), c * v)
-        return AlgebraElement(self.quiver, {Path(*key): c for key, c in out.items()})
+            leibniz(p.arrows, images, odd, out.setdefault(p.start, {}), c)
+        return AlgebraElement(self.quiver, {Path(s, w): c for s, words in out.items() for w, c in words.items()})
 
     def __call__(self, u: AlgebraElement) -> AlgebraElement:
         return self.apply(u)
@@ -125,25 +145,10 @@ def check_grading(d: Differential) -> dict:
     with a's endpoints, have hdeg(a)+1 and adeg(a), and have length >= 2
     (minimality).  This is the one judge of a well-formed d:
     Differential._leads, and so homology.cohomology_dims, refuses every
-    d it fails.
+    d it fails.  The report is made once per Differential and shared by
+    every caller (Differential._grading).
     """
-    q = d.quiver
-    for a in q.arrows:
-        da = d.on_arrows.get(a.name)
-        if da is None or not da.terms:
-            continue
-        for p in da.terms:
-            if not q.is_valid_path(p):
-                return _fail("grading", a.name, f"term {p} is not a path of the quiver")
-            if p.start != a.source or q.path_target(p) != a.target:
-                return _fail("grading", a.name, f"term {p} has wrong endpoints")
-            if q.path_hdeg(p) != a.hdeg + 1:
-                return _fail("grading", a.name, f"term {p} has hdeg {q.path_hdeg(p)}, want {a.hdeg + 1}")
-            if q.path_adeg(p) != a.adeg:
-                return _fail("grading", a.name, f"term {p} has adeg {q.path_adeg(p)}, want {a.adeg}")
-            if len(p.arrows) < 2:
-                return _fail("grading", a.name, f"term {p} has length {len(p.arrows)} < 2 (minimality)")
-    return {"check": "grading", "status": "pass"}
+    return d._grading
 
 
 def check_d_squared(d: Differential) -> dict:

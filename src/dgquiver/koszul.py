@@ -6,7 +6,9 @@ J_n), the exterior-generator models, and the vertex-deletion quotient.
 One builder, _exterior, makes the arrows x_{j,S} of the minimal model of
 k[x_1..x_n] # Z/m and their shuffle-sign d.  The polynomial model is its
 case m = 1; the commutation presentation takes |S| <= 2, with the
-singletons as arrows and the d of the pairs as relators.
+singletons as arrows and the d of the pairs as relators.  Given a vertex
+to leave out, it builds the quotient by that vertex directly, as
+delete_vertex would leave it; cy deletes vertex 0 so.
 
 The J_n lattice runs on the word ids of core.WordIds, as truncated_dims
 does, and on integer rows, the integer RREF of linalg, whatever the
@@ -81,7 +83,21 @@ def _check_model_size(m: int, n: int) -> None:
 _MCKAY_NAME = "x{j}_{s}"
 
 
-def _exterior(m: int, weights: tuple[int, ...], top: int, name: str, label: str):
+def _subset_table(weights: tuple[int, ...], top: int):
+    """The subsets S of 1..n, n = len(weights), with |S| <= top: the
+    empty one first, then in _subsets order; their digits; their weights
+    d(S), not reduced; and per S its splits S = A ⊔ B, A or B possibly
+    empty, by |A| then lex, as (index of A, index of B, eps(A, B)), eps
+    the shuffle sign.  Made once per call of a builder, for every vertex."""
+    subsets = [()] + list(takewhile(lambda s: len(s) <= top, _subsets(len(weights))))
+    index = {s: k for k, s in enumerate(subsets)}
+    with_empty = ([((), s), *_splits(s), (s, ())] if s else [((), ())] for s in subsets)
+    splits = [[(index[a], index[b], shuffle_sign(a, b)) for a, b in pairs] for pairs in with_empty]
+    digits = [_subset_name(s) for s in subsets]
+    return subsets, digits, [sum(weights[i - 1] for i in s) for s in subsets], splits
+
+
+def _exterior(m: int, weights: tuple[int, ...], top: int, name: str, label: str, skip: Vertex | None = None):
     """The minimal model of k[x_1..x_n] # Z/m with these weights, on the
     subsets S of 1..n with 1 <= |S| <= top: the arrows x_{j,S} from j to
     j + d(S) mod m in bidegree (1 - |S|, |S|), and {name: d as {Path:
@@ -89,28 +105,33 @@ def _exterior(m: int, weights: tuple[int, ...], top: int, name: str, label: str)
     order, where d(x_{j,S}) = sum over S = A ⊔ B of
     (-1)^(|A|-1) eps(A, B) x_{j,A} x_{j+d(A),B}, eps the shuffle sign.
     name and label are format strings in j, s (the digits of S) and t
-    (the target).  Each subset's name, weight and splits are made once."""
-    subsets = list(takewhile(lambda s: len(s) <= top, _subsets(len(weights))))
-    digits = [_subset_name(s) for s in subsets]
-    weight = [sum(weights[i - 1] for i in s) for s in subsets]
-    # per subset, its signed splits as (index of A, index of B, coefficient)
-    index = {s: k for k, s in enumerate(subsets)}
-    splits = [
-        [(index[a], index[b], (-1) ** (len(a) - 1) * shuffle_sign(a, b)) for a, b in _splits(s)]
-        for s in subsets
-    ]
+    (the target).  Each subset's name, weight and splits are made once
+    (_subset_table).
+
+    With a vertex skip, the quotient by e_skip is built directly, in the
+    order delete_vertex leaves: no arrow at skip, no term through it,
+    and no d(a) that loses all its terms."""
+    subsets, digits, weight, splits = _subset_table(weights, top)
     names = [[name.format(j=j, s=s) for s in digits] for j in range(m)]
     arrows = []
+    d = {}
     for j, here in enumerate(names):
-        for k, s in enumerate(subsets):
+        if j == skip:
+            continue
+        for k in range(1, len(subsets)):
             t = (j + weight[k]) % m
-            arrows.append(Arrow(here[k], j, t, 1 - len(s), len(s), label.format(j=j, s=digits[k], t=t)))
-    d = {
-        here[k]: {Path(j, (here[a], names[(j + weight[a]) % m][b])): c for a, b, c in split}
-        for j, here in enumerate(names)
-        for k, split in enumerate(splits)
-        if split
-    }
+            if t == skip:
+                continue
+            size = len(subsets[k])
+            arrows.append(Arrow(here[k], j, t, 1 - size, size, label.format(j=j, s=digits[k], t=t)))
+            # the nonempty parts only: both ends of splits[k] have A or B empty
+            terms = {
+                Path(j, (here[a], names[mid][b])): eps if len(subsets[a]) % 2 else -eps
+                for a, b, eps in splits[k][1:-1]
+                if (mid := (j + weight[a]) % m) != skip
+            }
+            if terms:
+                d[here[k]] = terms
     return tuple(arrows), d
 
 
@@ -175,17 +196,28 @@ def mckay_arrow_name(j: int, s: tuple[int, ...]) -> str:
 def mckay_model(data: McKayData) -> DGModel:
     """Minimal model of k[x_1..x_n] # Z/m: vertices 0..m-1, an arrow
     x_{j,S,j+d(S)} per vertex j and nonempty subset S (_exterior)."""
+    return _mckay(data, None)
+
+
+def deleted_mckay_model(data: McKayData, v: Vertex) -> DGModel:
+    """delete_vertex(mckay_model(data), v), built without v: _exterior
+    emits no arrow at v and no term through it, so the full model is
+    never made."""
+    return _mckay(data, v)
+
+
+def _mckay(data: McKayData, skip: Vertex | None) -> DGModel:
     m = data.m
     _check_model_size(m, data.n)
-    arrows, d = _exterior(m, data.weights, data.n, _MCKAY_NAME, "x_{{{j},{{{s}}},{t}}}")
-    quiver = GradedQuiver(tuple(range(m)), arrows)
+    if skip is not None and skip not in range(m):
+        raise InvalidInputError(f"unknown vertex {skip!r}")
+    arrows, d = _exterior(m, data.weights, data.n, _MCKAY_NAME, "x_{{{j},{{{s}}},{t}}}", skip)
+    quiver = GradedQuiver(tuple(j for j in range(m) if j != skip), arrows)
     on_arrows = {name: AlgebraElement(quiver, terms) for name, terms in d.items()}
-    return DGModel(
-        quiver,
-        Differential(quiver, on_arrows),
-        provenance="mckay",
-        metadata={"m": m, "weights": data.weights, "warnings": data.warnings},
-    )
+    metadata = {"m": m, "weights": data.weights, "warnings": data.warnings}
+    if skip is not None:
+        metadata["deleted_vertex"] = skip
+    return DGModel(quiver, Differential(quiver, on_arrows), provenance="mckay", metadata=metadata)
 
 
 def mckay_commutation_presentation(data: McKayData) -> PresentedAlgebra:
@@ -193,8 +225,14 @@ def mckay_commutation_presentation(data: McKayData) -> PresentedAlgebra:
     quiver on the singleton arrows with the commuting-square relators
     d(x_{j,{k,l}}) = x_{j,k} x_{j+a_k,l} - x_{j,l} x_{j+a_l,k}, k < l,
     built by _exterior up to two-element subsets."""
-    arrows, d = _exterior(data.m, data.weights, 2, _MCKAY_NAME, "")
-    quiver = GradedQuiver(tuple(range(data.m)), tuple(a for a in arrows if a.adeg == 1))
+    return _commuting_squares(data, None)
+
+
+def _commuting_squares(data: McKayData, skip: Vertex | None) -> PresentedAlgebra:
+    """mckay_commutation_presentation(data), and with a vertex skip its
+    delete_vertex(skip), built without skip as _exterior builds it."""
+    arrows, d = _exterior(data.m, data.weights, 2, _MCKAY_NAME, "", skip)
+    quiver = GradedQuiver(tuple(j for j in range(data.m) if j != skip), tuple(a for a in arrows if a.adeg == 1))
     return PresentedAlgebra(quiver, tuple(AlgebraElement(quiver, terms) for terms in d.values()))
 
 

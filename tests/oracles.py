@@ -14,8 +14,9 @@ which pin their arrow-word replacements, the product-and-solve
 ``minimal_model_general``, which pins the read-off of its differential
 from the RREF pivots, the Fraction ``check_d_squared``, which pins
 its word-level accumulation, the per-vertex ``mckay_model``, which
-pins its per-subset table, and the weight-by-weight ``build_C``, which
-pins its restriction of the commutation presentation.
+pins its per-subset table, the weight-by-weight ``build_C``, which
+pins its restriction of the commutation presentation, and the per-split
+``build_omega_tilde``, which pins the subset table of ω̃.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from itertools import combinations, combinations_with_replacement
 import sympy
 
 from dgquiver import koszul, linalg
-from dgquiver.core import AlgebraElement, Arrow, GradedQuiver, Path, Vertex, vertex_key
+from dgquiver.core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, add_term, vertex_key
 from dgquiver.errors import InvalidInputError, ResourceLimitError
-from dgquiver.cy import SplitModel
+from dgquiver.cy import OmegaGenerator, OmegaTilde, SplitModel
 from dgquiver.differential import Differential, DGModel
-from dgquiver.homology import SliceKey, path_cap
+from dgquiver.homology import SliceKey, Word, path_cap
 from dgquiver.koszul import McKayData, _splits, _subset_name, _subsets, mckay_arrow_name, shuffle_sign
 from dgquiver.presentations import PresentedAlgebra, QuadraticPresentation
 
@@ -866,3 +867,45 @@ def old_build_C(s: SplitModel) -> PresentedAlgebra:
                     )
                 )
     return PresentedAlgebra(quiver, tuple(relators))
+
+
+# ---------------------------------------------------------------------------
+# The former dgquiver.cy.build_omega_tilde, kept verbatim with the
+# omega_gen_name it called, as an oracle for the subset table that
+# replaced them: it recomputes each name, d(S) and shuffle sign for every
+# generator and split.
+
+
+def omega_gen_name(j: int, subset: tuple[int, ...]) -> str:
+    return f"w{j}_{_subset_name(subset)}" if subset else f"w{j}_e"
+
+
+def old_build_omega_tilde(s: SplitModel) -> OmegaTilde:
+    """Generators w_{j,S} for proper S with j + d(S) <= m-1, with the
+    differential induced by d(Db) = -D(db) + [b, g] on the cone of the
+    noncommutative differentials."""
+    s.require_closure()
+    data = s.data
+    m, n = data.m, data.n
+    gens = []
+    for j in range(1, m):
+        for size in range(n):  # proper subsets only
+            for sub in combinations(range(1, n + 1), size):
+                if j + data.d_of(sub) <= m - 1:
+                    gens.append(OmegaGenerator(omega_gen_name(j, sub), j, sub, j + data.d_of(sub), -len(sub)))
+    d_on: dict[str, dict[Word, Scalar]] = {}
+    for g in gens:
+        el: dict[Word, Scalar] = {}
+        sset = set(g.subset)
+        for size_a in range(len(g.subset) + 1):
+            for a in combinations(g.subset, size_a):
+                b = tuple(sorted(sset - set(a)))
+                eps = shuffle_sign(a, b)
+                mid = g.vertex + data.d_of(a)
+                if b:  # w_{j,A} . x_{mid,B}
+                    add_term(el, (omega_gen_name(g.vertex, a), mckay_arrow_name(mid, b)), (-1) ** len(a) * eps)
+                if a:  # - x_{j,A} . w_{mid,B}
+                    add_term(el, (mckay_arrow_name(g.vertex, a), omega_gen_name(mid, b)), -eps)
+        if el:
+            d_on[g.name] = el
+    return OmegaTilde(s, tuple(gens), d_on)

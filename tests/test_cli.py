@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dgquiver import McKayData, h0_presentation, polynomial_model, serialize
+from dgquiver import GradedQuiver, McKayData, h0_presentation, mckay_model, polynomial_model, serialize
 from dgquiver.cli import main
 from dgquiver.koszul import mckay_commutation_presentation
 
@@ -118,6 +118,22 @@ def test_cohomology_command(capsys, tmp_path):
         capsys, "cohomology", "--model", str(path), "--hmin", "-2", "--adams-max", "3", "--format", "table"
     )
     assert code == 0 and out.splitlines()[0].startswith("h\\a")
+
+
+def test_cohomology_grades_the_differential_once(capsys, tmp_path, monkeypatch):
+    """The CLI's grading check and the lead lemma of cohomology_dims read
+    one report: one is_valid_path call per term of d from reading the
+    model and one from grading it, 2 * 36 for McKay (3;111)."""
+    model = mckay_model(McKayData(3, (1, 1, 1)))
+    assert sum(len(da.terms) for da in model.differential.on_arrows.values()) == 36
+    path = tmp_path / "model.json"
+    path.write_text(serialize.dumps(serialize.model_to_json(model)))
+    calls = []
+    is_valid_path = GradedQuiver.is_valid_path
+    monkeypatch.setattr(GradedQuiver, "is_valid_path", lambda q, p: calls.append(p) or is_valid_path(q, p))
+    code, _out, _err = run(capsys, "cohomology", "--model", str(path), "--hmin", "-3", "--adams-max", "3")
+    assert code == 0
+    assert len(calls) == 72
 
 
 def test_verify_detects_corruption(capsys, tmp_path):

@@ -20,9 +20,9 @@ from dgquiver import (
     cy_check,
 )
 from dgquiver import cy
-from dgquiver.cy import OmegaTilde, _omega_element, _trace_d, omega_gen_name
+from dgquiver.cy import OmegaTilde, _omega_element, _trace_d
 from dgquiver.koszul import mckay_arrow_name
-from oracles import old_build_C, old_omega_tilde_d, old_trace_d
+from oracles import old_build_C, old_build_omega_tilde, old_omega_tilde_d, old_trace_d
 
 CY_CASES = ((3, (1, 1, 1)), (4, (1, 1, 1, 1)), (5, (1, 1, 1, 2)), (6, (1,) * 6), (7, (1, 1, 1, 1, 3)))
 
@@ -109,22 +109,29 @@ def test_omega_tilde_generators_m3():
     ot = build_omega_tilde(s)
     names = {g.name for g in ot.generators}
     # proper subsets S with 1 <= j and j + d(S) <= 2
-    assert names == {
-        omega_gen_name(1, ()),
-        omega_gen_name(2, ()),
-        omega_gen_name(1, (1,)),
-        omega_gen_name(1, (2,)),
-        omega_gen_name(1, (3,)),
-    }
+    assert names == {"w1_e", "w2_e", "w1_1", "w1_2", "w1_3"}
     # the empty-set generators are closed
-    assert omega_gen_name(1, ()) not in ot.d_on_generators
+    assert "w1_e" not in ot.d_on_generators
     # d(w_{1,{i}}) = w_{1,()} . x_{1,{i}} - x_{1,{i}} . w_{2,()}
-    d = ot.d_on_generators[omega_gen_name(1, (1,))]
-    assert d == {
-        (omega_gen_name(1, ()), mckay_arrow_name(1, (1,))): 1,
-        (mckay_arrow_name(1, (1,)), omega_gen_name(2, ())): -1,
-    }
+    assert ot.d_on_generators["w1_1"] == {("w1_e", "x1_1"): 1, ("x1_1", "w2_e"): -1}
     assert all(type(c) is int for el in ot.d_on_generators.values() for c in el.values())
+
+
+def test_build_omega_tilde_matches_the_old_builder():
+    """The subset table gives the generators and d_on_generators of the
+    per-split builder, in the same order, on all 35 weight vectors with
+    3 <= m <= 8, three to five weights and sum m."""
+    cases = [
+        (m, w) for m in range(3, 9) for n in (3, 4, 5) for w in combinations_with_replacement(range(1, m), n) if sum(w) == m
+    ]
+    assert len(cases) == 35
+    for m, weights in cases:
+        s = build_split(McKayData(m, weights))
+        got, want = build_omega_tilde(s), old_build_omega_tilde(s)
+        assert got.generators == want.generators
+        assert [(g, list(el.items())) for g, el in got.d_on_generators.items()] == [
+            (g, list(el.items())) for g, el in want.d_on_generators.items()
+        ]
 
 
 def test_omega_tilde_d_squared():

@@ -21,7 +21,7 @@ from dgquiver import (
     minimal_model_general,
     polynomial_model,
 )
-from oracles import old_check_d_squared
+from oracles import old_apply_to_path, old_check_d_squared
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,25 @@ def test_leibniz_identity_randomized(poly3):
         v = q.gen(rng.choice(names))
         sign = Fraction((-1) ** (u.hdeg() % 2)) if u else Fraction(1)
         assert d(u * v) == d(u) * v + sign * (u * d(v))
+
+
+def test_apply_is_the_sum_of_the_path_keyed_loop_over_the_terms():
+    """d of an element with many terms at every vertex, weighted so that
+    some images cancel, against old_apply_to_path summed term by term."""
+    model = mckay_model(McKayData(3, (1, 1, 1)))
+    q, d = model.quiver, model.differential
+    paths = [
+        Path(a.source, (a.name, b.name)) for a in q.arrows for b in q.out_arrows(a.target) if a.hdeg + b.hdeg == -1
+    ]
+    u = AlgebraElement(q, {p: Fraction(i % 5 - 2, 1 + i % 3) for i, p in enumerate(paths)})
+    assert len({p.start for p in u.terms}) == 3
+    want: dict = {}
+    for p, c in u.terms.items():
+        for r, x in old_apply_to_path(d, p).items():
+            want[r] = want.get(r, 0) + c * x
+    assert d.apply(u).terms == {r: c for r, c in want.items() if c}
+    assert len({r.start for r in d.apply(u).terms}) == 3
+    assert any(not c for c in want.values())
 
 
 def test_apply_rejects_inhomogeneous(poly3):

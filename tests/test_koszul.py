@@ -2,7 +2,7 @@
 intersection lattice, and vertex deletion."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -31,7 +31,7 @@ from dgquiver import (
     truncated_dims,
 )
 from dgquiver import koszul, serialize
-from dgquiver.koszul import mckay_arrow_name, mckay_commutation_presentation
+from dgquiver.koszul import _commuting_squares, deleted_mckay_model, mckay_arrow_name, mckay_commutation_presentation
 from oracles import brute_Jn_dim, old_minimal_model_general
 
 
@@ -351,6 +351,43 @@ def test_delete_vertex_unknown():
     model = polynomial_model(2)
     with pytest.raises(InvalidInputError):
         delete_vertex(model, 5)
+    with pytest.raises(InvalidInputError, match="unknown vertex"):
+        deleted_mckay_model(McKayData(3, (1, 1, 1)), 3)
+
+
+def _same_model(got, want):
+    """Equal models, down to the order of the arrows, of d's keys and of
+    each d(a)'s terms, and to the provenance and the metadata."""
+    assert got.quiver == want.quiver
+    assert [(a, list(da.terms.items())) for a, da in got.differential.on_arrows.items()] == [
+        (a, list(da.terms.items())) for a, da in want.differential.on_arrows.items()
+    ]
+    assert (got.provenance, list(got.metadata.items())) == (want.provenance, list(want.metadata.items()))
+
+
+def test_deleted_mckay_model_is_delete_vertex_of_the_full_model():
+    """The direct build without vertex 0 on every weight vector in
+    0..m-1 with 2 <= m <= 8 and at most three weights: 1,533 cases."""
+    cases = 0
+    for m in range(2, 9):
+        for n in range(1, 4):
+            for weights in product(range(m), repeat=n):
+                data = McKayData(m, weights)
+                _same_model(deleted_mckay_model(data, 0), delete_vertex(mckay_model(data), 0))
+                cases += 1
+    assert cases == 1533
+
+
+def test_direct_builds_without_any_vertex_match_the_restrictions():
+    """Every vertex, not only 0: the deleted model and the commuting
+    squares without it, against delete_vertex of the full ones."""
+    for m in range(2, 6):
+        for weights in product(range(m), repeat=2):
+            data = McKayData(m, weights + (1,))
+            model, pres = mckay_model(data), mckay_commutation_presentation(data)
+            for v in range(m):
+                _same_model(deleted_mckay_model(data, v), delete_vertex(model, v))
+                assert _commuting_squares(data, v) == pres.delete_vertex(v)
 
 
 def test_commutation_presentation_counts_monomials():
