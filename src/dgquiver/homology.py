@@ -26,9 +26,10 @@ DEFAULT_PATH_CAP = 10**6
 SliceKey = tuple[int, int, Vertex, Vertex]  # (hdeg, adeg, source, target)
 
 
-def path_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
+def path_cap() -> int:
+    """The path cap: DGQ_PATH_CAP, a positive integer, or DEFAULT_PATH_CAP
+    when it is unset or empty.  Read at each call, the one setting of the
+    cap; any other value of the variable is invalid input."""
     env = os.environ.get("DGQ_PATH_CAP")
     if not env:
         return DEFAULT_PATH_CAP
@@ -48,13 +49,8 @@ Bucket = tuple[list[Word], array, bytearray]
 Leads = tuple[frozenset[str], dict[str, Word]]  # Differential._leads
 
 
-def _check_cap(key: SliceKey, words: list[Word], cap: int) -> None:
-    if len(words) > cap:
-        raise ResourceLimitError(f"slice {key} exceeds the path cap {cap}; raise DGQ_PATH_CAP to override")
-
-
 def _stream_slices(
-    quiver: GradedQuiver, hmin: int, nadams: int, cap: int | None = None, leads: Leads = (frozenset(), {})
+    quiver: GradedQuiver, hmin: int, nadams: int, leads: Leads = (frozenset(), {})
 ) -> Iterator[tuple[Vertex, int, dict[tuple[int, Vertex], Bucket]]]:
     """The arrow words of every path with hdeg >= hmin and adeg <= nadams,
     yielded one source vertex s and one Adams level a at a time as
@@ -96,7 +92,7 @@ def _stream_slices(
     offset when every one of them is fixed or, with d(y) = 0, is not -1.
     Only a block whose parent mixes the two cases is built word by word.
     """
-    cap = path_cap(cap)
+    cap = path_cap()
     smaller, least = leads
     arrows = {arr.name: arr for arr in quiver.arrows}
     span = max((arr.adeg for arr in quiver.arrows), default=1)
@@ -112,7 +108,6 @@ def _stream_slices(
         for a in range(nadams + 1):
             level: dict[tuple[int, Vertex], Bucket] = {}
             for (h, t), (words, blocks) in levels[a].items():
-                _check_cap((h, a, s, t), words, cap)
                 lead, fixed = (array("q"), bytearray()) if blocks else (array("q", [-1]), bytearray(1))
                 for ph, pt, pa, y in blocks:
                     plead, pfixed, zero, nfixed = kept[pa][(ph, pt)]
@@ -154,8 +149,13 @@ def _stream_slices(
                         name = (arr.name,)
                         bucket[0].extend([w + name for w in words])
                         bucket[1].append((h, t, a, arr.name))
-                        # checked as it grows, so memory stays near the cap
-                        _check_cap((h2, a2, s, arr.target), bucket[0], cap)
+                        # checked as it grows, so memory stays near the cap; no
+                        # slice grows elsewhere, and the one of level 0 has one word
+                        if len(bucket[0]) > cap:
+                            raise ResourceLimitError(
+                                f"slice {(h2, a2, s, arr.target)} exceeds the path cap {cap}; "
+                                "raise DGQ_PATH_CAP to override"
+                            )
             yield s, a, level
 
 
@@ -218,7 +218,6 @@ def cohomology_dims(
     model: DGModel,
     hmin: int,
     nadams: int,
-    cap: int | None = None,
     by_component: bool = False,
 ) -> dict:
     """dim H^h in each bidegree with hmin <= h <= 0 and adeg <= nadams.
@@ -302,7 +301,7 @@ def cohomology_dims(
     d = model.differential
     leads = d._leads  # raises here unless d passes check_grading
     comp: dict[SliceKey, int] = {}
-    for s, a, level in _stream_slices(model.quiver, hmin - 1, nadams, cap, leads):
+    for s, a, level in _stream_slices(model.quiver, hmin - 1, nadams, leads):
         for h, t, dim in _level_dims(d, level, hmin):
             comp[(h, a, s, t)] = dim
     if by_component:
@@ -335,9 +334,7 @@ def h0_presentation(model: DGModel) -> PresentedAlgebra:
     return PresentedAlgebra(q0, tuple(relators))
 
 
-def truncated_dims(
-    pres: PresentedAlgebra, nadams: int, cap: int | None = None
-) -> dict[tuple[Vertex, Vertex, int], int]:
+def truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Vertex, int], int]:
     """Graded dimensions of kQ/(relators) up to Adams degree nadams.
 
     Keys (source, target, adeg); zero entries are dropped.  Works degree
@@ -361,7 +358,7 @@ def truncated_dims(
     """
     if nadams < 0:
         raise InvalidInputError("nadams must be >= 0")
-    cap = path_cap(cap)
+    cap = path_cap()
     q = pres.quiver
     ids = WordIds(q)
     base, rank = ids.base, ids.rank
@@ -430,7 +427,6 @@ def compare_h0(
     nadams: int,
     arrow_map: dict[str, str] | None = None,
     vertex_map: dict[Vertex, Vertex] | None = None,
-    cap: int | None = None,
 ) -> dict:
     """Compare truncated dimension tables of H^0(model) and pres under an
     explicit generator map.  Reports the first mismatching (s, t, adeg)."""
@@ -468,8 +464,8 @@ def compare_h0(
     if len({vmap[v] for v in h0.quiver.vertices}) != len(h0.quiver.vertices):
         raise InvalidInputError("vertex map sends two vertices to one")
 
-    left = truncated_dims(h0, nadams, cap)
-    right = truncated_dims(pres, nadams, cap)
+    left = truncated_dims(h0, nadams)
+    right = truncated_dims(pres, nadams)
     mapped = {(vmap[s], vmap[t], a): dim for (s, t, a), dim in left.items()}
     if mapped == right:
         return {

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, islice, takewhile
 from typing import Iterator
 
@@ -83,12 +84,17 @@ def _check_model_size(m: int, n: int) -> None:
 _MCKAY_NAME = "x{j}_{s}"
 
 
+@lru_cache(maxsize=4)
 def _subset_table(weights: tuple[int, ...], top: int):
     """The subsets S of 1..n, n = len(weights), with |S| <= top: the
     empty one first, then in _subsets order; their digits; their weights
     d(S), not reduced; and per S its splits S = A ⊔ B, A or B possibly
     empty, by |A| then lex, as (index of A, index of B, eps(A, B)), eps
-    the shuffle sign.  Made once per call of a builder, for every vertex."""
+    the shuffle sign.  Made once per key, for every vertex: a cy_check
+    reads the (weights, n) table twice, for the deleted model and for
+    its split model.  The last few tables are kept, so no caller may
+    mutate the lists; none does.  The cache stays small, as one table
+    for n = 12 already holds 3^12 splits."""
     subsets = [()] + list(takewhile(lambda s: len(s) <= top, _subsets(len(weights))))
     index = {s: k for k, s in enumerate(subsets)}
     with_empty = ([((), s), *_splits(s), (s, ())] if s else [((), ())] for s in subsets)
@@ -158,11 +164,13 @@ class McKayData:
 
     m: int
     weights: tuple[int, ...]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    warnings: tuple[str, ...] = field(init=False, default=(), compare=False)  # set by __post_init__
 
     def __post_init__(self):
         if self.m < 2:
             raise InvalidInputError("need m >= 2")
+        # a tuple, so the data hashes and keys _subset_table's cache
+        object.__setattr__(self, "weights", tuple(self.weights))
         if not self.weights:
             raise InvalidInputError("need at least one weight")
         if any(not (0 <= a <= self.m - 1) for a in self.weights):

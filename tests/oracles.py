@@ -255,9 +255,7 @@ def fraction_solve_in_span(vectors, target):
 # recursions that replaced them.
 
 
-def old_truncated_dims(
-    pres: PresentedAlgebra, nadams: int, cap: int | None = None
-) -> dict[tuple[Vertex, Vertex, int], int]:
+def old_truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Vertex, int], int]:
     """Graded dimensions of kQ/(relators) up to Adams degree nadams.
 
     Keys (source, target, adeg); zero entries are dropped.  Ideal
@@ -266,7 +264,7 @@ def old_truncated_dims(
     """
     if nadams < 0:
         raise InvalidInputError("nadams must be >= 0")
-    cap = path_cap(cap)
+    cap = path_cap()
     q = pres.quiver
     by_adeg: dict[int, list[Path]] = defaultdict(list)
     total = 0
@@ -402,12 +400,10 @@ def old_apply_to_path(d: Differential, p: Path) -> dict[Path, Scalar]:
     return out
 
 
-def old_bigraded_slices(
-    quiver: GradedQuiver, hmin: int, nadams: int, cap: int | None = None
-) -> dict[SliceKey, tuple[Path, ...]]:
+def old_bigraded_slices(quiver: GradedQuiver, hmin: int, nadams: int) -> dict[SliceKey, tuple[Path, ...]]:
     """Enumerate all paths with hdeg >= hmin and adeg <= nadams, bucketed
     by (hdeg, adeg, source, target) with the canonical basis order."""
-    cap = path_cap(cap)
+    cap = path_cap()
     buckets: dict[SliceKey, list[Path]] = defaultdict(list)
 
     # depth-first with an explicit stack, children pushed in reverse so
@@ -447,7 +443,6 @@ def old_cohomology_dims(
     model: DGModel,
     hmin: int,
     nadams: int,
-    cap: int | None = None,
     by_component: bool = False,
 ) -> dict:
     """dim H^h in each bidegree with hmin <= h <= 0 and adeg <= nadams.
@@ -460,7 +455,7 @@ def old_cohomology_dims(
         raise InvalidInputError("hmin must be <= 0")
     if nadams < 1:
         raise InvalidInputError("nadams must be >= 1")
-    slices = old_bigraded_slices(model.quiver, hmin - 1, nadams, cap)
+    slices = old_bigraded_slices(model.quiver, hmin - 1, nadams)
     out_rank: dict[SliceKey, int] = {}
     for key in slices:
         out_rank[key] = _old_outgoing_rank(model, slices, key)
@@ -544,14 +539,12 @@ def old_check_d_squared(d: Differential) -> dict:
 # old_apply_to_path above, so they share no Leibniz loop with the library.
 
 
-def old_path_truncated_dims(
-    pres: PresentedAlgebra, nadams: int, cap: int | None = None
-) -> dict[tuple[Vertex, Vertex, int], int]:
+def old_path_truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Vertex, int], int]:
     """Graded dimensions of kQ/(relators) up to Adams degree nadams, by
     the normal-word recursion on Path keys with Fraction normal forms."""
     if nadams < 0:
         raise InvalidInputError("nadams must be >= 0")
-    cap = path_cap(cap)
+    cap = path_cap()
     q = pres.quiver
     killed = {r.endpoints()[0] for r in pres.relators if r.adeg() == 0}
     relators = [(r.adeg(), r.endpoints()[0], r.terms) for r in pres.relators]

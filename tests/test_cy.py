@@ -19,7 +19,7 @@ from dgquiver import (
     check_C_koszul_and_model,
     cy_check,
 )
-from dgquiver import cy
+from dgquiver import cy, koszul
 from dgquiver.cy import OmegaTilde, _omega_element, _trace_d
 from dgquiver.koszul import mckay_arrow_name
 from oracles import old_build_C, old_build_omega_tilde, old_omega_tilde_d, old_trace_d
@@ -264,6 +264,15 @@ def test_cy_check_builds_one_omega_tilde(monkeypatch):
     monkeypatch.setattr(cy, "build_omega_tilde", counting)
     assert cy_check(McKayData(4, (1, 1, 1, 1)), nadams=3)["status"] == "pass"
     assert len(built) == 1
+
+
+def test_cy_check_builds_each_subset_table_once():
+    """The (weights, n) table serves the deleted model and the split
+    model, the (weights, 2) table the commuting squares of C."""
+    koszul._subset_table.cache_clear()
+    cy_check(McKayData(6, (1,) * 6), 4)
+    info = koszul._subset_table.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
 
 
 def test_d_squared_vanishes_on_two_sided_terms():

@@ -27,9 +27,12 @@ by the ``check_d_squared`` without a truncation bound, and the
 of the arrows at vertices 10 and up sort apart from their vertex order,
 so the file pins the arrow and relator order, by the three loops that
 wrote out the subset splits of the polynomial model, the McKay model and
-the commuting squares.  Any change to the
-arithmetic, elimination, span or restriction kernels must leave these
-outputs unchanged.  To rebuild them after a deliberate change
+the commuting squares, and the conifold Ginzburg model (acceptance
+criterion 2) and the ``model-mckay`` model of (5;113), a criterion-5
+case and the first undeleted McKay model pinned, by the code that read
+the path cap from an argument as well as from ``DGQ_PATH_CAP``.  Any
+change to the arithmetic, elimination, span or restriction kernels must
+leave these outputs unchanged.  To rebuild them after a deliberate change
 of output format, run ``python tests/test_golden.py --write`` from the
 repository root with ``src`` on the path.
 """
@@ -174,6 +177,8 @@ def golden_outputs(work: FilePath) -> dict[str, str]:
         "presentation_mckay11_137.json": serialize.dumps(
             serialize.presentation_to_json(mckay_commutation_presentation(McKayData(11, (1, 3, 7))))
         ),
+        "model_conifold.json": FilePath(conifold).read_text(),
+        "model_mckay5_113.json": _cli("model-mckay", "--m", "5", "--weights", "1,1,3"),
     }
 
 
@@ -206,6 +211,8 @@ def outputs(tmp_path_factory):
         "model_poly4.json",
         "model_mckay2_1111_del0.json",
         "presentation_mckay11_137.json",
+        "model_conifold.json",
+        "model_mckay5_113.json",
     ],
 )
 def test_output_matches_golden_file(outputs, name):

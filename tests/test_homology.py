@@ -256,16 +256,18 @@ def test_compare_h0_refuses_a_vertex_map_from_an_unknown_vertex():
             compare_h0(model, pres, 2, vertex_map={key: 2})
 
 
-def test_resource_cap():
+def test_resource_cap(monkeypatch):
     model = polynomial_model(3)
+    monkeypatch.setenv("DGQ_PATH_CAP", "5")
     with pytest.raises(ResourceLimitError):
-        cohomology_dims(model, -4, 6, cap=5)
+        cohomology_dims(model, -4, 6)
     pres = PresentedAlgebra(
         GradedQuiver((0,), (Arrow("a", 0, 0, 0, 1),)),
         (),
     )
+    monkeypatch.setenv("DGQ_PATH_CAP", "10")
     with pytest.raises(ResourceLimitError):
-        truncated_dims(pres, 50, cap=10)
+        truncated_dims(pres, 50)
 
 
 def test_path_cap_env_override(monkeypatch):
@@ -273,7 +275,6 @@ def test_path_cap_env_override(monkeypatch):
 
     monkeypatch.setenv("DGQ_PATH_CAP", "123")
     assert path_cap() == 123
-    assert path_cap(7) == 7
     monkeypatch.delenv("DGQ_PATH_CAP")
     assert path_cap() == 10**6
 

@@ -281,6 +281,14 @@ def test_mckay_data_validation():
     assert McKayData(4, (2, 2)).warnings  # gcd(2,4) != 1
     assert McKayData(3, (1, 1)).warnings  # sum not 0 mod 3
     assert McKayData(3, (1, 1, 1)).warnings == ()
+    assert McKayData(3, [1, 1, 1]) == McKayData(3, (1, 1, 1))  # hashable, as the subset tables are cached
+
+
+def test_mckay_data_warnings_are_derived_not_passed():
+    """warnings are derived from m and the weights, so the constructor
+    takes none."""
+    with pytest.raises(TypeError):
+        McKayData(3, (1, 1, 1), warnings=("x",))
 
 
 def test_mckay_model_structure():

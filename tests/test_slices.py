@@ -2,10 +2,12 @@
 replaced, on polynomial, McKay, quantum and Ginzburg models."""
 
 import json
+import os
 import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -321,12 +323,13 @@ def test_bigraded_slices_match_the_depth_first_enumeration(model, window):
 
 
 @settings(max_examples=60, deadline=None)
-@given(models, windows, st.integers(0, 60))
+@given(models, windows, st.integers(1, 60))
 def test_path_cap_trips_exactly_when_the_oracle_trips(model, window, cap):
     def outcome(fn):
         try:
-            return fn(model, *window, cap=cap)
+            return fn(model, *window)
         except ResourceLimitError:
             return ResourceLimitError
 
-    assert outcome(cohomology_dims) == outcome(old_cohomology_dims)
+    with mock.patch.dict(os.environ, {"DGQ_PATH_CAP": str(cap)}):
+        assert outcome(cohomology_dims) == outcome(old_cohomology_dims)
