@@ -13,7 +13,7 @@ import sys
 from . import serialize
 from .cy import cy_check
 from .differential import DGModel, check_d_squared, check_grading
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, path_cap
 from .ginzburg import ginzburg_model, restrict_potential
 from .homology import cohomology_dims, compare_h0
 from .koszul import McKayData, deleted_mckay_model, mckay_model, polynomial_model
@@ -61,7 +61,7 @@ def _run_verifications(model: DGModel, what: str) -> list[dict]:
     return reports
 
 
-def _failed_check(model: DGModel) -> dict | None:
+def _first_failure(model: DGModel) -> dict | None:
     """The report of the grading check, or else of the d^2 check, when it
     fails on the model; None when both pass."""
     return next((r for r in _run_verifications(model, "all") if r["status"] != "pass"), None)
@@ -130,10 +130,14 @@ def cmd_cohomology(args) -> int:
     if args.adams_max < 1:
         raise InvalidInputError(f"--adams-max must be >= 1, got {args.adams_max}")
     model = serialize.model_from_json(_load(args.model))
-    failed = _failed_check(model)
+    failed = _first_failure(model)
     if failed:
         _emit(args, failed)
         return 1
+    # refused before it is made, as the table is dense in (h, a)
+    entries = (1 - args.hmin) * (args.adams_max + 1)
+    if entries > (cap := path_cap()):
+        raise ResourceLimitError(f"a table of {entries} entries exceeds the path cap {cap}; raise DGQ_PATH_CAP")
     table = cohomology_dims(model, args.hmin, args.adams_max)
     if args.format == "table":
         lines = ["h\\a " + " ".join(f"{a:>4}" for a in range(args.adams_max + 1))]
@@ -151,7 +155,7 @@ def cmd_compare_h0(args) -> int:
         raise InvalidInputError(f"--adams-max must be >= 0, got {args.adams_max}")
     model = serialize.model_from_json(_load(args.model))
     pres = serialize.presentation_from_json(_load(args.presentation))
-    failed = _failed_check(model)
+    failed = _first_failure(model)
     if failed:
         _emit(args, failed)
         return 1

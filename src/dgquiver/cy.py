@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .core import GradedQuiver, Scalar, Vertex, add_term
 from .differential import DGModel, leibniz
-from .errors import InvalidInputError
+from .errors import InvalidInputError, failed, passed
 from .homology import Word, cohomology_dims, truncated_dims
 from .koszul import _MCKAY_NAME, McKayData, _commuting_squares, _jn_series, _subset_table, deleted_mckay_model
 from .presentations import PresentedAlgebra
@@ -75,7 +75,9 @@ def split(model: DGModel, data: McKayData) -> SplitModel:
     """Classify arrows as ascending (integer target > source in 1..m-1)
     or descending, and check that both halves are closed under d:
     d(ascending) uses ascending arrows only, d(descending) has exactly
-    one descending factor per term.  Expected to hold iff sum(a_i) = m."""
+    one descending factor per term.  Closure is not the weight-sum
+    condition: it fails on (2; 0,1,1), whose sum is m, and holds on
+    (3; 1,1), whose sum is not, so cy_check tests the sum on its own."""
     q = model.quiver
     asc, desc = set(), set()
     for a in q.arrows:
@@ -100,9 +102,7 @@ def split(model: DGModel, data: McKayData) -> SplitModel:
                 break
         if witness:
             break
-    closure = {"check": "split_closure", "status": "pass" if witness is None else "fail"}
-    if witness is not None:
-        closure["witness"] = witness
+    closure = passed("split_closure") if witness is None else failed("split_closure", **witness)
     return SplitModel(model, data, frozenset(asc), frozenset(desc), closure)
 
 
@@ -135,7 +135,7 @@ def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
     dims = cohomology_dims(asc, -nadams, nadams, by_component=True)
     negative = {str(k): v for k, v in dims.items() if k[0] < 0}
     if negative:
-        return _fail("c_koszul", {"nonzero_negative_cohomology": negative})
+        return failed("c_koszul", nonzero_negative_cohomology=negative)
     h0 = {(st, tt, a): v for (h, a, st, tt), v in dims.items() if h == 0}
     c_dims = truncated_dims(c, nadams)
     if h0 != c_dims:
@@ -144,7 +144,7 @@ def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
             for k in sorted(set(h0) | set(c_dims), key=lambda k: (k[2], k[0], k[1]))
             if h0.get(k, 0) != c_dims.get(k, 0)
         }
-        return _fail("c_koszul", {"h0_vs_C": diff})
+        return failed("c_koszul", h0_vs_C=diff)
 
     # C is quadratic by construction, arrows of degree (0, 1) and relators
     # of length 2, as _jn_series checks
@@ -159,11 +159,13 @@ def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
             if a.adeg == deg:
                 gens[(a.source, a.target)] += 1
         if dict(jn) != dict(gens):
-            return _fail(
+            return failed(
                 "c_koszul",
-                {"degree": deg, "J_n": {str(k): v for k, v in jn.items()}, "generators": {str(k): v for k, v in gens.items()}},
+                degree=deg,
+                J_n={str(k): v for k, v in jn.items()},
+                generators={str(k): v for k, v in gens.items()},
             )
-    return {"check": "c_koszul", "status": "pass", "nadams": nadams}
+    return passed("c_koszul", nadams=nadams)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +227,8 @@ class OmegaTilde:
     def check_d_squared(self) -> dict:
         for g in self.generators:
             if self.d(self.d({(g.name,): 1})):
-                return _fail("omega_tilde_d_squared", {"generator": g.name})
-        return {"check": "omega_tilde_d_squared", "status": "pass"}
+                return failed("omega_tilde_d_squared", generator=g.name)
+        return passed("omega_tilde_d_squared")
 
 
 def build_omega_tilde(s: SplitModel) -> OmegaTilde:
@@ -300,34 +302,27 @@ def build_and_check_omega(ot: OmegaTilde) -> dict:
     for (gname, *word), c in omega.items():
         h = by_name[gname].hdeg + sum(q.arrow(a).hdeg for a in word)
         if h != -n + 1:
-            return _fail("omega", {"term": (gname, word), "hdeg": h, "expected": -n + 1})
+            return failed("omega", term=(gname, word), hdeg=h, expected=-n + 1)
 
     residue = _trace_d(ot, omega)
     if residue:
         term, c = next(iter(sorted(residue.items())))
-        return _fail("omega", {"d_omega_term": (term[0], list(term[1:])), "coeff": str(c)})
+        return failed("omega", d_omega_term=(term[0], list(term[1:])), coeff=str(c))
 
     pairing: dict[str, tuple[str, Scalar]] = {}
     for (gname, *word), c in omega.items():
         if len(word) != 1 or gname in pairing:
-            return _fail("omega", {"reason": "pairing is not a matching", "term": (gname, word)})
+            return failed("omega", reason="pairing is not a matching", term=(gname, word))
         pairing[gname] = (word[0], c)
     partners = [p for p, _c in pairing.values()]
     if set(pairing) != {g.name for g in ot.generators}:
-        return _fail("omega", {"reason": "some generator unpaired"})
+        return failed("omega", reason="some generator unpaired")
     if sorted(partners) != sorted(s.descending):
-        return _fail("omega", {"reason": "pairing not onto the descending arrows"})
+        return failed("omega", reason="pairing not onto the descending arrows")
     if any(abs(c) != 1 for _p, c in pairing.values()):
-        return _fail("omega", {"reason": "non-unit pairing coefficient"})
+        return failed("omega", reason="non-unit pairing coefficient")
 
-    return {
-        "check": "omega",
-        "status": "pass",
-        "degree": -n + 1,
-        "closed": True,
-        "nondegenerate": True,
-        "pairs": len(pairing),
-    }
+    return passed("omega", degree=-n + 1, closed=True, nondegenerate=True, pairs=len(pairing))
 
 
 def cy_check(data: McKayData, nadams: int = 5) -> dict:
@@ -345,6 +340,7 @@ def cy_check(data: McKayData, nadams: int = 5) -> dict:
     if sum(data.weights) != data.m:
         report["status"] = "fail"
         report["reason"] = "condition (6.6) fails: sum of weights != m"
+        report["weight_sum"] = failed("weight_sum", m=data.m, sum=sum(data.weights))
         return report
     if not s.closure_holds:
         report["status"] = "fail"
@@ -362,7 +358,3 @@ def cy_check(data: McKayData, nadams: int = 5) -> dict:
         "isomorphism claims certified only through these finite checks at the stated truncation"
     )
     return report
-
-
-def _fail(check: str, witness: dict) -> dict:
-    return {"check": check, "status": "fail", "witness": witness}

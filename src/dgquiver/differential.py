@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .core import AlgebraElement, GradedQuiver, Path, Scalar, Vertex, add_term, restrict
-from .errors import InvalidInputError
+from .errors import InvalidInputError, failed, passed
 
 
 def leibniz(word: tuple[str, ...], images: Mapping[str, tuple], odd: frozenset[str], out: dict, c: Scalar = 1) -> None:
@@ -73,16 +73,16 @@ class Differential:
                 continue
             for p in da.terms:
                 if not q.is_valid_path(p):
-                    return _fail("grading", a.name, f"term {p} is not a path of the quiver")
+                    return failed("grading", arrow=a.name, reason=f"term {p} is not a path of the quiver")
                 if p.start != a.source or q.path_target(p) != a.target:
-                    return _fail("grading", a.name, f"term {p} has wrong endpoints")
+                    return failed("grading", arrow=a.name, reason=f"term {p} has wrong endpoints")
                 if q.path_hdeg(p) != a.hdeg + 1:
-                    return _fail("grading", a.name, f"term {p} has hdeg {q.path_hdeg(p)}, want {a.hdeg + 1}")
+                    return failed("grading", arrow=a.name, reason=f"term {p} has hdeg {q.path_hdeg(p)}, want {a.hdeg + 1}")
                 if q.path_adeg(p) != a.adeg:
-                    return _fail("grading", a.name, f"term {p} has adeg {q.path_adeg(p)}, want {a.adeg}")
+                    return failed("grading", arrow=a.name, reason=f"term {p} has adeg {q.path_adeg(p)}, want {a.adeg}")
                 if len(p.arrows) < 2:
-                    return _fail("grading", a.name, f"term {p} has length {len(p.arrows)} < 2 (minimality)")
-        return {"check": "grading", "status": "pass"}
+                    return failed("grading", arrow=a.name, reason=f"term {p} has length {len(p.arrows)} < 2 (minimality)")
+        return passed("grading")
 
     @cached_property
     def _leads(self) -> tuple[frozenset[str], dict[str, tuple[str, ...]]]:
@@ -160,17 +160,5 @@ def check_d_squared(d: Differential) -> dict:
     for a in d.quiver.arrows:
         residue = d.apply(d.of_arrow(a.name))
         if residue:
-            return {
-                "check": "d_squared",
-                "status": "fail",
-                "witness": {"arrow": a.name, "residue": repr(residue)},
-            }
-    return {
-        "check": "d_squared",
-        "status": "pass",
-        "note": "verified on arrows; Leibniz extends the identity to all paths",
-    }
-
-
-def _fail(check: str, arrow: str, reason: str) -> dict:
-    return {"check": check, "status": "fail", "witness": {"arrow": arrow, "reason": reason}}
+            return failed("d_squared", arrow=a.name, residue=repr(residue))
+    return passed("d_squared", note="verified on arrows; Leibniz extends the identity to all paths")

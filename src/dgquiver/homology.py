@@ -9,7 +9,6 @@ adeg >= 1, so all computations here are exact at the stated truncation.
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import Counter, defaultdict
 from itertools import compress
@@ -18,30 +17,10 @@ from typing import Iterator
 from . import linalg
 from .core import AlgebraElement, GradedQuiver, Scalar, Vertex, WordIds, add_term, vertex_key
 from .differential import DGModel, Differential
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, failed, passed, path_cap
 from .presentations import PresentedAlgebra
 
-DEFAULT_PATH_CAP = 10**6
-
 SliceKey = tuple[int, int, Vertex, Vertex]  # (hdeg, adeg, source, target)
-
-
-def path_cap() -> int:
-    """The path cap: DGQ_PATH_CAP, a positive integer, or DEFAULT_PATH_CAP
-    when it is unset or empty.  Read at each call, the one setting of the
-    cap; any other value of the variable is invalid input."""
-    env = os.environ.get("DGQ_PATH_CAP")
-    if not env:
-        return DEFAULT_PATH_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        raise InvalidInputError(f"DGQ_PATH_CAP must be a positive integer, got {env!r}")
-    return cap
-
-
 Word = tuple[str, ...]  # arrow names; with a slice's source it names a path
 # a slice's words, the index of each word's lead in the slice one hdeg up
 # (-1 when d(w) = 0) and whether that lead is fixed, see _stream_slices
@@ -61,10 +40,12 @@ def _stream_slices(
     Built level by level without recursion: arrows have adeg >= 1, so a
     level is complete once every lower level has been extended by one
     arrow, and it is yielded once it has been extended itself, so the
-    caller can drop it.  The prefixes of a kept path are kept too, as
-    hdeg never rises and adeg never falls along a path.  Each bucket is
-    grown in blocks, one per (parent bucket P, arrow y), so the child of
-    the parent's word i by y is word offset[(P, y)] + i.
+    caller can drop it.  Only the levels not yet reached are held, and
+    the walk ends once none is left, whatever nadams is.  The prefixes
+    of a kept path are kept too, as hdeg never rises and adeg never
+    falls along a path.  Each bucket is grown in blocks, one per (parent
+    bucket P, arrow y), so the child of the parent's word i by y is word
+    offset[(P, y)] + i.
 
     lead[i] is the index of the lead of words[i] under leads =
     Differential._leads (see cohomology_dims) in the lead bucket, the
@@ -97,17 +78,20 @@ def _stream_slices(
     arrows = {arr.name: arr for arr in quiver.arrows}
     span = max((arr.adeg for arr in quiver.arrows), default=1)
     for s in quiver.vertices:
-        # levels[a][(h, t)]: (words, blocks) as the bucket grows, each block
-        # (parent hdeg, parent target, parent level, arrow name)
-        levels: list[dict[tuple[int, Vertex], tuple[list[Word], list]]] = [{} for _ in range(nadams + 1)]
-        levels[0][(0, s)] = ([()], [])
+        # pending[a][(h, t)]: (words, blocks) as the bucket of a level not yet
+        # reached grows, each block (parent hdeg, parent target, parent
+        # level, arrow name); a level is popped as it is reached
+        pending: defaultdict[int, dict[tuple[int, Vertex], tuple[list[Word], list]]] = defaultdict(dict)
+        pending[0][(0, s)] = ([()], [])
         offset: dict[tuple[int, int, Vertex, str], int] = {}  # (hdeg, adeg, target, arrow) of a block
         # kept[a][(h, t)]: the leads and fixed flags of a bucket, with the
         # count of its -1 leads and of its fixed words
         kept: dict[int, dict[tuple[int, Vertex], tuple[array, bytearray, int, int]]] = {}
         for a in range(nadams + 1):
+            if not pending:
+                break
             level: dict[tuple[int, Vertex], Bucket] = {}
-            for (h, t), (words, blocks) in levels[a].items():
+            for (h, t), (words, blocks) in pending.pop(a, {}).items():
                 lead, fixed = (array("q"), bytearray()) if blocks else (array("q", [-1]), bytearray(1))
                 for ph, pt, pa, y in blocks:
                     plead, pfixed, zero, nfixed = kept[pa][(ph, pt)]
@@ -134,7 +118,6 @@ def _stream_slices(
                         lead.extend([l + k if f else walk + i for i, (l, f) in enumerate(zip(plead, pfixed))])
                     fixed += b"\x01" * len(pfixed) if y in smaller else pfixed
                 level[(h, t)] = (words, lead, fixed)
-            levels[a] = {}  # once yielded, the caller may drop the level
             kept[a] = {key: (lead, fixed, lead.count(-1), fixed.count(1)) for key, (_words, lead, fixed) in level.items()}
             kept.pop(a - span, None)
             for (h, t), (words, _lead, _fixed) in level.items():
@@ -142,9 +125,9 @@ def _stream_slices(
                     h2, a2 = h + arr.hdeg, a + arr.adeg
                     if h2 >= hmin and a2 <= nadams:
                         key = (h2, arr.target)
-                        bucket = levels[a2].get(key)
+                        bucket = pending[a2].get(key)
                         if bucket is None:
-                            bucket = levels[a2][key] = ([], [])
+                            bucket = pending[a2][key] = ([], [])
                         offset[(h, a, t, arr.name)] = len(bucket[0])
                         name = (arr.name,)
                         bucket[0].extend([w + name for w in words])
@@ -355,6 +338,9 @@ def truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Ve
     core.WordIds id, so a candidate w*y is id(w)*B + rn(y) and the rows
     go to linalg in the path order with no sort and no column index.
     The path cap bounds the candidate columns summed over all degrees.
+    As every normal word of degree a is some w*y with w normal of degree
+    a - |y|, the walk ends once as many consecutive degrees as the
+    largest arrow adeg hold no normal word: no later degree holds one.
     """
     if nadams < 0:
         raise InvalidInputError("nadams must be >= 0")
@@ -372,6 +358,7 @@ def truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Ve
             terms = [([rank[y] for y in p.arrows[:-1]], rank[p.arrows[-1]], c) for p, c in r.terms.items()]
             relators.append((r.adeg(), src, terms))
     arrows = [(y.adeg, y.source, rank[y.name], y.target) for y in q.arrows if y.target not in killed]
+    span = max((d for d, _src, _y, _t in arrows), default=1)
     # normal[a][v]: the ids of the normal words of degree a >= 0 ending at
     # v (e_v in degree 0); nf[k]: the normal form {normal word id: coeff}
     # of every candidate column k, coefficients int while integral
@@ -387,6 +374,8 @@ def truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Ve
         return out
 
     for a in range(1, nadams + 1):
+        if not any(normal.get(a - k) for k in range(1, span + 1)):
+            break
         # the candidate columns w*y as (id, target), ordered as the paths
         cols = [(w * base + y, t) for d, src, y, t in arrows for w in normal.get(a - d, {}).get(src, ())]
         total += len(cols)
@@ -468,27 +457,19 @@ def compare_h0(
     right = truncated_dims(pres, nadams)
     mapped = {(vmap[s], vmap[t], a): dim for (s, t, a), dim in left.items()}
     if mapped == right:
-        return {
-            "check": "compare_h0",
-            "status": "pass",
-            "nadams": nadams,
-            "total_dim": sum(mapped.values()),
-        }
+        return passed("compare_h0", nadams=nadams, total_dim=sum(mapped.values()))
     keys = sorted(
         set(mapped) | set(right),
         key=lambda k: (k[2], vertex_key(k[0]), vertex_key(k[1])),
     )
     for k in keys:
         if mapped.get(k, 0) != right.get(k, 0):
-            return {
-                "check": "compare_h0",
-                "status": "fail",
-                "witness": {
-                    "source": k[0],
-                    "target": k[1],
-                    "adeg": k[2],
-                    "model_dim": mapped.get(k, 0),
-                    "presentation_dim": right.get(k, 0),
-                },
-            }
+            return failed(
+                "compare_h0",
+                source=k[0],
+                target=k[1],
+                adeg=k[2],
+                model_dim=mapped.get(k, 0),
+                presentation_dim=right.get(k, 0),
+            )
     raise AssertionError("unreachable")

@@ -28,8 +28,7 @@ from typing import Iterator
 from . import linalg
 from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, WordIds, add_term
 from .differential import Differential, DGModel
-from .errors import InvalidInputError, ResourceLimitError
-from .homology import path_cap
+from .errors import InvalidInputError, ResourceLimitError, path_cap
 from .presentations import PresentedAlgebra, QuadraticPresentation, check_quadratic
 
 WordRow = dict[tuple[str, ...], Scalar]  # {arrow word: coefficient}, a J_n basis row
@@ -176,7 +175,7 @@ class McKayData:
         if any(not (0 <= a <= self.m - 1) for a in self.weights):
             raise InvalidInputError("weights must lie in 0..m-1")
         warns = []
-        for a in self.weights:
+        for a in dict.fromkeys(self.weights):  # one warning per distinct weight
             if math.gcd(a, self.m) != 1:
                 warns.append(
                     f"gcd({a},{self.m}) != 1: Gorenstein/isolated-singularity hypotheses fail"

@@ -1,9 +1,15 @@
 """Command-line interface: exit codes, determinism, file round trips."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dgquiver
 from dgquiver import GradedQuiver, McKayData, h0_presentation, mckay_model, polynomial_model, serialize
 from dgquiver.cli import main
 from dgquiver.koszul import mckay_commutation_presentation
@@ -321,6 +327,55 @@ def test_cy_check_command(capsys):
     code, out, _ = run(capsys, "cy-check", "--m", "2", "--weights", "1,1,1,1")
     assert code == 1
     assert json.loads(out)["status"] == "fail"
+
+
+def test_cy_check_weight_sum_failure_carries_a_witness(capsys):
+    """(3; 1,1) passes the closure check, so the weight-sum report is the
+    one witness of its failure."""
+    code, out, _ = run(capsys, "cy-check", "--m", "3", "--weights", "1,1", "--adams-max", "3")
+    assert code == 1
+    report = json.loads(out)
+    assert report["closure"]["status"] == "pass"
+    assert "sum of weights" in report["reason"]
+    assert report["weight_sum"] == {"check": "weight_sum", "status": "fail", "witness": {"m": 3, "sum": 2}}
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _limited_run(*argv):
+    """The CLI in a child process with 1 GiB of address space and a 60 s
+    timeout, so a window that is not bounded fails the test, not the
+    machine."""
+    src = os.path.dirname(os.path.dirname(dgquiver.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("DGQ_PATH_CAP", None)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "dgquiver.cli", *argv], capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit
+    )
+
+
+def test_huge_adams_windows_end_with_an_exit_code(tmp_path):
+    """A dense table past the path cap is refused (exit 3); a finite
+    cohomology or H^0 is found whatever the Adams bound, as the walks stop
+    once no path or normal word is left."""
+    poly3 = tmp_path / "poly3.json"
+    poly3.write_text(serialize.dumps(serialize.model_to_json(polynomial_model(3))))
+    for window in (("0", "100000000"), ("-30000000", "3")):
+        done = _limited_run("cohomology", "--model", str(poly3), "--hmin", window[0], "--adams-max", window[1])
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == "" and done.stderr.startswith("resource limit: a table of")
+    done = _limited_run("cy-check", "--m", "3", "--weights", "1,1,1", "--adams-max", "100000000")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["status"] == "pass"
+    model, pres = GOLDEN / "model_mckay5_1112_del0.json", GOLDEN / "presentation_mckay5_1112_del0.json"
+    done = _limited_run("compare-h0", "--model", str(model), "--presentation", str(pres), "--adams-max", "30000000")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["total_dim"] == 44
 
 
 def test_resource_cap_exit_3(capsys, tmp_path, monkeypatch):

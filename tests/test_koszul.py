@@ -284,6 +284,15 @@ def test_mckay_data_validation():
     assert McKayData(3, [1, 1, 1]) == McKayData(3, (1, 1, 1))  # hashable, as the subset tables are cached
 
 
+def test_mckay_data_warns_once_per_distinct_weight():
+    """A weight repeated three times is one hypothesis failure, so it is
+    one warning, in McKayData and in the model's metadata."""
+    data = McKayData(6, (2, 2, 2))
+    assert data.warnings == ("gcd(2,6) != 1: Gorenstein/isolated-singularity hypotheses fail",)
+    assert mckay_model(data).metadata["warnings"] == data.warnings
+    assert [w[:8] for w in McKayData(6, (3, 2, 3, 2, 1)).warnings] == ["gcd(3,6)", "gcd(2,6)", "sum of w"]
+
+
 def test_mckay_data_warnings_are_derived_not_passed():
     """warnings are derived from m and the weights, so the constructor
     takes none."""
