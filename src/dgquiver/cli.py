@@ -50,21 +50,18 @@ def _load(path: str):
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
 
 
-def _run_verifications(model: DGModel, what: str) -> list[dict]:
-    """The requested reports; the d^2 check runs only after a passing
-    grading check, as it needs hdeg-homogeneous d(a)."""
-    reports = []
-    if what in ("grading", "all"):
-        reports.append(check_grading(model.differential))
-    if what in ("dsq", "all") and all(r["status"] == "pass" for r in reports):
+def _checks(model: DGModel) -> list[dict]:
+    """The model checks of the CLI: grading, then d^2 only when grading
+    passes, as the d^2 check needs hdeg-homogeneous d(a)."""
+    reports = [check_grading(model.differential)]
+    if reports[0]["status"] == "pass":
         reports.append(check_d_squared(model.differential))
     return reports
 
 
 def _first_failure(model: DGModel) -> dict | None:
-    """The report of the grading check, or else of the d^2 check, when it
-    fails on the model; None when both pass."""
-    return next((r for r in _run_verifications(model, "all") if r["status"] != "pass"), None)
+    """The first failing report of _checks, or None when both pass."""
+    return next((r for r in _checks(model) if r["status"] != "pass"), None)
 
 
 def _mckay_data(args) -> McKayData:
@@ -85,31 +82,29 @@ def _mckay_data(args) -> McKayData:
     return data
 
 
-def cmd_model_poly(args) -> int:
-    model = polynomial_model(args.n)
-    reports = _run_verifications(model, args.verify) if args.verify else []
+def _emit_model(args, model: DGModel) -> int:
+    """The model on stdout or --out; with --verify, _checks on it and a
+    failing report on stderr."""
+    reports = _checks(model) if args.verify else []
     _emit(args, serialize.model_to_json(model))
     return _report_status(reports)
+
+
+def cmd_model_poly(args) -> int:
+    return _emit_model(args, polynomial_model(args.n))
 
 
 def cmd_model_mckay(args) -> int:
     data = _mckay_data(args)
-    model = deleted_mckay_model(data, 0) if args.delete_zero else mckay_model(data)
-    reports = _run_verifications(model, args.verify) if args.verify else []
-    _emit(args, serialize.model_to_json(model))
-    return _report_status(reports)
+    return _emit_model(args, deleted_mckay_model(data, 0) if args.delete_zero else mckay_model(data))
 
 
 def cmd_ginzburg(args) -> int:
     quiver = serialize.quiver_from_json(_load(args.quiver))
     w = serialize.potential_from_json(quiver, _load(args.potential))
     if args.delete_vertex is not None:
-        v = _coerce_vertex(quiver, args.delete_vertex)
-        w = restrict_potential(w, v)
-    model = ginzburg_model(w)
-    reports = _run_verifications(model, "dsq") if args.verify else []
-    _emit(args, serialize.model_to_json(model))
-    return _report_status(reports)
+        w = restrict_potential(w, _coerce_vertex(quiver, args.delete_vertex))
+    return _emit_model(args, ginzburg_model(w))
 
 
 def _coerce_vertex(quiver, text: str):
@@ -185,7 +180,7 @@ def cmd_cy_check(args) -> int:
 
 def cmd_verify(args) -> int:
     model = serialize.model_from_json(_load(args.model))
-    reports = _run_verifications(model, "all")
+    reports = _checks(model)
     _emit(args, {"checks": reports})
     return _report_status(reports)
 
@@ -207,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model-poly", help="minimal model of a polynomial ring")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--verify", choices=["dsq", "grading", "all"])
+    p.add_argument("--verify", action="store_true", help="run the checks of verify on the model")
     p.add_argument("--out")
     p.set_defaults(func=cmd_model_poly)
 
@@ -215,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--weights", required=True, help="comma separated, e.g. 1,1,1,1")
     p.add_argument("--delete-zero", action="store_true", help="delete vertex 0")
-    p.add_argument("--verify", choices=["dsq", "grading", "all"])
+    p.add_argument("--verify", action="store_true", help="run the checks of verify on the model")
     p.add_argument("--strict", action="store_true", help="escalate hypothesis warnings to errors")
     p.add_argument("--out")
     p.set_defaults(func=cmd_model_mckay)
@@ -224,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiver", required=True)
     p.add_argument("--potential", required=True)
     p.add_argument("--delete-vertex")
-    p.add_argument("--verify", action="store_true")
+    p.add_argument("--verify", action="store_true", help="run the checks of verify on the model")
     p.add_argument("--out")
     p.set_defaults(func=cmd_ginzburg)
 
@@ -252,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_cy_check)
 
-    p = sub.add_parser("verify", help="grading and d^2 checks on a model file")
+    p = sub.add_parser("verify", help="grading check, then d^2 once grading passes, on a model file")
     p.add_argument("--model", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)

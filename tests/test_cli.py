@@ -22,7 +22,7 @@ def run(capsys, *argv):
 
 
 def test_model_poly(capsys):
-    code, out, _ = run(capsys, "model-poly", "--n", "2", "--verify", "all")
+    code, out, _ = run(capsys, "model-poly", "--n", "2", "--verify")
     assert code == 0
     doc = json.loads(out)
     assert {a["id"] for a in doc["quiver"]["arrows"]} == {"x1", "x2", "x12"}
@@ -570,6 +570,41 @@ def test_verify_stops_after_a_failed_grading_check(capsys, tmp_path):
     assert json.loads(err) == report
     code, out, _ = run(capsys, "cohomology", "--model", str(path), "--hmin", "-2", "--adams-max", "3")
     assert code == 1 and json.loads(out) == report
+
+
+def test_ginzburg_verify_runs_the_grading_check(capsys, tmp_path):
+    """One vertex, two loops at (0, 1), W = ab + aab: d(a*) has the length-1
+    term b, so the model is not minimal.  ginzburg --verify used to run only
+    the d^2 check and exit 0 on it, where verify and cohomology exit 1."""
+    qf, pf = tmp_path / "quiver.json", tmp_path / "potential.json"
+    qf.write_text(json.dumps({
+        "vertices": [0],
+        "arrows": [{"id": x, "source": 0, "target": 0, "hdeg": 0, "adeg": 1} for x in "ab"],
+    }))
+    pf.write_text(json.dumps([{"coeff": "1", "cycle": ["a", "b"]}, {"coeff": "1", "cycle": ["a", "a", "b"]}]))
+    code, out, err = run(capsys, "ginzburg", "--quiver", str(qf), "--potential", str(pf), "--verify")
+    assert code == 1
+    report = json.loads(err)
+    assert report == {
+        "check": "grading",
+        "status": "fail",
+        "witness": {"arrow": "a_star", "reason": "term Path(start=0, arrows=('b',)) has length 1 < 2 (minimality)"},
+    }
+    path = tmp_path / "model.json"
+    path.write_text(out)
+    assert report == _verify_failure(capsys, path)
+
+
+def test_verify_is_a_flag_on_the_builders(capsys):
+    """--verify takes no value: it runs the checks of verify, and the
+    model JSON is the same as without it."""
+    code, plain, _ = run(capsys, "model-poly", "--n", "2")
+    assert code == 0
+    assert run(capsys, "model-poly", "--n", "2", "--verify") == (0, plain, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["model-poly", "--n", "2", "--verify", "dsq"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: dsq" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ def test_split_m3():
     assert s.closure_holds
 
 
-def test_split_closure_holds_iff_weight_sum_is_m():
+def test_split_closure_on_three_cases_and_its_witness_on_2_1111():
     for m, weights in ((3, (1, 1, 1)), (4, (1, 1, 1, 1)), (5, (1, 1, 1, 2))):
         assert build_split(McKayData(m, weights)).closure_holds
     s = build_split(McKayData(2, (1, 1, 1, 1)))
@@ -47,6 +47,25 @@ def test_split_closure_holds_iff_weight_sum_is_m():
         s.require_closure()
     with pytest.raises(InvalidInputError):
         s.ascending_model()
+
+
+def test_split_closure_holds_when_every_weight_is_positive_and_sums_to_m():
+    """The lemma of the split: with every weight >= 1 and sum m, a term of a
+    descending arrow wraps past m in exactly one factor, and no term of an
+    ascending arrow wraps, so closure holds.  Checked on all 61 sorted weight
+    vectors with m <= 9 and n <= 4.  The converse is false: closure holds on
+    (3;1,1), whose sum is not m, and fails on (2;0,1,1), whose sum is."""
+    cases = [
+        (m, weights)
+        for m in range(2, 10)
+        for n in range(1, 5)
+        for weights in combinations_with_replacement(range(1, m), n)
+        if sum(weights) == m
+    ]
+    assert len(cases) == 61
+    assert [c for c in cases if not build_split(McKayData(*c)).closure_holds] == []
+    assert build_split(McKayData(3, (1, 1))).closure_holds
+    assert not build_split(McKayData(2, (0, 1, 1))).closure_holds
 
 
 def test_build_C_m2_is_semisimple():
