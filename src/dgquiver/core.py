@@ -3,14 +3,16 @@
 One rule holds every coefficient: an ``int`` when it is integral, a
 ``fractions.Fraction`` with a denominator other than 1 otherwise.
 ``exact`` decides it, and only here: ``AlgebraElement`` applies it to
-each coefficient it is built from and to the factor of ``scale``, and
-``Superpotential`` to each sum of rotations.  It refuses anything else,
-a float, a bool or a str among them, so there is no floating point
+each coefficient it is built from and to the factor of ``scale``,
+``Superpotential`` to each sum of rotations, the JSON reader to each
+coefficient it parses, and ``truncated_dims`` to each quotient by the
+leading coefficient of a Groebner rule.  It refuses anything else, a
+float, a bool or a str among them, so there is no floating point
 anywhere.  Every other module takes the rule as given and converts no
-coefficient: the hot paths (``Differential.apply_to_word``, the normal
-forms of ``truncated_dims``, the J_n rows of ``koszul``, the bimodule of
-``cy``) use element coefficients as they are, and ``linalg`` returns its
-rows in the same form.
+coefficient: the hot paths (``Differential.apply_to_word``, the
+reductions of ``truncated_dims``, the J_n rows of ``koszul``, the
+bimodule of ``cy``) use element coefficients as they are, and ``linalg``
+returns its rows in the same form.
 Elements are stored sparsely as ``{Path: coefficient}`` with a canonical
 ordering of paths so that iteration and printing are deterministic.
 Every sparse sum, whatever its keys, accumulates through ``add_term``;

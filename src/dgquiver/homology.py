@@ -5,17 +5,27 @@ lattice of koszul; the slices of the cohomology are arrow-name tuples.
 
 Every bidegree (hdeg, adeg) is finite dimensional because arrows carry
 adeg >= 1, so all computations here are exact at the stated truncation.
+
+The tables of presented algebras count the normal words of a Groebner
+basis truncated at the Adams bound (Bergman's diamond lemma; the
+argument is in truncated_dims).  An overlap lies above both of its
+leads, so the rules of a degree are complete before its words are
+counted, and the count is exact up to the bound; no leading word lies
+inside another; the path cap counts the candidates w*y, w normal, whose
+number does not depend on the order and which include every leading
+word, and the walk stops after a run of degrees with no normal word.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
+from fractions import Fraction
 from itertools import compress
 from typing import Iterator
 
 from . import linalg
-from .core import AlgebraElement, GradedQuiver, Scalar, Vertex, WordIds, add_term, vertex_key
+from .core import AlgebraElement, GradedQuiver, Scalar, Vertex, WordIds, add_term, exact, vertex_key
 from .differential import DGModel, Differential
 from .errors import InvalidInputError, ResourceLimitError, failed, passed, path_cap
 from .presentations import PresentedAlgebra
@@ -320,92 +330,166 @@ def h0_presentation(model: DGModel) -> PresentedAlgebra:
 def truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Vertex, int], int]:
     """Graded dimensions of kQ/(relators) up to Adams degree nadams.
 
-    Keys (source, target, adeg); zero entries are dropped.  Works degree
-    by degree on normal words, the paths not reduced by the ideal I.  The
-    candidate columns of degree a are the w*y with y an arrow and w a
-    normal word of degree a - |y| ending at source(y); the relation rows
-    are w*r for each relator r of degree d >= 1 and each normal word w of
-    degree a - d ending at source(r), rewritten into candidate columns by
-    pushing w through all but the last arrow of each term with the normal
-    forms of lower degrees.  Reducing the rows leaves the normal words of
-    degree a as the non-pivot columns, and the pivot rows give the normal
-    forms of the rest.  This is exact: every path of degree a is p*y with
-    p equal to its normal form modulo I, any u*r*v with v = v'*y lies in
-    I_{a-|y|}*y, and u*r equals (normal form of u)*r modulo I*y terms, so
-    kQ_a/I_a is the span of the candidates modulo the relation rows.  A
-    degree-0 relator c*e_v kills the vertex v, and with it every relator
-    ending at v, whose rows have no candidate column.  Every word is a
-    core.WordIds id, so a candidate w*y is id(w)*B + rn(y) and the rows
-    go to linalg in the path order with no sort and no column index.
-    The path cap bounds the candidate columns summed over all degrees.
-    As every normal word of degree a is some w*y with w normal of degree
-    a - |y|, the walk ends once as many consecutive degrees as the
-    largest arrow adeg hold no normal word: no later degree holds one.
+    Keys (source, target, adeg); zero entries are dropped.  The table
+    counts normal words: the paths, as core.WordIds ids, that contain no
+    leading word of a Groebner basis of the ideal I, built degree by
+    degree up to nadams (Bergman's diamond lemma, Adv. Math. 29, 1978;
+    for path algebras Farkas, Feustel & Green, Canad. J. Math. 45, 1993).
+    The words of one Adams degree, finitely many, compare by id, an order
+    that concatenation keeps (the ids order as Path.sort_key).  A rule
+    lead -> tail is an element lead - tail of I whose greatest word is
+    lead; it rewrites a word u*lead*z to u*tail*z, a sum of smaller words.
+
+    The walk goes up by Adams degree a.  First the relators of degree a
+    and the S-polynomials tail1*t - u*tail2 of degree a, one for each
+    overlap lead1 = u*v, lead2 = v*t of two leads with u, v and t
+    nonempty, are reduced by the rules so far, greatest word first; each
+    that does not reduce to 0 becomes a rule, its greatest word leading.
+    The overlaps are found through indices of the proper prefixes and
+    suffixes of the leads as each lead is added, and bucketed by the
+    degree of u*v*t.  Then the normal words of degree a are the w*y, y an
+    arrow and w a normal word of degree a - |y| ending at source(y), that
+    no lead ends: w*y can contain a lead only as a suffix, as w contains
+    none.
+
+    The table is exact up to nadams.  Rewriting keeps the degree, and an
+    overlap word u*v*t has a degree above those of both leads, so the rules
+    of degree a come from the relators and overlaps of degree a alone, all
+    known once degree a is reached.  Every overlap of degree <= a then
+    resolves: its S-polynomial reduces to 0, or to an element that became a
+    rule and so reduces to 0.  No inclusion ambiguity, one lead inside
+    another, arises: each new lead is irreducible by the rules before it, a
+    later lead is irreducible by it, and of two leads of one degree neither
+    is a proper subword of the other, as arrows have adeg >= 1.  So by the
+    diamond lemma, restricted to degrees <= a, the normal words of degree a
+    are a basis of (kQ/I)_a.  Dimensions do not depend on the order of the
+    words, so the table, key order included, is that of any other admissible
+    order.  A degree-0 relator c*e_v kills the vertex v: no word runs through
+    v, and the relator terms that do are dropped.
+
+    The path cap bounds the candidates w*y, normal or not, summed over all
+    degrees.  Their count in degree a is a sum of dimensions in degrees
+    a - |y|, the same for every order, and each lead is one of them, as its
+    prefix without its last arrow is normal, so the cap bounds the rules
+    too.  As every normal word of degree a is some w*y with w normal of
+    degree a - |y|, the walk ends once as many consecutive degrees as the
+    largest arrow adeg hold no normal word: no later degree holds one,
+    whatever rules it would add.
     """
     if nadams < 0:
         raise InvalidInputError("nadams must be >= 0")
     cap = path_cap()
     q = pres.quiver
     ids = WordIds(q)
-    base, rank = ids.base, ids.rank
+    base, rank, nv = ids.base, ids.rank, len(ids.vertices)
     killed = {r.endpoints()[0] for r in pres.relators if r.adeg() == 0}
-    # each relator not ending at a killed vertex as (adeg, source, terms),
-    # each term as (the rn digits of its arrows but the last, the last, coeff)
-    relators = []
-    for r in pres.relators:
-        src, tgt = r.endpoints()
-        if tgt not in killed:
-            terms = [([rank[y] for y in p.arrows[:-1]], rank[p.arrows[-1]], c) for p, c in r.terms.items()]
-            relators.append((r.adeg(), src, terms))
+    adeg = {rank[y.name]: y.adeg for y in q.arrows}
     arrows = [(y.adeg, y.source, rank[y.name], y.target) for y in q.arrows if y.target not in killed]
     span = max((d for d, _src, _y, _t in arrows), default=1)
-    # normal[a][v]: the ids of the normal words of degree a >= 0 ending at
-    # v (e_v in degree 0); nf[k]: the normal form {normal word id: coeff}
-    # of every candidate column k, coefficients int while integral
-    normal: dict[int, dict[Vertex, list[int]]] = {0: {v: [ids.empty[v]] for v in q.vertices if v not in killed}}
-    nf: dict[int, dict[int, Scalar]] = {}
+    # pending[a]: the relators and S-polynomials of degree a, as {word id: coeff}
+    pending: defaultdict[int, list[dict[int, Scalar]]] = defaultdict(list)
+    for r in pres.relators:
+        f = {ids.of(p): c for p, c in r.terms.items() if killed.isdisjoint(q.path_vertices(p))}
+        if f and (d := r.adeg()) <= nadams:
+            pending[d].append(f)
+    # normal[a][t][s]: the ids of the normal words of degree a from s to t;
+    # rules: (B^l, V*B^l, {lead mod B^l: tail}) for the leads of each length
+    # l, by increasing l, each tail as [(B^len(w), w mod B^len(w), coeff)];
+    # prefixes, suffixes: the leads (digits, id, tail, adeg) by their proper
+    # prefixes and suffixes
+    normal: dict[int, dict[Vertex, dict[Vertex, list[int]]]] = {
+        0: {v: {v: [ids.empty[v]]} for v in q.vertices if v not in killed}
+    }
+    by_length: dict[int, dict[int, list]] = {}
+    rules: list[tuple[int, int, dict[int, list]]] = []
+    prefixes: defaultdict[tuple[int, ...], list] = defaultdict(list)
+    suffixes: defaultdict[tuple[int, ...], list] = defaultdict(list)
     total = 0
 
-    def times(vec: dict[int, Scalar], y: int) -> dict[int, Scalar]:
-        out: dict[int, Scalar] = {}
-        for u, c in vec.items():
-            for w, cw in nf.get(u * base + y, {}).items():
-                add_term(out, w, c * cw)
-        return out
+    def digits(k: int) -> tuple[int, ...]:
+        out = []
+        while k >= 2 * nv:
+            k, y = divmod(k, base)
+            out.append(y)
+        return tuple(reversed(out))
+
+    def at_end(k: int):
+        """(u, tail) with k = u*lead, for a lead that ends the word k; or None."""
+        for m, low, leads in rules:
+            if k < low:  # k is shorter than these leads
+                break
+            tail = leads.get(k % m)
+            if tail is not None:
+                return k // m, tail
+        return None
+
+    def find(k: int):
+        """(u, tail, B^len(z), z mod B^len(z)) with k = u*lead*z; or None."""
+        mz = 1
+        while k // mz >= 2 * nv:
+            hit = at_end(k // mz)
+            if hit is not None:
+                return (*hit, mz, k % mz)
+            mz *= base
+        return None
+
+    def substitute(f: dict[int, Scalar], u: int, tail: list, mz: int, z: int, c: Scalar) -> None:
+        """f += c*u*tail*z."""
+        for mw, dw, cw in tail:
+            add_term(f, (u * mw + dw) * mz + z, c * cw)
+
+    def overlap(lead1, lead2, n: int) -> None:
+        """Schedule tail1*t - u*tail2 for lead1 = u*v, lead2 = v*t, |v| = n."""
+        (word1, k1, tail1, d1), (word2, k2, tail2, _d2) = lead1, lead2
+        degree = d1 + sum(adeg[y] for y in word2[n:])
+        if degree <= nadams:
+            mt, f = base ** (len(word2) - n), {}
+            substitute(f, k1 // base ** len(word1), tail1, mt, k2 % mt, 1)
+            substitute(f, k1 // base**n, tail2, 1, 0, -1)
+            pending[degree].append(f)
 
     for a in range(1, nadams + 1):
         if not any(normal.get(a - k) for k in range(1, span + 1)):
             break
-        # the candidate columns w*y as (id, target), ordered as the paths
-        cols = [(w * base + y, t) for d, src, y, t in arrows for w in normal.get(a - d, {}).get(src, ())]
-        total += len(cols)
+        total += sum(len(ws) for d, src, _y, _t in arrows for ws in normal.get(a - d, {}).get(src, {}).values())
         if total > cap:
             raise ResourceLimitError(f"path count exceeds cap {cap}; raise DGQ_PATH_CAP")
-        rows: list[linalg.SparseVec] = []
-        for d, src, terms in relators:
-            for w in normal.get(a - d, {}).get(src, ()):
-                row: linalg.SparseVec = {}
-                for steps, last, c in terms:
-                    vec = {w: c}
-                    for y in steps:
-                        vec = times(vec, y)
-                    for u, cu in vec.items():
-                        add_term(row, u * base + last, cu)
-                if row:
-                    rows.append(row)
-        pivots = {min(row): row for row in linalg.row_reduce(rows)}
-        normal[a] = level = defaultdict(list)
-        for k, t in cols:
-            if k in pivots:
-                nf[k] = {j: -c for j, c in pivots[k].items() if j != k}
-            else:
-                nf[k] = {k: 1}
-                level[t].append(k)
+        for f in pending.pop(a, ()):
+            g: dict[int, Scalar] = {}  # the words of f that no rule rewrites
+            while f:
+                hit = find(k := max(f))
+                if hit is None:
+                    g[k] = f.pop(k)
+                else:
+                    substitute(f, *hit, f.pop(k))
+            if not g:
+                continue
+            k = max(g)
+            lc, word = g.pop(k), digits(k)
+            tail = [((mw := base ** len(digits(w))), w % mw, exact(Fraction(-c) / lc)) for w, c in g.items()]
+            by_length.setdefault(base ** len(word), {})[k % base ** len(word)] = tail
+            rules[:] = [(m, nv * m, leads) for m, leads in sorted(by_length.items())]
+            lead = (word, k, tail, a)
+            for i in range(1, len(word)):
+                prefixes[word[:i]].append(lead)
+            for i in range(1, len(word)):
+                for other in prefixes.get(word[i:], ()):
+                    overlap(lead, other, len(word) - i)
+                for other in suffixes.get(word[:i], ()):
+                    overlap(other, lead, i)
+            for i in range(1, len(word)):
+                suffixes[word[i:]].append(lead)
+        normal[a] = level = defaultdict(lambda: defaultdict(list))
+        for d, src, y, t in arrows:
+            for s, words in normal.get(a - d, {}).get(src, {}).items():
+                for w in words:
+                    if at_end(w * base + y) is None:
+                        level[t][s].append(w * base + y)
 
     dims: dict[tuple[Vertex, Vertex, int], int] = {}
     for a, level in normal.items():
-        blocks = Counter((ids.source(k), t) for t, words in level.items() for k in words)
-        for (s, t), dim in sorted(blocks.items(), key=lambda kv: (vertex_key(kv[0][0]), vertex_key(kv[0][1]))):
+        blocks = [(s, t, len(words)) for t, by_source in level.items() for s, words in by_source.items()]
+        for s, t, dim in sorted(blocks, key=lambda b: (vertex_key(b[0]), vertex_key(b[1]))):
             dims[(s, t, a)] = dim
     return dims
 

@@ -338,7 +338,11 @@ def compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
         raise InvalidInputError("need n >= 1")
     q = pres.quiver
     rows = next(islice(_jn_series(pres), n - 1, None))
-    return [AlgebraElement(q, {Path(q.arrow(w[0]).source, w): c for w, c in row.items()}) for row in rows]
+    elements = []
+    for row in rows:
+        source = q.arrow(next(iter(row))[0]).source  # shared by the row's words, see _jn_series
+        elements.append(AlgebraElement(q, {Path(source, w): c for w, c in row.items()}))
+    return elements
 
 
 def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:

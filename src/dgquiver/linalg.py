@@ -20,7 +20,8 @@ only ints whatever the input.  Public functions:
 - ``normalize``, an integer row divided by its pivot entry: an int where
   the pivot entry divides the entry and a ``Fraction`` only otherwise;
 - ``row_reduce``, the reduced row echelon basis, ``normalize`` of each
-  row of ``rref``, so integral input never builds a ``Fraction``;
+  row of ``rref``, so integral input never builds a ``Fraction``; no
+  library function calls it, and the test oracles reduce with it;
 - ``intersect_rowspaces``, behind the J_n lattice, which returns the
   integer RREF of the intersection as it is: it eliminates each
   spanning row of the first space with a unit that tracks its

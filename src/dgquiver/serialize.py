@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any
 
-from .core import AlgebraElement, Arrow, GradedQuiver, Path, add_term
+from .core import AlgebraElement, Arrow, GradedQuiver, Path, add_term, exact
 from .differential import Differential, DGModel
 from .errors import InvalidInputError
 from .ginzburg import Superpotential
@@ -81,7 +81,8 @@ def element_to_json(el: AlgebraElement) -> list[dict]:
 
 
 def element_from_json(quiver: GradedQuiver, doc: list, coeffs: dict | None = None) -> AlgebraElement:
-    """coeffs maps the coefficients already read from this document to their Fractions."""
+    """coeffs maps the coefficients already read from this document to
+    their values, each parsed once and made exact by core.exact."""
     coeffs = {} if coeffs is None else coeffs
     terms = {}
     with _reading("element"):
@@ -92,7 +93,7 @@ def element_from_json(quiver: GradedQuiver, doc: list, coeffs: dict | None = Non
             raw = _exact(t["coeff"], str, int)
             c = coeffs.get(raw)
             if c is None:
-                c = coeffs[raw] = Fraction(raw)
+                c = coeffs[raw] = exact(Fraction(raw))
             add_term(terms, p, c)
     return AlgebraElement(quiver, terms)
 

@@ -343,10 +343,10 @@ def test_cy_check_weight_sum_failure_carries_a_witness(capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _limited_run(*argv):
+def _limited_run(*argv, timeout=60):
     """The CLI in a child process with 1 GiB of address space and a 60 s
-    timeout, so a window that is not bounded fails the test, not the
-    machine."""
+    timeout by default, so a window that is not bounded fails the test,
+    not the machine."""
     src = os.path.dirname(os.path.dirname(dgquiver.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.pop("DGQ_PATH_CAP", None)
@@ -355,7 +355,7 @@ def _limited_run(*argv):
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
     return subprocess.run(
-        [sys.executable, "-m", "dgquiver.cli", *argv], capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit
+        [sys.executable, "-m", "dgquiver.cli", *argv], capture_output=True, text=True, timeout=timeout, env=env, preexec_fn=limit
     )
 
 
@@ -376,6 +376,20 @@ def test_huge_adams_windows_end_with_an_exit_code(tmp_path):
     done = _limited_run("compare-h0", "--model", str(model), "--presentation", str(pres), "--adams-max", "30000000")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["total_dim"] == 44
+
+
+def test_huge_window_on_an_infinite_h0_reaches_the_path_cap_in_seconds(tmp_path):
+    """k[x, y] against its own H^0 presentation at Adams 30000000: every
+    degree holds normal words, so only the path cap ends the walk, and
+    it must do so well within 20 s."""
+    poly2 = polynomial_model(2)
+    model, pres = tmp_path / "poly2.json", tmp_path / "poly2_h0.json"
+    model.write_text(serialize.dumps(serialize.model_to_json(poly2)))
+    pres.write_text(serialize.dumps(serialize.presentation_to_json(h0_presentation(poly2))))
+    argv = ("compare-h0", "--model", str(model), "--presentation", str(pres), "--adams-max", "30000000")
+    done = _limited_run(*argv, timeout=20)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == "" and done.stderr.startswith("resource limit: path count exceeds cap")
 
 
 def test_resource_cap_exit_3(capsys, tmp_path, monkeypatch):

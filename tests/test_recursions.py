@@ -23,6 +23,7 @@ from dgquiver import (
     McKayData,
     PresentedAlgebra,
     QuadraticPresentation,
+    ResourceLimitError,
     build_C,
     build_split,
     compute_Jn,
@@ -139,6 +140,48 @@ def test_truncated_dims_without_relators_counts_paths():
     q = GradedQuiver((0, 1), (Arrow("a", 0, 1, 0, 1), Arrow("b", 1, 0, 0, 2), Arrow("c", 1, 1, 0, 1)))
     pres = PresentedAlgebra(q, ())
     assert truncated_dims(pres, 6) == old_truncated_dims(pres, 6)
+
+
+def test_truncated_dims_trips_the_path_cap_where_the_path_keyed_recursion_does(monkeypatch):
+    """For every cap up to past the last trip point, truncated_dims raises
+    ResourceLimitError exactly when the path-keyed recursion does, and
+    returns its table otherwise: the cap counts the same candidates.
+    The cases: the (5;1112) commutation quotient without vertex 0 at
+    Adams 8, whose walk ends early, k<a, b>/(ab - ba, aba), and a quiver
+    with a degree-0 relator that kills vertex 1, through which the
+    greatest term y*z*x of a relator runs, so that s*s must lead."""
+    ab = GradedQuiver((0,), (Arrow("a", 0, 0, 0, 1), Arrow("b", 0, 0, 0, 1)))
+    arrows = (("x", 0, 0, 1), ("y", 0, 1, 1), ("z", 1, 0, 2), ("s", 0, 0, 2), ("w", 0, "u", 1), ("v", "u", 0, 1))
+    q = GradedQuiver((0, 1, "u"), tuple(Arrow(name, s, t, 0, d) for name, s, t, d in arrows))
+    commutator = AlgebraElement(ab, {Path(0, ("a", "b")): 1, Path(0, ("b", "a")): -1})
+    cases = [
+        (mckay_commutation_presentation(McKayData(5, (1, 1, 1, 2))).delete_vertex(0), 8),
+        (PresentedAlgebra(ab, (commutator, ab.gen("a") * ab.gen("b") * ab.gen("a"))), 5),
+        (
+            PresentedAlgebra(
+                q,
+                (
+                    AlgebraElement(q, {Path(1): 3}),
+                    AlgebraElement(q, {Path(0, ("x", "w", "v")): 1, Path(0, ("w", "v", "x")): Fraction(-2, 3)}),
+                    AlgebraElement(q, {Path(0, ("y", "z", "x")): 1, Path(0, ("s", "s")): -1}),
+                ),
+            ),
+            5,
+        ),
+    ]
+    for pres, nadams in cases:
+        tripped = []
+        for cap in range(1, 101):
+            monkeypatch.setenv("DGQ_PATH_CAP", str(cap))
+            try:
+                want = old_path_truncated_dims(pres, nadams)
+            except ResourceLimitError:
+                with pytest.raises(ResourceLimitError):
+                    truncated_dims(pres, nadams)
+                tripped.append(cap)
+            else:
+                assert list(truncated_dims(pres, nadams).items()) == list(want.items())
+        assert tripped and tripped == list(range(1, tripped[-1] + 1)) and tripped[-1] < 100
 
 
 @settings(max_examples=60, deadline=None)
