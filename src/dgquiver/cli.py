@@ -193,71 +193,98 @@ def _report_status(reports) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dgquiver",
-        description="Exact symbolic computation with differential graded path algebras",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("model-poly", help="minimal model of a polynomial ring")
+def _model_poly_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true", help="run the checks of verify on the model")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_model_poly)
 
-    p = sub.add_parser("model-mckay", help="McKay minimal model for Z/m with weights")
+
+def _model_mckay_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--weights", required=True, help="comma separated, e.g. 1,1,1,1")
     p.add_argument("--delete-zero", action="store_true", help="delete vertex 0")
     p.add_argument("--verify", action="store_true", help="run the checks of verify on the model")
     p.add_argument("--strict", action="store_true", help="escalate hypothesis warnings to errors")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_model_mckay)
 
-    p = sub.add_parser("ginzburg", help="Ginzburg DG algebra from a quiver with potential")
+
+def _ginzburg_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiver", required=True)
     p.add_argument("--potential", required=True)
     p.add_argument("--delete-vertex")
     p.add_argument("--verify", action="store_true", help="run the checks of verify on the model")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_ginzburg)
 
-    p = sub.add_parser("cohomology", help="truncated cohomology dimension table")
+
+def _cohomology_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--hmin", type=int, required=True)
     p.add_argument("--adams-max", type=int, required=True)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_cohomology)
 
-    p = sub.add_parser("compare-h0", help="compare H^0 of a model with a presented algebra")
+
+def _compare_h0_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--presentation", required=True)
     p.add_argument("--map", help="JSON {arrows: {...}, vertices: {...}}")
     p.add_argument("--adams-max", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_compare_h0)
 
-    p = sub.add_parser("cy-check", help="weight-sum split, C Koszulity and omega checks")
+
+def _cy_check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--adams-max", type=int, default=5)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_cy_check)
 
-    p = sub.add_parser("verify", help="grading check, then d^2 once grading passes, on a model file")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
 
+
+# command -> (help, handler, adder of its arguments), in the order of --help
+_COMMANDS = {
+    "model-poly": ("minimal model of a polynomial ring", cmd_model_poly, _model_poly_args),
+    "model-mckay": ("McKay minimal model for Z/m with weights", cmd_model_mckay, _model_mckay_args),
+    "ginzburg": ("Ginzburg DG algebra from a quiver with potential", cmd_ginzburg, _ginzburg_args),
+    "cohomology": ("truncated cohomology dimension table", cmd_cohomology, _cohomology_args),
+    "compare-h0": ("compare H^0 of a model with a presented algebra", cmd_compare_h0, _compare_h0_args),
+    "cy-check": ("weight-sum split, C Koszulity and omega checks", cmd_cy_check, _cy_check_args),
+    "verify": ("grading check, then d^2 once grading passes, on a model file", cmd_verify, _verify_args),
+}
+
+
+def _parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with only the parser of that one command.
+    Its usage still lists every command, through the metavar, so each
+    message it prints is the full parser's."""
+    parser = argparse.ArgumentParser(
+        prog="dgquiver",
+        description="Exact symbolic computation with differential graded path algebras",
+    )
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if only is None else (only,):
+        text, func, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  When the first argument names a command, only
+    that command's parser is built; otherwise (no command, an unknown
+    one, -h) the full one, whose messages name the command argument."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except InvalidInputError as exc:

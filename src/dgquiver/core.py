@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import InvalidInputError
 
@@ -67,11 +67,12 @@ class Arrow:
             raise InvalidInputError(f"arrow {self.name}: adeg must be >= 1, got {self.adeg}")
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A composable left-to-right sequence of arrow names.
 
-    The empty sequence is the idempotent path e_v at ``start``.
+    The empty sequence is the idempotent path e_v at ``start``.  A tuple
+    (start, arrows), so hashing and equality run in C; sort by sort_key,
+    not by the tuple order, which may compare a str start with an int.
     """
 
     start: Vertex
@@ -200,26 +201,17 @@ class WordIds:
     as (vertex_key(s), word), arrow names being distinct.  So ids order
     as Path.sort_key, distinct paths have distinct ids, and an RREF basis
     over the ids is the one over the paths.  w*y has the id
-    id(w)*B + rn(y), and x*w, w of length L, the id id(w) + prepend[x]*B^L
-    with prepend[x] = (V + rank(source x))*B + rn(x) - V - rank(target x).
-    source(k) reads the start back from the leading digit of k."""
+    id(w)*B + rn(y)."""
 
     def __init__(self, quiver: GradedQuiver):
         self.names = sorted(a.name for a in quiver.arrows)  # by rn
         self.rank = {name: i for i, name in enumerate(self.names)}  # rn
         self.base = max(2, len(self.names))
         self.vertices = sorted(quiver.vertices, key=vertex_key)
-        self.empty = empty = {v: len(self.vertices) + i for i, v in enumerate(self.vertices)}  # the id of e_v
-        self.prepend = {a.name: empty[a.source] * self.base + self.rank[a.name] - empty[a.target] for a in quiver.arrows}
+        self.empty = {v: len(self.vertices) + i for i, v in enumerate(self.vertices)}  # the id of e_v
 
     def of(self, p: Path) -> int:
         return reduce(lambda k, name: k * self.base + self.rank[name], p.arrows, self.empty[p.start])
-
-    def source(self, k: int) -> Vertex:
-        n = len(self.vertices)
-        while k >= 2 * n:
-            k //= self.base
-        return self.vertices[k - n]
 
 
 class AlgebraElement:

@@ -272,48 +272,81 @@ def _jn_series(pres: PresentedAlgebra) -> Iterator[list[WordRow]]:
     before the first basis.
 
     From J_2 on, the recursion carries the integer RREF of linalg, the
-    primitive integer multiples of the RREF rows: the rows b*y and x*b of
-    an integer row are integer rows, so every intersection runs on ints,
-    whatever the relators' coefficients.  A rational row space has one
-    integer RREF, as it has one RREF, so each basis is normalized once,
-    by linalg.normalize, when it is yielded, and what is yielded is the
-    RREF over Q.
+    primitive integer multiples of the RREF rows, on core.WordIds ids,
+    so every RREF basis over the ids is the one over the paths.  Each
+    J_n, n >= 3, is (J_{n-1} ⊗ V) ∩ (V^{⊗ n-2} ⊗ R) (compute_Jn), found
+    as a kernel in three steps:
 
-    The recursion runs on core.WordIds ids, so every RREF basis over the
-    ids is the one over the paths.  For a row b with words w of length L,
-    the rows b*y have the ids id(w)*B + rn(y), and the rows x*b the ids
-    id(w) + prepend[x]*B^L, x an arrow into the source of b, read off the
-    leading digit of any one word: every word of a row is a path with the
-    row's endpoints, as the relators are component-pure paths.  Each
-    basis is decoded to words once, when it is yielded, each word from
-    that of its prefix id(w) // B: J_n lies in J_{n-1} ⊗ V, so every
-    column of J_n extends a column of J_{n-1} by one arrow."""
+    - The rows b*y, b a row of J_{n-1} and y an arrow out of its target,
+      taken by the pivot of b and then by the rank of y, are an integer
+      RREF basis of J_{n-1} ⊗ V: b*y has the ids id(w)*B + rn(y), so its
+      pivot is pivot(b)*B + rn(y), with b's entry there, and no other
+      row has a word there.  y is read off the last digit of any one
+      word of b: every word of a row is a path with the row's endpoints,
+      as the relators are component-pure paths.
+    - A vector lies in V^{⊗ n-2} ⊗ R exactly when its last-position
+      residue vanishes, the map u*x*y -> u ⊗ NF(x*y), NF the normal form
+      modulo R read off its RREF: x*y where it leads no row of R, and
+      otherwise minus the rest of that row over its leading entry.
+      Every NF is scaled by the lcm of those entries, so the residues
+      are integer rows; the scale does not change the kernel.
+    - So J_n is the span of the sums sum_i c_i (b*y)_i over the
+      relations c among the residues, and linalg.kernel returns the
+      integer RREF of the relations.  It expands to the integer RREF of
+      J_n (linalg.expand): the rows b*y are an RREF basis up to positive
+      factors, in pivot order, so the expansion of the relation with
+      pivot position i has its pivot at that of row i, with a positive
+      entry, and 0 at the pivot of row j for the pivot position j of
+      every other relation; divided by its content, it is a row of the
+      integer RREF.
+
+    Only the last two letters need the check, as J_{n-1} ⊗ V already
+    lies in every factor of the positions 0..n-3.  The rows of the
+    recursion hold ints whatever the relators' coefficients.  A rational
+    row space has one integer RREF, as it has one RREF, so each basis is
+    normalized once, by linalg.normalize, when it is yielded, and what
+    is yielded is the RREF over Q.  Each basis is also decoded to words
+    once, then, each word from that of its prefix id(w) // B: J_n lies
+    in J_{n-1} ⊗ V, so every column of J_n extends a column of J_{n-1}
+    by one arrow."""
     check_quadratic(pres.quiver, pres.relators)
     q = pres.quiver
     ids = WordIds(q)
     base, names = ids.base, ids.names
-    # per last digit, the rn digits of the arrows that may follow; per id
-    # of an e_v, the prepend of the arrows into v
-    after = [[ids.rank[y.name] for y in q.out_arrows(q.arrow(name).target)] for name in names]
-    into = {k: [ids.prepend[a.name] for a in q.arrows if a.target == v] for v, k in ids.empty.items()}
+    # per last digit, the rn digits of the arrows that may follow, by rank
+    after = [sorted(ids.rank[y.name] for y in q.out_arrows(q.arrow(name).target)) for name in names]
 
     yield [{(name,): 1} for name in names]
     words = {ids.of(Path(a.source, (a.name,))): (a.name,) for a in q.arrows}
     basis = linalg.rref([{ids.of(p): c for p, c in r.terms.items()} for r in pres.relators])
-    top = base * base  # B^L, L the length of the words of basis
+    # scale*NF(x*y) as (last two digits, coefficient) pairs, keyed by the
+    # last two digits x*B + y of each word x*y that leads a row of R; any
+    # other x*y is its own NF
+    square = base * base
+    scale = math.lcm(*(r[min(r)] for r in basis))
+    nf = {}
+    for r in basis:
+        lead = min(r)
+        f = scale // r[lead]
+        nf[lead % square] = [(k % square, -f * v) for k, v in r.items() if k != lead]
     while True:
         words = {k: words[k // base] + (names[k % base],) for row in basis for k in row}
         yield [{words[min(row)]: 1} | {words[k]: c for k, c in linalg.normalize(row).items()} for row in basis]
         if basis:
-            left, right = [], []
+            left, residues = [], []
             for b in basis:
-                k = next(iter(b))
-                for y in after[k % base]:
-                    left.append({w * base + y: c for w, c in b.items()})
-                for shift in (x * top for x in into[k // top]):
-                    right.append({w + shift: c for w, c in b.items()})
-            top *= base
-            basis = linalg.intersect_rowspaces(left, right, 2 * len(ids.vertices) * top)
+                for y in after[next(iter(b)) % base]:
+                    row = {w * base + y: c for w, c in b.items()}
+                    res = {k: scale * c for k, c in row.items() if k % square not in nf}
+                    for k, c in row.items():
+                        rest = nf.get(k % square)
+                        if rest is not None:
+                            head = k - k % square
+                            for tail, v in rest:
+                                add_term(res, head + tail, c * v)
+                    left.append(row)
+                    residues.append(res)
+            basis = linalg.expand(linalg.kernel(residues), left)
 
 
 def compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
@@ -322,13 +355,16 @@ def compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
     J_1 is the arrow span, J_2 the relator span; bases are returned in
     reduced row echelon form over the canonical path ordering.  For
     n >= 3 the basis comes from the recursion
-    J_n = (J_{n-1} ⊗ V) ∩ (V ⊗ J_{n-1}), one intersection of the rows
-    b*y and x*b over the RREF rows b of J_{n-1} and the arrows x, y.  It
-    is exact because tensoring with V preserves intersections, so
-    J_{n-1} ⊗ V is the intersection over i <= n-3 of the factors
-    V^{⊗i} ⊗ R ⊗ V^{⊗ n-2-i} and V ⊗ J_{n-1} that over i >= 1.  An
-    RREF basis is unique for a fixed column order, so the bases are the
-    same as those of the full intersection.
+    J_n = (J_{n-1} ⊗ V) ∩ (V^{⊗ n-2} ⊗ R).  It is exact because
+    tensoring with V preserves intersections, so J_{n-1} ⊗ V is the
+    intersection of the factors V^{⊗i} ⊗ R ⊗ V^{⊗ n-2-i} over
+    i <= n-3, and only the factor i = n-2, the last two letters, is
+    left.  _jn_series finds it as the kernel of one map, the residue
+    modulo R of the last two letters, on the rows b*y that span
+    J_{n-1} ⊗ V, and the RREF of the kernel's combinations expands to
+    the RREF of J_n, as those rows are an RREF basis in pivot order.
+    An RREF basis is unique for a fixed column order, so the bases are
+    the same as those of the full intersection.
 
     The recursion runs on integer word ids, ordered as the paths (see
     _jn_series), so the column order is the canonical one without a sort;

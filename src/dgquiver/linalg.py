@@ -6,7 +6,7 @@ any non-negative ints.  Each incoming row is first cleared of
 denominators, and elimination then runs on integer rows: a pivot entry
 of 1 gives a plain integer axpy, any other pivot entry a gcd-scaled
 cross-multiplication (Bareiss, Math. Comp. 22, 1968), and every pivot
-row is divided by its content gcd.  There is no floating point
+row of ``rref`` is divided by its content gcd.  There is no floating point
 anywhere.  Pivoting is always on the smallest column index, so every
 result is deterministic given the column indexing.
 
@@ -22,11 +22,20 @@ only ints whatever the input.  Public functions:
 - ``row_reduce``, the reduced row echelon basis, ``normalize`` of each
   row of ``rref``, so integral input never builds a ``Fraction``; no
   library function calls it, and the test oracles reduce with it;
-- ``intersect_rowspaces``, behind the J_n lattice, which returns the
-  integer RREF of the intersection as it is: it eliminates each
-  spanning row of the first space with a unit that tracks its
-  combination rather than with a copy of the row, so integer rows in
-  give integer arithmetic throughout;
+- ``kernel``, behind the J_n lattice, the integer RREF of the
+  relations among integer rows: it eliminates each row together with
+  its combination, the unit e_i at first, shares ``_eliminate`` with
+  ``rref``, copies a row only once it has to change it and takes a
+  content gcd only of rows that were eliminated, so the rows of an
+  echelon basis cost one lookup each;
+- ``expand``, the sums sum_i c_i rows[i] of such relations, each
+  divided by its content;
+- ``intersect_rowspaces``, the integer RREF of the intersection of two
+  row spaces, rebuilt on ``kernel`` (Zassenhaus: a relation among the
+  rows of both spaces gives a vector of both), so ``_eliminate`` is the
+  one elimination step of the module; no library function calls it
+  since the J_n lattice became a kernel, and the test oracles intersect
+  with it;
 - ``pivot_columns``, the pivot columns of a row space, which
   ``cohomology_dims`` calls only when two images of one step share a
   leading word (otherwise those words are the pivots) and whose result
@@ -36,7 +45,6 @@ only ints whatever the input.  Public functions:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import Iterable
 
@@ -60,10 +68,12 @@ def _integral(row: SparseVec) -> IntVec:
     return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
 
-def _eliminate(r: IntVec, c: int, p: IntVec) -> None:
-    """Clear column c of r with the row p (p[c] > 0) in place; r is
-    first scaled by a positive factor."""
+def _eliminate(r: IntVec, c: int, p: IntVec) -> tuple[int, int]:
+    """Clear column c of r with the row p in place: r becomes s*r - a*p,
+    s = p[c]/g and a = r[c]/g with g their gcd, and (s, a) is returned.
+    s is positive when p[c] is, as at every pivot of _echelon."""
     a, b = r[c], p[c]
+    s = 1
     if b != 1:
         g = gcd(a, b)
         s, a = b // g, a // g
@@ -77,6 +87,7 @@ def _eliminate(r: IntVec, c: int, p: IntVec) -> None:
             r[k] = nv
         else:
             del r[k]
+    return s, a
 
 
 def _reduce(r: IntVec, pivots: dict[int, IntVec]) -> None:
@@ -148,29 +159,75 @@ def row_reduce(rows: Iterable[SparseVec]) -> list[SparseVec]:
     return [normalize(r) for r in rref(rows)]
 
 
+def kernel(rows: list[IntVec]) -> list[IntVec]:
+    """The integer RREF of the relations among integer rows: the
+    combinations {position i: c_i} with sum_i c_i rows[i] = 0.
+
+    Each row is reduced together with its combination, the unit e_i at
+    first, by the pivots so far; a row that reduces to 0 leaves its
+    combination as a relation, and these span all relations, one per
+    row outside the rank.  A row is copied only once it has to change: a
+    row whose smallest column is no pivot yet becomes a pivot as it is,
+    whatever the sign of its entry there (_eliminate takes either), and
+    only a row that was eliminated is divided by the content gcd of it
+    and its combination.  So the rows of an echelon basis cost one
+    lookup each.  The rows are never changed."""
+    pivots: dict[int, tuple[IntVec, IntVec]] = {}
+    relations = []
+    for i, row in enumerate(rows):
+        combo = {i: 1}
+        if row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = (row, combo)
+                continue
+            r = dict(row)
+            while True:
+                s, a = _eliminate(r, c, p[0])
+                if s != 1:
+                    for k in combo:
+                        combo[k] *= s
+                for k, v in p[1].items():
+                    add_term(combo, k, -a * v)
+                if not r or (p := pivots.get(c := min(r))) is None:
+                    break
+            if r:
+                g = gcd(*r.values())
+                if g != 1 and (g := gcd(g, *combo.values())) != 1:
+                    r = {k: v // g for k, v in r.items()}
+                    combo = {k: v // g for k, v in combo.items()}
+                pivots[c] = (r, combo)
+                continue
+        relations.append(combo)
+    return rref(relations)
+
+
+def expand(relations: Iterable[IntVec], rows: list[IntVec]) -> list[IntVec]:
+    """sum_i c_i rows[i] for each relation c, divided by its content gcd
+    with a positive leading entry; a zero sum is dropped."""
+    out = []
+    for rel in relations:
+        acc: IntVec = {}
+        for i, c in rel.items():
+            for k, v in rows[i].items():
+                add_term(acc, k, c * v)
+        if acc:
+            out.append(_primitive(acc))
+    return out
+
+
 def intersect_rowspaces(u_rows: list[SparseVec], w_rows: Iterable[SparseVec], ncols: int) -> list[IntVec]:
     """The integer RREF of U ∩ W, U and W the row spaces of u_rows and
     w_rows, every column below ncols.
 
-    Zassenhaus on combinations: reduce the rows (u_i | e_i) and (w_j | 0),
-    the unit e_i at column ncols + i.  Every row of their span is
-    (sum c_i u_i + sum d_j w_j | c), so its left half vanishes exactly
-    when sum c_i u_i lies in W, and the echelon rows with a pivot at or
-    above ncols span the c of all such rows.  Their expansions
-    sum c_i u_i therefore span U ∩ W; a zero expansion comes from a
-    dependence among the u_i and is dropped.  Only the unit, not a copy
-    of u_i, rides in the right half, and every step is exact.  The c are
-    integers, so integer rows in build no Fraction anywhere; rows with
-    Fraction entries are cleared of denominators first, as everywhere."""
-    stacked = chain(({**u, ncols + i: 1} for i, u in enumerate(u_rows)), w_rows)
-    inter = []
-    for piv, row in _echelon(stacked).items():
-        if piv < ncols:
-            continue
-        acc: SparseVec = {}
-        for i, c in row.items():
-            for k, v in u_rows[i - ncols].items():
-                add_term(acc, k, c * v)
-        if acc:
-            inter.append(acc)
-    return rref(inter)
+    Zassenhaus as a kernel: a relation (c, d) among the integer rows u_i
+    and w_j, sum c_i u_i + sum d_j w_j = 0, gives sum c_i u_i = -sum d_j w_j
+    in U ∩ W, and these span it; a zero expansion comes from a
+    dependence among the u_i and is dropped.  The kernel needs no column
+    bound, so ncols goes unused; it stays for the callers that pass it.
+    Rows with Fraction entries are cleared of denominators first, as
+    everywhere."""
+    u = [_integral(r) for r in u_rows]
+    relations = kernel(u + [_integral(w) for w in w_rows])
+    return rref(expand(({i: c for i, c in rel.items() if i < len(u)} for rel in relations), u))

@@ -11,6 +11,7 @@ import pytest
 
 import dgquiver
 from dgquiver import GradedQuiver, McKayData, h0_presentation, mckay_model, polynomial_model, serialize
+from dgquiver import cli
 from dgquiver.cli import main
 from dgquiver.koszul import mckay_commutation_presentation
 
@@ -70,6 +71,48 @@ def test_threads_flag_is_rejected(capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err
     assert "unrecognized arguments: --threads 4" in captured.err
+
+
+PARSER_CASES = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("bogus",),
+    ("cy-check", "--help"),
+    ("cohomology", "-h"),
+    ("model-mckay", "--help"),
+    ("cohomology", "--model", "x", "--hmin", "0", "--adams-max", "1", "--bogus"),
+    ("cohomology", "--model", "x"),
+    ("cohomology", "--model", "x", "--hmin", "h", "--adams-max", "1"),
+    ("cohomology", "--model", "x", "--hmin", "0", "--adams-max", "1", "--format", "xml"),
+    ("model-poly",),
+    ("model-poly", "--n", "2", "extra"),
+    ("model-poly", "--n", "1", "--verify", "dsq"),
+    ("verify", "--model", "x", "--verify"),
+    ("cy-check", "--m", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no command")
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    """main builds only the parser of the command that argv[0] names.  On
+    help at both levels, a missing or unknown command and bad or extra
+    arguments, its exit code, stdout and stderr are the full parser's:
+    an error of the top-level parser prints a usage line with all seven
+    commands."""
+
+    def outcome():
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    one = outcome()
+    parser = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda only=None: parser())
+    assert outcome() == one
+    if "\ndgquiver: error:" in one[2]:
+        assert "{model-poly,model-mckay,ginzburg,cohomology,compare-h0,cy-check,verify}" in one[2]
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 intersection lattice, and vertex deletion."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, islice, product
 from math import comb
 
 import pytest
@@ -129,6 +129,15 @@ def test_Jn_on_mckay_commutation_quiver():
     # one J_3 class per vertex (top exterior power of three variables)
     assert len(compute_Jn(quad, 3)) == 3
     assert len(compute_Jn(quad, 4)) == 0
+
+
+def test_Jn_dims_on_the_mckay_8_all_ones_commutation_quiver():
+    """dim J_k = m*C(n, k), one exterior power of the n variables per
+    vertex, for k <= 5 on (8;1⁸): 64, 224, 448, 560 and 448 rows, the
+    largest lattice among the tests."""
+    pres = mckay_commutation_presentation(McKayData(8, (1,) * 8))
+    bases = list(islice(koszul._jn_series(pres), 5))
+    assert [len(b) for b in bases] == [8 * comb(8, k) for k in range(1, 6)]
 
 
 def test_Jn_elements_live_in_relation_lattice():

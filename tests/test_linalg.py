@@ -5,6 +5,7 @@ from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import sympy
 
 from dgquiver import linalg
 import oracles
@@ -161,6 +162,34 @@ def test_intersection_matches_fraction_kernel(u_rows, w_rows):
     # so do the integer RREF rows of the two spaces
     _assert_integer_rref(linalg.intersect_rowspaces(u_rows, w_rows, NCOLS), expected)
     _assert_integer_rref(linalg.intersect_rowspaces(linalg.rref(u_rows), linalg.rref(w_rows), NCOLS), expected)
+
+
+integer_rows = st.lists(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=NCOLS - 1),
+        st.integers(min_value=-3, max_value=3).filter(bool),
+        max_size=NCOLS,
+    ),
+    max_size=9,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_rows)
+def test_kernel_is_the_integer_rref_of_the_relations(rows):
+    """The rows of kernel, divided by their pivot entries, are the RREF
+    of the combinations c with sum c_i rows[i] = 0, by sympy's left null
+    space; the input rows, some of them pivots of the kernel as they
+    are, with a leading entry of either sign, stay unchanged."""
+    before = [dict(r) for r in rows]
+    ours = linalg.kernel(rows)
+    assert rows == before
+    null = dense(rows, NCOLS).T.nullspace() if rows else []
+    expected = rowspace_basis(sympy.Matrix.hstack(*null).T) if null else sympy.zeros(0, len(rows))
+    for row in ours:
+        assert all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1 and row[min(row)] > 0
+    assert dense(_normalized(ours), len(rows)) == expected
 
 
 def test_intersection_drops_the_zero_expansions_of_dependent_rows():

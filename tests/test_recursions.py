@@ -271,7 +271,7 @@ def test_mckay_model_matches_the_per_vertex_loop(m, weights):
 def test_word_ids_order_as_the_paths(pres):
     """The lemma of core.WordIds on every path of length <= 4: the ids
     follow the stated formula, sort as Path.sort_key and are distinct,
-    source(k) recovers the start, and w*y and x*w have the stated ids.
+    the leading digit gives back the start, and w*y has the stated id.
     With one arrow B is its floor 2."""
     q = pres.quiver
     ids = WordIds(q)
@@ -286,17 +286,15 @@ def test_word_ids_order_as_the_paths(pres):
     assert len({ids.of(p) for p in paths}) == len(paths)
     for p in (p for p in paths if len(p) < 4):
         k = ids.of(p)
-        assert ids.source(k) == p.start
+        assert vertices[k // base ** len(p) - len(vertices)] == p.start
         for y in q.out_arrows(q.path_target(p)):
             assert ids.of(Path(p.start, p.arrows + (y.name,))) == k * base + ids.rank[y.name]
-        for x in q.arrows:
-            if x.target == p.start:
-                assert ids.of(Path(x.source, (x.name,) + p.arrows)) == k + ids.prepend[x.name] * base ** len(p)
 
 
 def test_jn_lattice_runs_on_integer_rows(monkeypatch):
     """J_1..J_5 of the quantum k<x1..x5>/(x_i x_j - q_ij x_j x_i) with
-    q_ij = ±p/r: every row that _jn_series hands to intersect_rowspaces
+    q_ij = ±p/r: every row that _jn_series hands to linalg.kernel, the
+    residues, and to linalg.expand, the relations and the rows b*y,
     holds only int entries, although the bases it yields hold Fractions,
     and the bases equal those of the Path-keyed oracle."""
     primes = iter((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 11, 13, 17, 19, 23, 29, 31, 37, 41))
@@ -308,14 +306,19 @@ def test_jn_lattice_runs_on_integer_rows(monkeypatch):
     )
     pres = QuadraticPresentation(q, relators)
     expected = [old_compute_Jn(pres, n) for n in range(1, 6)]
-    real, entries = linalg.intersect_rowspaces, []
+    kernel, expand, entries = linalg.kernel, linalg.expand, []
 
-    def checked(u_rows, w_rows, ncols):
-        w_rows = list(w_rows)
-        entries.extend(v for row in u_rows + w_rows for v in row.values())
-        return real(u_rows, w_rows, ncols)
+    def checked_kernel(rows):
+        entries.extend(v for row in rows for v in row.values())
+        return kernel(rows)
 
-    monkeypatch.setattr(linalg, "intersect_rowspaces", checked)
+    def checked_expand(relations, rows):
+        relations = list(relations)
+        entries.extend(v for row in relations + rows for v in row.values())
+        return expand(relations, rows)
+
+    monkeypatch.setattr(linalg, "kernel", checked_kernel)
+    monkeypatch.setattr(linalg, "expand", checked_expand)
     bases = [compute_Jn(pres, n) for n in range(1, 6)]
     assert bases == expected and [len(b) for b in bases] == [5, 10, 10, 5, 1]
     assert entries and all(type(v) is int for v in entries)
@@ -324,22 +327,34 @@ def test_jn_lattice_runs_on_integer_rows(monkeypatch):
 
 @pytest.mark.parametrize("case", ["mckay7_11113", "mixed_ids"])
 def test_jn_columns_lie_below_ncols(monkeypatch, case):
-    """Every column that _jn_series hands to intersect_rowspaces while it
-    computes J_1..J_6, an id of a word of length n, lies below the ncols
-    it passes, 2V*B^n.  There is one call per nonzero J_2..J_5."""
+    """Every column of the rows that _jn_series hands to linalg.kernel,
+    the residues, and to linalg.expand, the rows b*y, while it computes
+    J_1..J_6, is the id of a word of length n, n the degree of the J_n
+    it computes: it lies in [V*B^n, 2V*B^n), below the ids of length
+    n + 1.  There is one call of each per nonzero J_2..J_5."""
     if case == "mixed_ids":
         pres, _el = _mixed_id_presentation()
     else:
         pres = mckay_commutation_presentation(McKayData(7, (1, 1, 1, 1, 3)))
-    real, columns = linalg.intersect_rowspaces, []
+    ids = WordIds(pres.quiver)
+    kernel, expand, columns = linalg.kernel, linalg.expand, {"kernel": [], "expand": []}
 
-    def checked(u_rows, w_rows, ncols):
-        w_rows = list(w_rows)
-        columns.append([k for row in u_rows + w_rows for k in row])
-        assert all(0 <= k < ncols for k in columns[-1])
-        return real(u_rows, w_rows, ncols)
+    def check(calls, rows):
+        n = len(calls) + 3
+        calls.append([k for row in rows for k in row])
+        assert all(len(ids.vertices) * ids.base**n <= k < 2 * len(ids.vertices) * ids.base**n for k in calls[-1])
 
-    monkeypatch.setattr(linalg, "intersect_rowspaces", checked)
+    def checked_kernel(rows):
+        check(columns["kernel"], rows)
+        return kernel(rows)
+
+    def checked_expand(relations, rows):
+        check(columns["expand"], rows)
+        return expand(relations, rows)
+
+    monkeypatch.setattr(linalg, "kernel", checked_kernel)
+    monkeypatch.setattr(linalg, "expand", checked_expand)
     bases = list(islice(_jn_series(pres), 6))
-    assert len(columns) == sum(1 for basis in bases[1:5] if basis) >= 3
-    assert all(columns)
+    for calls in columns.values():
+        assert len(calls) == sum(1 for basis in bases[1:5] if basis) >= 3
+        assert all(calls)
