@@ -275,10 +275,6 @@ def _parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parser()
-
-
 def main(argv=None) -> int:
     """Run one command.  When the first argument names a command, only
     that command's parser is built; otherwise (no command, an unknown

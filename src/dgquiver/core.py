@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Callable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import InvalidInputError
 
@@ -201,7 +201,9 @@ class WordIds:
     as (vertex_key(s), word), arrow names being distinct.  So ids order
     as Path.sort_key, distinct paths have distinct ids, and an RREF basis
     over the ids is the one over the paths.  w*y has the id
-    id(w)*B + rn(y)."""
+    id(w)*B + rn(y), so the path with the id k is that with the id k // B
+    followed by the arrow of rank k mod B; path and paths, the inverse of
+    of, are the one place that turns an id back into a path."""
 
     def __init__(self, quiver: GradedQuiver):
         self.names = sorted(a.name for a in quiver.arrows)  # by rn
@@ -209,9 +211,32 @@ class WordIds:
         self.base = max(2, len(self.names))
         self.vertices = sorted(quiver.vertices, key=vertex_key)
         self.empty = {v: len(self.vertices) + i for i, v in enumerate(self.vertices)}  # the id of e_v
+        self._paths = {k: Path(v) for v, k in self.empty.items()}  # the ids decoded so far
 
     def of(self, p: Path) -> int:
         return reduce(lambda k, name: k * self.base + self.rank[name], p.arrows, self.empty[p.start])
+
+    def path(self, k: int) -> Path:
+        """The path with the id k.  Each id is decoded once and kept, so
+        the words of a row space share the decoding of their prefixes."""
+        paths = self._paths
+        p = paths.get(k)
+        if p is None:
+            head = paths.get(k // self.base)
+            if head is None:
+                head = self.path(k // self.base)
+            p = paths[k] = Path(head.start, head.arrows + (self.names[k % self.base],))
+        return p
+
+    def paths(self, ks: Iterable[int]) -> list[Path]:
+        """[path(k) for k in ks], each k whose prefix k // B is kept
+        already decoded in place, without a call: the decoder of a whole
+        row space, whose words mostly share their prefixes."""
+        known, base, names = self._paths, self.base, self.names
+        return [
+            Path(h.start, h.arrows + (names[k % base],)) if (h := known.get(k // base)) is not None else self.path(k)
+            for k in ks
+        ]
 
 
 class AlgebraElement:

@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import GradedQuiver, Scalar, Vertex, add_term
+from .core import GradedQuiver, Scalar, Vertex, WordIds, add_term
 from .differential import DGModel, leibniz
 from .errors import InvalidInputError, failed, passed
 from .homology import Word, cohomology_dims, truncated_dims
@@ -149,11 +149,11 @@ def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
     # C is quadratic by construction, arrows of degree (0, 1) and relators
     # of length 2, as _jn_series checks
     n = len(s.data.weights)
+    ids = WordIds(c.quiver)
     for deg, basis in zip(range(1, n + 2), _jn_series(c)):
         jn: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
-        for b in basis:
-            w = next(iter(b))  # every word of a row has the row's endpoints
-            jn[(c.quiver.arrow(w[0]).source, c.quiver.arrow(w[-1]).target)] += 1
+        for p in ids.paths(min(b) for b in basis):  # every word of a row has its pivot's endpoints
+            jn[(p.start, c.quiver.path_target(p))] += 1
         gens: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
         for a in asc.quiver.arrows:
             if a.adeg == deg:

@@ -1,7 +1,8 @@
 """Degree-truncated cohomology of DG path algebras by exact linear
 algebra, H^0 presentations, and truncated dimension tables for
 presented algebras, whose words are core.WordIds ids, as in the J_n
-lattice of koszul; the slices of the cohomology are arrow-name tuples.
+lattice of koszul, each lead decoded to its arrow word by
+WordIds.path; the slices of the cohomology are arrow-name tuples.
 
 Every bidegree (hdeg, adeg) is finite dimensional because arrows carry
 adeg >= 1, so all computations here are exact at the stated truncation.
@@ -381,10 +382,10 @@ def truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Ve
     cap = path_cap()
     q = pres.quiver
     ids = WordIds(q)
-    base, rank, nv = ids.base, ids.rank, len(ids.vertices)
+    base, nv = ids.base, len(ids.vertices)
     killed = {r.endpoints()[0] for r in pres.relators if r.adeg() == 0}
-    adeg = {rank[y.name]: y.adeg for y in q.arrows}
-    arrows = [(y.adeg, y.source, rank[y.name], y.target) for y in q.arrows if y.target not in killed]
+    adeg = {y.name: y.adeg for y in q.arrows}
+    arrows = [(y.adeg, y.source, ids.rank[y.name], y.target) for y in q.arrows if y.target not in killed]
     span = max((d for d, _src, _y, _t in arrows), default=1)
     # pending[a]: the relators and S-polynomials of degree a, as {word id: coeff}
     pending: defaultdict[int, list[dict[int, Scalar]]] = defaultdict(list)
@@ -395,23 +396,16 @@ def truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Ve
     # normal[a][t][s]: the ids of the normal words of degree a from s to t;
     # rules: (B^l, V*B^l, {lead mod B^l: tail}) for the leads of each length
     # l, by increasing l, each tail as [(B^len(w), w mod B^len(w), coeff)];
-    # prefixes, suffixes: the leads (digits, id, tail, adeg) by their proper
+    # prefixes, suffixes: the leads (arrows, id, tail, adeg) by their proper
     # prefixes and suffixes
     normal: dict[int, dict[Vertex, dict[Vertex, list[int]]]] = {
         0: {v: {v: [ids.empty[v]]} for v in q.vertices if v not in killed}
     }
     by_length: dict[int, dict[int, list]] = {}
     rules: list[tuple[int, int, dict[int, list]]] = []
-    prefixes: defaultdict[tuple[int, ...], list] = defaultdict(list)
-    suffixes: defaultdict[tuple[int, ...], list] = defaultdict(list)
+    prefixes: defaultdict[Word, list] = defaultdict(list)
+    suffixes: defaultdict[Word, list] = defaultdict(list)
     total = 0
-
-    def digits(k: int) -> tuple[int, ...]:
-        out = []
-        while k >= 2 * nv:
-            k, y = divmod(k, base)
-            out.append(y)
-        return tuple(reversed(out))
 
     def at_end(k: int):
         """(u, tail) with k = u*lead, for a lead that ends the word k; or None."""
@@ -465,8 +459,8 @@ def truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Ve
             if not g:
                 continue
             k = max(g)
-            lc, word = g.pop(k), digits(k)
-            tail = [((mw := base ** len(digits(w))), w % mw, exact(Fraction(-c) / lc)) for w, c in g.items()]
+            lc, word = g.pop(k), ids.path(k).arrows
+            tail = [((mw := base ** len(ids.path(w))), w % mw, exact(Fraction(-c) / lc)) for w, c in g.items()]
             by_length.setdefault(base ** len(word), {})[k % base ** len(word)] = tail
             rules[:] = [(m, nv * m, leads) for m, leads in sorted(by_length.items())]
             lead = (word, k, tail, a)

@@ -12,9 +12,11 @@ delete_vertex would leave it; cy deletes vertex 0 so.
 
 The J_n lattice runs on the word ids of core.WordIds, as truncated_dims
 does, and on integer rows, the integer RREF of linalg, whatever the
-relators' coefficients; each basis is normalized and decoded to rows
-{arrow word: coefficient}, pivot first, once, and compute_Jn and
-minimal_model_general build AlgebraElements from those once, at the end.
+relators' coefficients, and hands out those rows {word id: int} as they
+are.  Its readers normalize and decode only what they read:
+compute_Jn the basis it returns, minimal_model_general the row of each
+generator, for the coefficients of its d, and its pivot, for its name
+and endpoints, and cy the pivot of each row, for its endpoints.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, Wor
 from .differential import Differential, DGModel
 from .errors import InvalidInputError, ResourceLimitError, path_cap
 from .presentations import PresentedAlgebra, QuadraticPresentation, check_quadratic
-
-WordRow = dict[tuple[str, ...], Scalar]  # {arrow word: coefficient}, a J_n basis row
 
 
 def shuffle_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -264,18 +264,20 @@ def delete_vertex(model: DGModel, v: Vertex) -> DGModel:
 # general quadratic algebras
 
 
-def _jn_series(pres: PresentedAlgebra) -> Iterator[list[WordRow]]:
-    """The bases of J_1, J_2, J_3, ... in turn, each row as {arrow word:
-    coefficient}, pivot first, with int coefficients while integral; see
-    compute_Jn.  pres must be quadratic: arrows of degree (0, 1) and
-    relators of length 2, as presentations.check_quadratic checks here,
-    before the first basis.
-
-    From J_2 on, the recursion carries the integer RREF of linalg, the
-    primitive integer multiples of the RREF rows, on core.WordIds ids,
-    so every RREF basis over the ids is the one over the paths.  Each
-    J_n, n >= 3, is (J_{n-1} ⊗ V) ∩ (V^{⊗ n-2} ⊗ R) (compute_Jn), found
-    as a kernel in three steps:
+def _jn_series(pres: PresentedAlgebra) -> Iterator[list[dict[int, int]]]:
+    """The bases of J_1, J_2, J_3, ... in turn, each row as {word id:
+    int} on the ids of core.WordIds: J_1 as the unit rows of the arrows
+    in name order, and from J_2 on the integer RREF of linalg, the
+    primitive integer multiples of the RREF rows, with a positive pivot
+    entry, sorted by pivot.  The ids order as the paths, so every RREF
+    basis over the ids is the one over the paths, and as a rational row
+    space has one integer RREF, as it has one RREF, each J_n basis
+    divided row by row by its pivot entry (linalg.normalize) is the RREF
+    over Q.  pres must be quadratic: arrows of degree (0, 1) and relators
+    of length 2, as presentations.check_quadratic checks here, before
+    the first basis.  Each J_n, n >= 3, is
+    (J_{n-1} ⊗ V) ∩ (V^{⊗ n-2} ⊗ R) (compute_Jn), found as a kernel in
+    three steps:
 
     - The rows b*y, b a row of J_{n-1} and y an arrow out of its target,
       taken by the pivot of b and then by the rank of y, are an integer
@@ -301,14 +303,9 @@ def _jn_series(pres: PresentedAlgebra) -> Iterator[list[WordRow]]:
       integer RREF.
 
     Only the last two letters need the check, as J_{n-1} ⊗ V already
-    lies in every factor of the positions 0..n-3.  The rows of the
-    recursion hold ints whatever the relators' coefficients.  A rational
-    row space has one integer RREF, as it has one RREF, so each basis is
-    normalized once, by linalg.normalize, when it is yielded, and what
-    is yielded is the RREF over Q.  Each basis is also decoded to words
-    once, then, each word from that of its prefix id(w) // B: J_n lies
-    in J_{n-1} ⊗ V, so every column of J_n extends a column of J_{n-1}
-    by one arrow."""
+    lies in every factor of the positions 0..n-3.  The rows hold ints
+    whatever the relators' coefficients, and what the recursion carries
+    is what is yielded: no basis is normalized or decoded here."""
     check_quadratic(pres.quiver, pres.relators)
     q = pres.quiver
     ids = WordIds(q)
@@ -316,8 +313,7 @@ def _jn_series(pres: PresentedAlgebra) -> Iterator[list[WordRow]]:
     # per last digit, the rn digits of the arrows that may follow, by rank
     after = [sorted(ids.rank[y.name] for y in q.out_arrows(q.arrow(name).target)) for name in names]
 
-    yield [{(name,): 1} for name in names]
-    words = {ids.of(Path(a.source, (a.name,))): (a.name,) for a in q.arrows}
+    yield [{ids.of(Path(q.arrow(name).source, (name,))): 1} for name in names]
     basis = linalg.rref([{ids.of(p): c for p, c in r.terms.items()} for r in pres.relators])
     # scale*NF(x*y) as (last two digits, coefficient) pairs, keyed by the
     # last two digits x*B + y of each word x*y that leads a row of R; any
@@ -330,8 +326,7 @@ def _jn_series(pres: PresentedAlgebra) -> Iterator[list[WordRow]]:
         f = scale // r[lead]
         nf[lead % square] = [(k % square, -f * v) for k, v in r.items() if k != lead]
     while True:
-        words = {k: words[k // base] + (names[k % base],) for row in basis for k in row}
-        yield [{words[min(row)]: 1} | {words[k]: c for k, c in linalg.normalize(row).items()} for row in basis]
+        yield basis
         if basis:
             left, residues = [], []
             for b in basis:
@@ -368,17 +363,14 @@ def compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
 
     The recursion runs on integer word ids, ordered as the paths (see
     _jn_series), so the column order is the canonical one without a sort;
-    the elements are built once, here.
+    only the basis returned is normalized and decoded, here.
     """
     if n < 1:
         raise InvalidInputError("need n >= 1")
     q = pres.quiver
-    rows = next(islice(_jn_series(pres), n - 1, None))
-    elements = []
-    for row in rows:
-        source = q.arrow(next(iter(row))[0]).source  # shared by the row's words, see _jn_series
-        elements.append(AlgebraElement(q, {Path(source, w): c for w, c in row.items()}))
-    return elements
+    ids = WordIds(q)
+    rows = map(linalg.normalize, next(islice(_jn_series(pres), n - 1, None)))
+    return [AlgebraElement(q, dict(zip(ids.paths(row), row.values()))) for row in rows]
 
 
 def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
@@ -388,59 +380,65 @@ def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
     delta_{i,n-i}(b) writes the J_n basis vector b in the basis of
     products va*vb of J_i and J_{n-i} basis vectors, as
     J_n ⊆ J_i ⊗ J_{n-i}.  Its coefficients are read off b with no
-    products and no elimination.  Every basis that _jn_series yields is
-    in RREF over Path.sort_key: each row has coefficient 1 at its pivot,
-    its least path and its first key, and 0 at the pivots of the other
-    rows, and every word of J_i has length i.  So the coefficient of
-    va*vb in b is b[pivot(va) + pivot(vb)], and one scan of b finds them
-    all, splitting each word at i and looking both halves up among the
-    pivots.  The membership is still checked: b minus the sum of c*va*vb
-    over the read-off c must vanish, which holds exactly when b lies in
-    the span of the products.  That residual runs in ints: every row is
-    scaled by linalg._integral to an integer row, which is the row times
-    its pivot entry, and each (b, i) takes one common multiplier, a
-    multiple of the products of the pivot entries of the found va and vb,
-    so that the residual times it is a sum of integer rows."""
+    products and no elimination.  _jn_series yields each basis as its
+    integer RREF on word ids, which order as Path.sort_key: each row is
+    s*v, v the RREF row, with 1 at its pivot, its least id, and 0 at the
+    pivots of the other rows, and s > 0 its entry there; every word of
+    J_i has length i.  So the coefficient of va*vb in b is
+    b[pivot(va)*pivot(vb)], and one scan of the row of b finds them all:
+    divmod(w, B^(n-i)) splits each id w at i, and both halves are looked
+    up among the pivots by their digits, the id mod B^i or B^(n-i),
+    which alone name a nonempty word.  Only b is normalized
+    (linalg.normalize), once, for these coefficients of d.
+
+    The membership is still checked: b minus the sum of c*va*vb over the
+    read-off c must vanish, which holds exactly when b lies in the span
+    of the products.  That residual runs on the integer rows as they
+    are: with t, sa and sb the pivot entries of the rows of b, va and vb,
+    and m a common multiple of the sa*sb of the found pairs, m*t times
+    it is the sum of integer rows
+    m*(t*b) - sum (t*b)[w]*(m/(sa*sb))*(sa*va)*(sb*vb)."""
     if nmax < 2:
         raise InvalidInputError("need nmax >= 2")
     q = pres.quiver
-    # each basis row as {arrow word: coefficient}, and {pivot word: row position} per degree
-    words = dict(zip(range(1, nmax + 1), _jn_series(pres)))
-    pivots = {n: {next(iter(b)): k for k, b in enumerate(basis)} for n, basis in words.items()}
+    ids = WordIds(q)
+    base = ids.base
+    bases = dict(zip(range(1, nmax + 1), _jn_series(pres)))
+    # per degree n, the pivot id and entry of each row, and {pivot id mod
+    # B^n: row position}
+    leads = {n: [min(b) for b in basis] for n, basis in bases.items()}
+    scale = {n: [b[k] for b, k in zip(bases[n], ks)] for n, ks in leads.items()}
+    pivots = {n: {k % base**n: i for i, k in enumerate(ks)} for n, ks in leads.items()}
 
     arrows: list[Arrow] = []
     gen: dict[tuple[int, int], Arrow] = {}  # (n, basis position) -> generator
-    for n, basis in words.items():
-        for k, b in enumerate(basis):
-            w = next(iter(b))
-            name = w[0] if n == 1 else f"j{n}_{k}"
-            gen[(n, k)] = Arrow(name, q.arrow(w[0]).source, q.arrow(w[-1]).target, -n + 1, n, label=name)
+    for n, ks in leads.items():
+        for k, p in enumerate(ids.paths(ks)):
+            name = p.arrows[0] if n == 1 else f"j{n}_{k}"
+            gen[(n, k)] = Arrow(name, p.start, q.path_target(p), -n + 1, n, label=name)
             arrows.append(gen[(n, k)])
     quiver = GradedQuiver(q.vertices, tuple(arrows))
 
-    # each basis row v as the integer row s*v, and s, its pivot entry, as
-    # every row v has 1 at its pivot
-    scaled = {n: [linalg._integral(b) for b in basis] for n, basis in words.items()}
-    scale = {n: [r[next(iter(r))] for r in rows] for n, rows in scaled.items()}
-
     on_arrows: dict[str, AlgebraElement] = {}
     for n in range(2, nmax + 1):
-        for k, b in enumerate(words[n]):
+        for k, row in enumerate(bases[n]):
+            b = linalg.normalize(row)
             terms: dict[Path, Scalar] = {}
-            ib = scaled[n][k]
             for i in range(1, n):
-                left, right = pivots[i], pivots[n - i]
-                found = sorted((left[w[:i]], right[w[i:]], w) for w in b if w[:i] in left and w[i:] in right)
-                # ib = t*b for an int t > 0 and va*vb = (sa*va)*(sb*vb)/(sa*sb),
-                # so with m a common multiple of the sa*sb, rest is m*t times
-                # b - sum b[w]*va*vb, in ints
+                left, right, mi, mr = pivots[i], pivots[n - i], base**i, base ** (n - i)
+                halves = ((w, h % mi, t) for w in row for h, t in [divmod(w, mr)])
+                found = sorted((left[h], right[t], w) for w, h, t in halves if h in left and t in right)
                 m = math.lcm(*(scale[i][ka] * scale[n - i][kb] for ka, kb, _w in found))
-                rest = {w: m * c for w, c in ib.items()}
+                rest = {w: m * c for w, c in row.items()}
                 for ka, kb, w in found:
-                    f = -ib[w] * (m // (scale[i][ka] * scale[n - i][kb]))
-                    for wa, ca in scaled[i][ka].items():
-                        for wb, cb in scaled[n - i][kb].items():
-                            add_term(rest, wa + wb, f * ca * cb)
+                    f = -row[w] * (m // (scale[i][ka] * scale[n - i][kb]))
+                    # the ids of va*vb are wa*B^(n-i) + wb mod B^(n-i), and
+                    # every wb has the vertex digit of the pivot of vb
+                    shift = leads[n - i][kb] // mr * mr
+                    for wa, ca in bases[i][ka].items():
+                        at, fa = wa * mr - shift, f * ca
+                        for wb, cb in bases[n - i][kb].items():
+                            add_term(rest, at + wb, fa * cb)
                     ga, gb = gen[(i, ka)], gen[(n - i, kb)]
                     c = b[w]
                     terms[Path(ga.source, (ga.name, gb.name))] = c if i % 2 else -c

@@ -19,9 +19,8 @@ only ints whatever the input.  Public functions:
 - ``rref``, the integer RREF of a row space;
 - ``normalize``, an integer row divided by its pivot entry: an int where
   the pivot entry divides the entry and a ``Fraction`` only otherwise;
-- ``row_reduce``, the reduced row echelon basis, ``normalize`` of each
-  row of ``rref``, so integral input never builds a ``Fraction``; no
-  library function calls it, and the test oracles reduce with it;
+  the J_n lattice hands out integer RREF rows, and ``compute_Jn`` and
+  ``minimal_model_general`` normalize only the rows they read;
 - ``kernel``, behind the J_n lattice, the integer RREF of the
   relations among integer rows: it eliminates each row together with
   its combination, the unit e_i at first, shares ``_eliminate`` with
@@ -30,12 +29,6 @@ only ints whatever the input.  Public functions:
   echelon basis cost one lookup each;
 - ``expand``, the sums sum_i c_i rows[i] of such relations, each
   divided by its content;
-- ``intersect_rowspaces``, the integer RREF of the intersection of two
-  row spaces, rebuilt on ``kernel`` (Zassenhaus: a relation among the
-  rows of both spaces gives a vector of both), so ``_eliminate`` is the
-  one elimination step of the module; no library function calls it
-  since the J_n lattice became a kernel, and the test oracles intersect
-  with it;
 - ``pivot_columns``, the pivot columns of a row space, which
   ``cohomology_dims`` calls only when two images of one step share a
   leading word (otherwise those words are the pivots) and whose result
@@ -152,13 +145,6 @@ def normalize(row: IntVec) -> SparseVec:
     return row if p == 1 else {k: v // p if v % p == 0 else Fraction(v, p) for k, v in row.items()}
 
 
-def row_reduce(rows: Iterable[SparseVec]) -> list[SparseVec]:
-    """Reduced row echelon basis of the row space, sorted by pivot column:
-    each row of rref normalized, so each entry is an int when it is
-    integral and a Fraction otherwise."""
-    return [normalize(r) for r in rref(rows)]
-
-
 def kernel(rows: list[IntVec]) -> list[IntVec]:
     """The integer RREF of the relations among integer rows: the
     combinations {position i: c_i} with sum_i c_i rows[i] = 0.
@@ -215,19 +201,3 @@ def expand(relations: Iterable[IntVec], rows: list[IntVec]) -> list[IntVec]:
         if acc:
             out.append(_primitive(acc))
     return out
-
-
-def intersect_rowspaces(u_rows: list[SparseVec], w_rows: Iterable[SparseVec], ncols: int) -> list[IntVec]:
-    """The integer RREF of U ∩ W, U and W the row spaces of u_rows and
-    w_rows, every column below ncols.
-
-    Zassenhaus as a kernel: a relation (c, d) among the integer rows u_i
-    and w_j, sum c_i u_i + sum d_j w_j = 0, gives sum c_i u_i = -sum d_j w_j
-    in U ∩ W, and these span it; a zero expansion comes from a
-    dependence among the u_i and is dropped.  The kernel needs no column
-    bound, so ncols goes unused; it stays for the callers that pass it.
-    Rows with Fraction entries are cleared of denominators first, as
-    everywhere."""
-    u = [_integral(r) for r in u_rows]
-    relations = kernel(u + [_integral(w) for w in w_rows])
-    return rref(expand(({i: c for i, c in rel.items() if i < len(u)} for rel in relations), u))

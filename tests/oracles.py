@@ -5,8 +5,9 @@ direct monomial enumeration) so that agreement with the library is a
 genuine cross-check rather than the same code run twice.  The
 exceptions are the library's former routines at the end: the Fraction
 elimination kernel, which pins the fraction-free kernel to identical
-results, the old span builders of ``truncated_dims`` and
-``compute_Jn``, which pin the normal-word and J_n recursions, the
+results, the former ``linalg.row_reduce`` and ``intersect_rowspaces``,
+which the old span builders reduce and intersect with, the old span
+builders of ``truncated_dims`` and ``compute_Jn``, which pin the normal-word and J_n recursions, the
 Path-based ``cohomology_dims``, which pins the word-level slices, the
 scanning ``lead_word``, which pins the lead indices those slices carry, the
 Path/Fraction ``truncated_dims`` and bimodule Leibniz loops of ``cy``,
@@ -29,7 +30,7 @@ from itertools import combinations, combinations_with_replacement
 import sympy
 
 from dgquiver import koszul, linalg
-from dgquiver.core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, add_term, vertex_key
+from dgquiver.core import AlgebraElement, Arrow, GradedQuiver, Path, Scalar, Vertex, WordIds, add_term, vertex_key
 from dgquiver.errors import InvalidInputError, ResourceLimitError
 from dgquiver.cy import OmegaGenerator, OmegaTilde, SplitModel
 from dgquiver.differential import Differential, DGModel
@@ -249,6 +250,41 @@ def fraction_solve_in_span(vectors, target):
 
 
 # ---------------------------------------------------------------------------
+# The former dgquiver.linalg.row_reduce and intersect_rowspaces, which no
+# library function called once the J_n lattice became one kernel: the
+# oracles reduce and intersect with them, on the integer RREF, kernel and
+# expand of linalg, and tests/test_linalg.py pins them to the Fraction
+# elimination above.
+
+
+def row_reduce(rows) -> list[linalg.SparseVec]:
+    """Reduced row echelon basis of the row space, sorted by pivot column:
+    each row of linalg.rref normalized, so each entry is an int when it is
+    integral and a Fraction otherwise."""
+    return [linalg.normalize(r) for r in linalg.rref(rows)]
+
+
+def _cleared(row: linalg.SparseVec) -> linalg.IntVec:
+    """row times the lcm of its denominators, a new integer row."""
+    den = math.lcm(*(Fraction(v).denominator for v in row.values()))
+    return {k: int(v * den) for k, v in row.items() if v}
+
+
+def intersect_rowspaces(u_rows, w_rows) -> list[linalg.IntVec]:
+    """The integer RREF of U ∩ W, U and W the row spaces of u_rows and
+    w_rows.
+
+    Zassenhaus as a kernel: a relation (c, d) among the integer rows u_i
+    and w_j, sum c_i u_i + sum d_j w_j = 0, gives sum c_i u_i = -sum d_j w_j
+    in U ∩ W, and these span it; a zero expansion comes from a
+    dependence among the u_i and is dropped.  Rows with Fraction entries
+    are cleared of denominators first."""
+    u = [_cleared(r) for r in u_rows]
+    relations = linalg.kernel(u + [_cleared(w) for w in w_rows])
+    return linalg.rref(linalg.expand(({i: c for i, c in rel.items() if i < len(u)} for rel in relations), u))
+
+
+# ---------------------------------------------------------------------------
 # The former span builders of dgquiver.homology.truncated_dims (every
 # u * r * v) and dgquiver.koszul.compute_Jn (the intersection of all
 # V^i R V^(n-2-i)), kept verbatim as oracles for the normal-word and J_n
@@ -336,7 +372,7 @@ def old_compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
     paths = paths_of_length(q, n)
     index = {p: i for i, p in enumerate(paths)}
     if n == 2:
-        rows = linalg.row_reduce([_to_sparse(r, index) for r in pres.relators])
+        rows = row_reduce([_to_sparse(r, index) for r in pres.relators])
         return [_from_sparse(q, row, paths) for row in rows]
 
     def factor_space(i: int) -> list[linalg.SparseVec]:
@@ -358,13 +394,13 @@ def old_compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
                             for p, c in r.terms.items()
                         }
                     )
-        return linalg.row_reduce(rows)
+        return row_reduce(rows)
 
     basis = factor_space(0)
     for i in range(1, n - 1):
         if not basis:
             return []
-        basis = linalg.row_reduce(linalg.intersect_rowspaces(basis, factor_space(i), len(paths)))
+        basis = row_reduce(intersect_rowspaces(basis, factor_space(i)))
     return [_from_sparse(q, row, paths) for row in basis]
 
 
@@ -602,7 +638,7 @@ def old_path_truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[V
                     rows.append(row)
         level: dict[Vertex, list[Path]] = defaultdict(list)
         pivots = {}
-        for row in linalg.row_reduce(rows):
+        for row in row_reduce(rows):
             piv = min(row)
             pivots[piv] = {cols[k]: -c for k, c in row.items() if k != piv}
         for i, p in enumerate(cols):
@@ -712,9 +748,11 @@ def old_trace_d(ot, el: dict) -> dict:
 # oracle for the pivot read-off that replaced it: for each J_n basis
 # vector b and each split i it builds every product va*vb of J_i and
 # J_{n-i} basis vectors and solves for b in their span.  It takes the
-# J_n bases from koszul._jn_series through the module, as elements built
-# from its word rows, so a test that patches the series patches both
-# routes.
+# J_n bases from koszul._jn_series through the module, so a test that
+# patches the series patches both routes, and builds its elements from
+# the integer id rows by its own means: each id looked up among its own
+# paths of that length and each row divided by its entry at its least
+# path, so WordIds.path and linalg.normalize are not shared.
 
 
 def old_minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
@@ -723,10 +761,17 @@ def old_minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel
     if nmax < 2:
         raise InvalidInputError("need nmax >= 2")
     q = pres.quiver
-    bases = {
-        n: [AlgebraElement(q, {Path(q.arrow(w[0]).source, w): c for w, c in row.items()}) for row in rows]
-        for n, rows in zip(range(1, nmax + 1), koszul._jn_series(pres))
-    }
+    ids = WordIds(q)
+    bases = {}
+    for n, rows in zip(range(1, nmax + 1), koszul._jn_series(pres)):
+        # the id rows decoded through this oracle's own path enumeration,
+        # each divided by its entry at its least path
+        path_of = {ids.of(p): p for p in paths_of_length(q, n)}
+        bases[n] = []
+        for row in rows:
+            terms = {path_of[k]: c for k, c in row.items()}
+            lead = terms[min(terms, key=Path.sort_key)]
+            bases[n].append(AlgebraElement(q, {p: Fraction(c, lead) for p, c in terms.items()}))
 
     def _to_sparse(terms: dict[Path, Fraction], index: dict[Path, int]) -> linalg.SparseVec:
         """terms as a sparse row; a path not yet in index gets the next column."""

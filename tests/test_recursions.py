@@ -271,8 +271,10 @@ def test_mckay_model_matches_the_per_vertex_loop(m, weights):
 def test_word_ids_order_as_the_paths(pres):
     """The lemma of core.WordIds on every path of length <= 4: the ids
     follow the stated formula, sort as Path.sort_key and are distinct,
-    the leading digit gives back the start, and w*y has the stated id.
-    With one arrow B is its floor 2."""
+    WordIds.path gives back each path, longest first on a fresh instance,
+    and WordIds.paths gives them all back, shortest first, both on that
+    instance and on a fresh one, so the start comes back off the leading
+    digit, and w*y has the stated id.  With one arrow B is its floor 2."""
     q = pres.quiver
     ids = WordIds(q)
     base = max(2, len(q.arrows))
@@ -284,9 +286,12 @@ def test_word_ids_order_as_the_paths(pres):
         assert ids.of(p) == sum(d * base ** (len(p) - i) for i, d in enumerate(digits))
     assert sorted(reversed(paths), key=ids.of) == sorted(paths, key=Path.sort_key)
     assert len({ids.of(p) for p in paths}) == len(paths)
+    fresh = WordIds(q)
+    assert [fresh.path(ids.of(p)) for p in reversed(paths)] == paths[::-1]
+    assert fresh.paths(ids.of(p) for p in paths) == WordIds(q).paths(ids.of(p) for p in paths) == paths
     for p in (p for p in paths if len(p) < 4):
         k = ids.of(p)
-        assert vertices[k // base ** len(p) - len(vertices)] == p.start
+        assert ids.path(k).start == p.start
         for y in q.out_arrows(q.path_target(p)):
             assert ids.of(Path(p.start, p.arrows + (y.name,))) == k * base + ids.rank[y.name]
 
