@@ -161,12 +161,6 @@ class GradedQuiver:
             out.append(self._by_name[name].target)
         return out
 
-    def compose(self, p: Path, q: Path) -> Path | None:
-        """Concatenation p then q; None when endpoints mismatch."""
-        if self.path_target(p) != q.start:
-            return None
-        return Path(p.start, p.arrows + q.arrows)
-
     # -- element constructors ---------------------------------------------
 
     def zero(self) -> "AlgebraElement":
@@ -191,48 +185,51 @@ class GradedQuiver:
 class WordIds:
     """Integer ids of paths that sort as Path.sort_key.
 
-    With B = max(2, number of arrows), rn(x) the rank of the arrow x by
-    name and rank(s) that of the vertex s by vertex_key among the V
-    vertices, the word w_0...w_{L-1} from s has the id
-    (V + rank(s))*B^L + sum_i rn(w_i)*B^(L-1-i), and e_s the id V + rank(s).
-    Lemma: the ids of length L lie in [V*B^L, 2V*B^L), below those of
-    length L + 1 as B >= 2, and within one length they are base-B
-    numerals with the digits V + rank(s), rn(w_0), ..., so they compare
-    as (vertex_key(s), word), arrow names being distinct.  So ids order
-    as Path.sort_key, distinct paths have distinct ids, and an RREF basis
-    over the ids is the one over the paths.  w*y has the id
-    id(w)*B + rn(y), so the path with the id k is that with the id k // B
-    followed by the arrow of rank k mod B; path and paths, the inverse of
-    of, are the one place that turns an id back into a path."""
+    With rn(x) in 1..B-1 the rank of the arrow x by (vertex_key(source),
+    name) and B = max(2, number of arrows + 1), 2 for a quiver with no
+    arrows, the word w_0...w_{L-1} has the id sum_i rn(w_i)*B^(L-1-i),
+    and every e_v the id 0.  Lemma: the ids of length L >= 1 lie in
+    [B^(L-1), B^L), below those of length L + 1, and within one length
+    they are base-B numerals with the digits rn(w_0), rn(w_1), ..., so
+    they compare as the words do at their first differing arrow.  There
+    both arrows leave the same vertex unless it is the first, so the
+    ranks compare as the names, and at the first as (start, name).  So
+    the ids of nonempty paths order as Path.sort_key, distinct nonempty
+    paths have distinct ids, and an RREF basis over the ids is the one
+    over the paths.  No digit is 0, so every prefix k // B^j and every
+    suffix k mod B^j of an id is the id of that prefix or suffix, and
+    u*v has the id id(u)*B^|v| + id(v); path and paths, the inverse of
+    of on nonempty paths, are the one place that turns an id back into
+    a path."""
 
     def __init__(self, quiver: GradedQuiver):
-        self.names = sorted(a.name for a in quiver.arrows)  # by rn
-        self.rank = {name: i for i, name in enumerate(self.names)}  # rn
-        self.base = max(2, len(self.names))
-        self.vertices = sorted(quiver.vertices, key=vertex_key)
-        self.empty = {v: len(self.vertices) + i for i, v in enumerate(self.vertices)}  # the id of e_v
-        self._paths = {k: Path(v) for v, k in self.empty.items()}  # the ids decoded so far
+        arrows = sorted(quiver.arrows, key=lambda a: (vertex_key(a.source), a.name))
+        self.rank = {a.name: r for r, a in enumerate(arrows, 1)}  # rn
+        self.base = max(2, len(arrows) + 1)
+        self._names = [""] + [a.name for a in arrows]  # by rn
+        self._paths = {r: Path(a.source, (a.name,)) for r, a in enumerate(arrows, 1)}  # the ids decoded so far
 
     def of(self, p: Path) -> int:
-        return reduce(lambda k, name: k * self.base + self.rank[name], p.arrows, self.empty[p.start])
+        return reduce(lambda k, name: k * self.base + self.rank[name], p.arrows, 0)
 
     def path(self, k: int) -> Path:
-        """The path with the id k.  Each id is decoded once and kept, so
-        the words of a row space share the decoding of their prefixes."""
+        """The nonempty path with the id k > 0.  Each id is decoded once
+        and kept, so the words of a row space share the decoding of their
+        prefixes."""
         paths = self._paths
         p = paths.get(k)
         if p is None:
             head = paths.get(k // self.base)
             if head is None:
                 head = self.path(k // self.base)
-            p = paths[k] = Path(head.start, head.arrows + (self.names[k % self.base],))
+            p = paths[k] = Path(head.start, head.arrows + (self._names[k % self.base],))
         return p
 
     def paths(self, ks: Iterable[int]) -> list[Path]:
         """[path(k) for k in ks], each k whose prefix k // B is kept
         already decoded in place, without a call: the decoder of a whole
         row space, whose words mostly share their prefixes."""
-        known, base, names = self._paths, self.base, self.names
+        known, base, names = self._paths, self.base, self._names
         return [
             Path(h.start, h.arrows + (names[k % base],)) if (h := known.get(k // base)) is not None else self.path(k)
             for k in ks

@@ -1,7 +1,8 @@
 """Degree-truncated cohomology of DG path algebras by exact linear
 algebra, H^0 presentations, and truncated dimension tables for
 presented algebras, whose words are core.WordIds ids, as in the J_n
-lattice of koszul, each lead decoded to its arrow word by
+lattice of koszul, split and joined by // B^j, mod B^j and
+id(u)*B^|v| + id(v) alone, each lead decoded to its arrow word by
 WordIds.path; the slices of the cohomology are arrow-name tuples.
 
 Every bidegree (hdeg, adeg) is finite dimensional because arrows carry
@@ -382,7 +383,7 @@ def truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Ve
     cap = path_cap()
     q = pres.quiver
     ids = WordIds(q)
-    base, nv = ids.base, len(ids.vertices)
+    base = ids.base
     killed = {r.endpoints()[0] for r in pres.relators if r.adeg() == 0}
     adeg = {y.name: y.adeg for y in q.arrows}
     arrows = [(y.adeg, y.source, ids.rank[y.name], y.target) for y in q.arrows if y.target not in killed]
@@ -394,12 +395,11 @@ def truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Ve
         if f and (d := r.adeg()) <= nadams:
             pending[d].append(f)
     # normal[a][t][s]: the ids of the normal words of degree a from s to t;
-    # rules: (B^l, V*B^l, {lead mod B^l: tail}) for the leads of each length
-    # l, by increasing l, each tail as [(B^len(w), w mod B^len(w), coeff)];
-    # prefixes, suffixes: the leads (arrows, id, tail, adeg) by their proper
-    # prefixes and suffixes
+    # rules: (B^l, B^(l-1), {lead: tail}) for the leads of each length l, by
+    # increasing l, each tail as [(B^len(w), w, coeff)]; prefixes, suffixes:
+    # the leads (arrows, id, tail, adeg) by their proper prefixes and suffixes
     normal: dict[int, dict[Vertex, dict[Vertex, list[int]]]] = {
-        0: {v: {v: [ids.empty[v]]} for v in q.vertices if v not in killed}
+        0: {v: {v: [0]} for v in q.vertices if v not in killed}
     }
     by_length: dict[int, dict[int, list]] = {}
     rules: list[tuple[int, int, dict[int, list]]] = []
@@ -418,9 +418,9 @@ def truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Ve
         return None
 
     def find(k: int):
-        """(u, tail, B^len(z), z mod B^len(z)) with k = u*lead*z; or None."""
+        """(u, tail, B^len(z), z) with k = u*lead*z; or None."""
         mz = 1
-        while k // mz >= 2 * nv:
+        while k >= mz:
             hit = at_end(k // mz)
             if hit is not None:
                 return (*hit, mz, k % mz)
@@ -438,7 +438,7 @@ def truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Ve
         degree = d1 + sum(adeg[y] for y in word2[n:])
         if degree <= nadams:
             mt, f = base ** (len(word2) - n), {}
-            substitute(f, k1 // base ** len(word1), tail1, mt, k2 % mt, 1)
+            substitute(f, 0, tail1, mt, k2 % mt, 1)
             substitute(f, k1 // base**n, tail2, 1, 0, -1)
             pending[degree].append(f)
 
@@ -460,9 +460,9 @@ def truncated_dims(pres: PresentedAlgebra, nadams: int) -> dict[tuple[Vertex, Ve
                 continue
             k = max(g)
             lc, word = g.pop(k), ids.path(k).arrows
-            tail = [((mw := base ** len(ids.path(w))), w % mw, exact(Fraction(-c) / lc)) for w, c in g.items()]
-            by_length.setdefault(base ** len(word), {})[k % base ** len(word)] = tail
-            rules[:] = [(m, nv * m, leads) for m, leads in sorted(by_length.items())]
+            tail = [(base ** len(ids.path(w)), w, exact(Fraction(-c) / lc)) for w, c in g.items()]
+            by_length.setdefault(base ** len(word), {})[k] = tail
+            rules[:] = [(m, m // base, leads) for m, leads in sorted(by_length.items())]
             lead = (word, k, tail, a)
             for i in range(1, len(word)):
                 prefixes[word[:i]].append(lead)
@@ -520,6 +520,9 @@ def compare_h0(
     image = {arrow_map[name] for name in gen_names}
     if len(image) != len(gen_names) or len(image) != len(pres.quiver.arrows):
         raise InvalidInputError("generator map is not a bijection onto the presentation's arrows")
+    unknown = set(arrow_map).difference(gen_names)
+    if unknown:
+        raise InvalidInputError(f"arrow map names {min(unknown)!r}, which is no generator of H^0")
     for v in h0.quiver.vertices:
         if v not in vmap:
             if v in pres.quiver.vertices:

@@ -11,12 +11,14 @@ to leave out, it builds the quotient by that vertex directly, as
 delete_vertex would leave it; cy deletes vertex 0 so.
 
 The J_n lattice runs on the word ids of core.WordIds, as truncated_dims
-does, and on integer rows, the integer RREF of linalg, whatever the
-relators' coefficients, and hands out those rows {word id: int} as they
-are.  Its readers normalize and decode only what they read:
-compute_Jn the basis it returns, minimal_model_general the row of each
-generator, for the coefficients of its d, and its pivot, for its name
-and endpoints, and cy the pivot of each row, for its endpoints.
+does, splitting and joining them by // B^j, mod B^j and
+id(u)*B^|v| + id(v) alone, and on integer rows, the integer RREF of
+linalg, whatever the relators' coefficients, and hands out those rows
+{word id: int} as they are.  Its readers normalize and decode only
+what they read: compute_Jn the basis it returns, minimal_model_general
+the row of each generator, for the coefficients of its d, and its
+pivot, for its name and endpoints, and cy the pivot of each row, for
+its endpoints.
 """
 
 from __future__ import annotations
@@ -191,10 +193,6 @@ class McKayData:
     def n(self) -> int:
         return len(self.weights)
 
-    def d_of(self, s: tuple[int, ...]) -> int:
-        """Weight of a subset: sum of a_i over i in S, not reduced."""
-        return sum(self.weights[i - 1] for i in s)
-
 
 def mckay_arrow_name(j: int, s: tuple[int, ...]) -> str:
     return _MCKAY_NAME.format(j=j, s=_subset_name(s))
@@ -266,10 +264,10 @@ def delete_vertex(model: DGModel, v: Vertex) -> DGModel:
 
 def _jn_series(pres: PresentedAlgebra) -> Iterator[list[dict[int, int]]]:
     """The bases of J_1, J_2, J_3, ... in turn, each row as {word id:
-    int} on the ids of core.WordIds: J_1 as the unit rows of the arrows
-    in name order, and from J_2 on the integer RREF of linalg, the
-    primitive integer multiples of the RREF rows, with a positive pivot
-    entry, sorted by pivot.  The ids order as the paths, so every RREF
+    int} on the ids of core.WordIds: J_1 as the unit rows {rn(x): 1} of
+    the arrows x in name order, and from J_2 on the integer RREF of
+    linalg, the primitive integer multiples of the RREF rows, with a
+    positive pivot entry, sorted by pivot.  The ids order as the paths, so every RREF
     basis over the ids is the one over the paths, and as a rational row
     space has one integer RREF, as it has one RREF, each J_n basis
     divided row by row by its pivot entry (linalg.normalize) is the RREF
@@ -309,22 +307,21 @@ def _jn_series(pres: PresentedAlgebra) -> Iterator[list[dict[int, int]]]:
     check_quadratic(pres.quiver, pres.relators)
     q = pres.quiver
     ids = WordIds(q)
-    base, names = ids.base, ids.names
+    base, rank = ids.base, ids.rank
     # per last digit, the rn digits of the arrows that may follow, by rank
-    after = [sorted(ids.rank[y.name] for y in q.out_arrows(q.arrow(name).target)) for name in names]
+    after = {rank[a.name]: sorted(rank[y.name] for y in q.out_arrows(a.target)) for a in q.arrows}
 
-    yield [{ids.of(Path(q.arrow(name).source, (name,))): 1} for name in names]
+    yield [{rank[name]: 1} for name in sorted(rank)]
     basis = linalg.rref([{ids.of(p): c for p, c in r.terms.items()} for r in pres.relators])
-    # scale*NF(x*y) as (last two digits, coefficient) pairs, keyed by the
-    # last two digits x*B + y of each word x*y that leads a row of R; any
-    # other x*y is its own NF
+    # scale*NF(x*y) as (id, coefficient) pairs, keyed by the id x*B + y of
+    # each word x*y that leads a row of R; any other x*y is its own NF
     square = base * base
     scale = math.lcm(*(r[min(r)] for r in basis))
     nf = {}
     for r in basis:
         lead = min(r)
         f = scale // r[lead]
-        nf[lead % square] = [(k % square, -f * v) for k, v in r.items() if k != lead]
+        nf[lead] = [(k, -f * v) for k, v in r.items() if k != lead]
     while True:
         yield basis
         if basis:
@@ -386,9 +383,9 @@ def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
     pivots of the other rows, and s > 0 its entry there; every word of
     J_i has length i.  So the coefficient of va*vb in b is
     b[pivot(va)*pivot(vb)], and one scan of the row of b finds them all:
-    divmod(w, B^(n-i)) splits each id w at i, and both halves are looked
-    up among the pivots by their digits, the id mod B^i or B^(n-i),
-    which alone name a nonempty word.  Only b is normalized
+    divmod(w, B^(n-i)) splits each id w at i into the ids of its halves,
+    which are looked up among the pivots, and the word wa*wb of va*vb
+    has the id wa*B^(n-i) + wb (core.WordIds).  Only b is normalized
     (linalg.normalize), once, for these coefficients of d.
 
     The membership is still checked: b minus the sum of c*va*vb over the
@@ -404,11 +401,11 @@ def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
     ids = WordIds(q)
     base = ids.base
     bases = dict(zip(range(1, nmax + 1), _jn_series(pres)))
-    # per degree n, the pivot id and entry of each row, and {pivot id mod
-    # B^n: row position}
+    # per degree n, the pivot id and entry of each row, and {pivot id: row
+    # position}
     leads = {n: [min(b) for b in basis] for n, basis in bases.items()}
     scale = {n: [b[k] for b, k in zip(bases[n], ks)] for n, ks in leads.items()}
-    pivots = {n: {k % base**n: i for i, k in enumerate(ks)} for n, ks in leads.items()}
+    pivots = {n: {k: i for i, k in enumerate(ks)} for n, ks in leads.items()}
 
     arrows: list[Arrow] = []
     gen: dict[tuple[int, int], Arrow] = {}  # (n, basis position) -> generator
@@ -425,18 +422,15 @@ def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
             b = linalg.normalize(row)
             terms: dict[Path, Scalar] = {}
             for i in range(1, n):
-                left, right, mi, mr = pivots[i], pivots[n - i], base**i, base ** (n - i)
-                halves = ((w, h % mi, t) for w in row for h, t in [divmod(w, mr)])
+                left, right, mr = pivots[i], pivots[n - i], base ** (n - i)
+                halves = ((w, *divmod(w, mr)) for w in row)
                 found = sorted((left[h], right[t], w) for w, h, t in halves if h in left and t in right)
                 m = math.lcm(*(scale[i][ka] * scale[n - i][kb] for ka, kb, _w in found))
                 rest = {w: m * c for w, c in row.items()}
                 for ka, kb, w in found:
                     f = -row[w] * (m // (scale[i][ka] * scale[n - i][kb]))
-                    # the ids of va*vb are wa*B^(n-i) + wb mod B^(n-i), and
-                    # every wb has the vertex digit of the pivot of vb
-                    shift = leads[n - i][kb] // mr * mr
                     for wa, ca in bases[i][ka].items():
-                        at, fa = wa * mr - shift, f * ca
+                        at, fa = wa * mr, f * ca
                         for wb, cb in bases[n - i][kb].items():
                             add_term(rest, at + wb, fa * cb)
                     ga, gb = gen[(i, ka)], gen[(n - i, kb)]

@@ -833,6 +833,11 @@ def old_minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel
 # and the signed splits of each subset for every vertex.
 
 
+def subset_weight(data: McKayData, s: tuple[int, ...]) -> int:
+    """d(S), the weight of a subset: sum of a_i over i in S, not reduced."""
+    return sum(data.weights[i - 1] for i in s)
+
+
 def old_mckay_model(data: McKayData) -> DGModel:
     """Minimal model of k[x_1..x_n] # Z/m: vertices 0..m-1, an arrow
     x_{j,S,j+d(S)} per vertex j and nonempty subset S."""
@@ -840,7 +845,7 @@ def old_mckay_model(data: McKayData) -> DGModel:
     arrows = []
     for j in range(m):
         for s in _subsets(n):
-            t = (j + data.d_of(s)) % m
+            t = (j + subset_weight(data, s)) % m
             arrows.append(
                 Arrow(
                     mckay_arrow_name(j, s),
@@ -858,7 +863,7 @@ def old_mckay_model(data: McKayData) -> DGModel:
             terms: dict[Path, Fraction] = {}
             for a, b in _splits(s):
                 coeff = Fraction((-1) ** (len(a) - 1) * shuffle_sign(a, b))
-                mid = (j + data.d_of(a)) % m
+                mid = (j + subset_weight(data, a)) % m
                 terms[Path(j, (mckay_arrow_name(j, a), mckay_arrow_name(mid, b)))] = coeff
             if terms:
                 on_arrows[mckay_arrow_name(j, s)] = AlgebraElement(quiver, terms)
@@ -929,8 +934,8 @@ def old_build_omega_tilde(s: SplitModel) -> OmegaTilde:
     for j in range(1, m):
         for size in range(n):  # proper subsets only
             for sub in combinations(range(1, n + 1), size):
-                if j + data.d_of(sub) <= m - 1:
-                    gens.append(OmegaGenerator(omega_gen_name(j, sub), j, sub, j + data.d_of(sub), -len(sub)))
+                if j + subset_weight(data, sub) <= m - 1:
+                    gens.append(OmegaGenerator(omega_gen_name(j, sub), j, sub, j + subset_weight(data, sub), -len(sub)))
     d_on: dict[str, dict[Word, Scalar]] = {}
     for g in gens:
         el: dict[Word, Scalar] = {}
@@ -939,7 +944,7 @@ def old_build_omega_tilde(s: SplitModel) -> OmegaTilde:
             for a in combinations(g.subset, size_a):
                 b = tuple(sorted(sset - set(a)))
                 eps = shuffle_sign(a, b)
-                mid = g.vertex + data.d_of(a)
+                mid = g.vertex + subset_weight(data, a)
                 if b:  # w_{j,A} . x_{mid,B}
                     add_term(el, (omega_gen_name(g.vertex, a), mckay_arrow_name(mid, b)), (-1) ** len(a) * eps)
                 if a:  # - x_{j,A} . w_{mid,B}

@@ -280,6 +280,24 @@ def test_compare_h0_map_refuses_a_vertex_id_that_is_no_string_or_integer(capsys,
     assert code == 0 and json.loads(out)["status"] == "pass"
 
 
+def test_compare_h0_refuses_an_arrow_map_key_that_names_no_generator(capsys, tmp_path):
+    """An arrows key of the map that names no generator of H^0 is invalid
+    input, exit 2, as a vertices key that names no vertex is."""
+    model_path = tmp_path / "model.json"
+    run(capsys, "model-mckay", "--m", "5", "--weights", "1,1,1,2", "--delete-zero", "--out", str(model_path))
+    pres = mckay_commutation_presentation(McKayData(5, (1, 1, 1, 2))).delete_vertex(0)
+    pres_path = tmp_path / "pres.json"
+    pres_path.write_text(serialize.dumps(serialize.presentation_to_json(pres)))
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"arrows": {a.name: a.name for a in pres.quiver.arrows} | {"no_such_arrow": "x1_1"}}))
+    code, out, err = run(
+        capsys, "compare-h0", "--model", str(model_path), "--presentation", str(pres_path),
+        "--map", str(map_path), "--adams-max", "4",
+    )
+    assert (code, out) == (2, "")
+    assert "arrow map names 'no_such_arrow', which is no generator" in err and "Traceback" not in err
+
+
 def test_compare_h0_refuses_a_vertex_map_that_is_not_injective(capsys, tmp_path):
     """Vertices 1 and 2 with a loop x at 1, mapped onto the one vertex of
     k[x]: e_2 would be lost and compare-h0 would pass with total_dim 3,

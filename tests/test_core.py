@@ -58,8 +58,6 @@ def test_path_bookkeeping(two_vertex):
     assert q.path_vertices(p) == [0, 1, 0]
     assert not q.is_valid_path(Path(0, ("b",)))
     assert not q.is_valid_path(Path(1, ("a",)))
-    assert q.compose(Path(0, ("a",)), Path(1, ("b",))) == p
-    assert q.compose(Path(0, ("a",)), Path(0, ("a",))) is None
 
 
 @pytest.fixture

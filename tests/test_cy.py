@@ -310,3 +310,71 @@ def test_d_squared_vanishes_on_two_sided_terms():
                 assert ot.d(ot.d(el)) == {}
                 old_fails += bool(old_omega_tilde_d(ot, old_omega_tilde_d(ot, el)))
     assert old_fails
+
+
+def _dropping_last_row_of_j1(series):
+    def broken(pres):
+        for n, basis in enumerate(series(pres), 1):
+            yield basis[:-1] if n == 1 else basis
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "step, broken, witness",
+    [
+        (
+            "cohomology_dims",
+            lambda real: lambda *args, **kw: real(*args, **kw) | {(-1, 2, 1, 2): 1},
+            {"nonzero_negative_cohomology": {"(-1, 2, 1, 2)": 1}},
+        ),
+        (
+            "truncated_dims",
+            lambda real: lambda *args: real(*args) | {(1, 1, 0): 2},
+            {"h0_vs_C": {"(1, 1, 0)": (1, 2)}},
+        ),
+        (
+            "_jn_series",
+            _dropping_last_row_of_j1,
+            {"degree": 1, "J_n": {"(1, 2)": 2}, "generators": {"(1, 2)": 3}},
+        ),
+    ],
+    ids=["negative cohomology", "H0 against C", "J_n against generators"],
+)
+def test_c_koszul_failures_carry_their_witness(monkeypatch, step, broken, witness):
+    """Each failure of check_C_koszul_and_model on (3;111), reached by
+    breaking the step before it: a nonzero class in hdeg -1, a dimension
+    of C one too high, and an arrow lost from J_1."""
+    s = build_split(McKayData(3, (1, 1, 1)))
+    monkeypatch.setattr(cy, step, broken(getattr(cy, step)))
+    assert check_C_koszul_and_model(s, 3) == {"check": "c_koszul", "status": "fail", "witness": witness}
+
+
+@pytest.mark.parametrize(
+    "omega, closed, witness",
+    [
+        (
+            lambda om: om | {("w1_1", "x2_13"): 1},
+            False,
+            {"reason": "pairing is not a matching", "term": ("w1_1", ["x2_13"])},
+        ),
+        (lambda om: {}, True, {"reason": "some generator unpaired"}),
+        (
+            lambda om: {t if t != ("w1_3", "x2_12") else ("w1_3", "x2_13"): c for t, c in om.items()},
+            False,
+            {"reason": "pairing not onto the descending arrows"},
+        ),
+        (lambda om: {t: 2 * c for t, c in om.items()}, True, {"reason": "non-unit pairing coefficient"}),
+    ],
+    ids=["second partner", "zero", "partner not descending", "doubled"],
+)
+def test_omega_pairing_failures_carry_their_witness(monkeypatch, omega, closed, witness):
+    """Each pairing failure of build_and_check_omega on (3;111), with the
+    real omega broken as it is built.  The zero and the doubled omega are
+    closed, so the real d meets them; for the other two the trace of d is
+    taken as 0, so that the pairing is checked at all."""
+    ot = build_omega_tilde(build_split(McKayData(3, (1, 1, 1))))
+    monkeypatch.setattr(cy, "_omega_element", lambda ot: omega(_omega_element(ot)))
+    if not closed:
+        monkeypatch.setattr(cy, "_trace_d", lambda ot, el: {})
+    assert build_and_check_omega(ot) == {"check": "omega", "status": "fail", "witness": witness}

@@ -255,6 +255,21 @@ def test_compare_h0_refuses_a_vertex_map_from_an_unknown_vertex():
             compare_h0(model, pres, 2, vertex_map={key: 2})
 
 
+@pytest.mark.parametrize("extra", ["no_such_arrow", "x1_12"])
+def test_compare_h0_refuses_an_arrow_map_key_that_names_no_generator(extra):
+    """A key of the arrow map that is no generator of H^0, an unknown
+    name or the hdeg -1 arrow x1_12 of the model, is refused, as a vertex
+    map key that names no vertex is.  Both maps passed with total_dim 44
+    while such keys were ignored."""
+    data = McKayData(5, (1, 1, 1, 2))
+    model = delete_vertex(mckay_model(data), 0)
+    pres = mckay_commutation_presentation(data).delete_vertex(0)
+    identity = {a.name: a.name for a in pres.quiver.arrows}
+    assert compare_h0(model, pres, 4, arrow_map=identity)["total_dim"] == 44
+    with pytest.raises(InvalidInputError, match=f"arrow map names '{extra}', which is no generator of H"):
+        compare_h0(model, pres, 4, arrow_map=identity | {extra: "x1_1"})
+
+
 def test_resource_cap(monkeypatch):
     model = polynomial_model(3)
     monkeypatch.setenv("DGQ_PATH_CAP", "5")

@@ -330,7 +330,6 @@ def test_mckay_model_structure():
 def test_mckay_weight_bookkeeping():
     data = McKayData(5, (1, 1, 1, 2))
     assert data.n == 4
-    assert data.d_of((1, 4)) == 3
     model = mckay_model(data)
     for a in model.quiver.arrows:
         assert a.hdeg == -a.adeg + 1

@@ -270,30 +270,39 @@ def test_mckay_model_matches_the_per_vertex_loop(m, weights):
 @given(presentations(quadratic=False))
 def test_word_ids_order_as_the_paths(pres):
     """The lemma of core.WordIds on every path of length <= 4: the ids
-    follow the stated formula, sort as Path.sort_key and are distinct,
-    WordIds.path gives back each path, longest first on a fresh instance,
-    and WordIds.paths gives them all back, shortest first, both on that
-    instance and on a fresh one, so the start comes back off the leading
-    digit, and w*y has the stated id.  With one arrow B is its floor 2."""
+    follow the stated formula, every e_v has the id 0, the ids of the
+    nonempty paths sort as Path.sort_key and are distinct, WordIds.path
+    gives back each of them, longest first on a fresh instance, and
+    WordIds.paths gives them all back, shortest first, both on that
+    instance and on a fresh one, so the start comes back off the first
+    digit, and w*y has the stated id.  Every prefix k // B^j and suffix
+    k mod B^j of an id decodes to that prefix or suffix, and u*v has the
+    id id(u)*B^|v| + id(v).  With no arrow B is its floor 2."""
     q = pres.quiver
     ids = WordIds(q)
-    base = max(2, len(q.arrows))
-    assert ids.base == base
-    names, vertices = sorted(a.name for a in q.arrows), sorted(q.vertices, key=vertex_key)
-    paths = [p for n in range(5) for p in paths_of_length(q, n)]
+    base = max(2, len(q.arrows) + 1)
+    assert ids.base == base and WordIds(GradedQuiver(q.vertices, ())).base == 2
+    ranked = sorted(q.arrows, key=lambda a: (vertex_key(a.source), a.name))
+    rank = {a.name: r for r, a in enumerate(ranked, 1)}
+    assert all(ids.of(Path(v)) == 0 for v in q.vertices)
+    paths = [p for n in range(1, 5) for p in paths_of_length(q, n)]
     for p in paths:
-        digits = [len(vertices) + vertices.index(p.start)] + [names.index(name) for name in p.arrows]
-        assert ids.of(p) == sum(d * base ** (len(p) - i) for i, d in enumerate(digits))
+        assert ids.of(p) == sum(rank[name] * base ** (len(p) - 1 - i) for i, name in enumerate(p.arrows))
     assert sorted(reversed(paths), key=ids.of) == sorted(paths, key=Path.sort_key)
     assert len({ids.of(p) for p in paths}) == len(paths)
     fresh = WordIds(q)
     assert [fresh.path(ids.of(p)) for p in reversed(paths)] == paths[::-1]
     assert fresh.paths(ids.of(p) for p in paths) == WordIds(q).paths(ids.of(p) for p in paths) == paths
-    for p in (p for p in paths if len(p) < 4):
+    for p in [Path(v) for v in q.vertices] + [p for p in paths if len(p) < 4]:
         k = ids.of(p)
-        assert ids.path(k).start == p.start
         for y in q.out_arrows(q.path_target(p)):
             assert ids.of(Path(p.start, p.arrows + (y.name,))) == k * base + ids.rank[y.name]
+    for p in paths:
+        k = ids.of(p)
+        for j in range(1, len(p)):
+            u, v = Path(p.start, p.arrows[:-j]), Path(q.arrow(p.arrows[-j]).source, p.arrows[-j:])
+            assert WordIds(q).path(k // base**j) == u and WordIds(q).path(k % base**j) == v
+            assert ids.of(p) == ids.of(u) * base**j + ids.of(v)
 
 
 def test_jn_lattice_runs_on_integer_rows(monkeypatch):
@@ -335,7 +344,7 @@ def test_jn_columns_lie_below_ncols(monkeypatch, case):
     """Every column of the rows that _jn_series hands to linalg.kernel,
     the residues, and to linalg.expand, the rows b*y, while it computes
     J_1..J_6, is the id of a word of length n, n the degree of the J_n
-    it computes: it lies in [V*B^n, 2V*B^n), below the ids of length
+    it computes: it lies in [B^(n-1), B^n), below the ids of length
     n + 1.  There is one call of each per nonzero J_2..J_5."""
     if case == "mixed_ids":
         pres, _el = _mixed_id_presentation()
@@ -347,7 +356,7 @@ def test_jn_columns_lie_below_ncols(monkeypatch, case):
     def check(calls, rows):
         n = len(calls) + 3
         calls.append([k for row in rows for k in row])
-        assert all(len(ids.vertices) * ids.base**n <= k < 2 * len(ids.vertices) * ids.base**n for k in calls[-1])
+        assert all(ids.base ** (n - 1) <= k < ids.base**n for k in calls[-1])
 
     def checked_kernel(rows):
         check(columns["kernel"], rows)
