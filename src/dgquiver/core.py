@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import InvalidInputError
 
@@ -198,42 +198,28 @@ class WordIds:
     paths have distinct ids, and an RREF basis over the ids is the one
     over the paths.  No digit is 0, so every prefix k // B^j and every
     suffix k mod B^j of an id is the id of that prefix or suffix, and
-    u*v has the id id(u)*B^|v| + id(v); path and paths, the inverse of
-    of on nonempty paths, are the one place that turns an id back into
-    a path."""
+    u*v has the id id(u)*B^|v| + id(v).  Only path, the inverse of of on
+    nonempty paths, turns an id back into a path."""
 
     def __init__(self, quiver: GradedQuiver):
         arrows = sorted(quiver.arrows, key=lambda a: (vertex_key(a.source), a.name))
         self.rank = {a.name: r for r, a in enumerate(arrows, 1)}  # rn
         self.base = max(2, len(arrows) + 1)
-        self._names = [""] + [a.name for a in arrows]  # by rn
-        self._paths = {r: Path(a.source, (a.name,)) for r, a in enumerate(arrows, 1)}  # the ids decoded so far
+        self._arrows = [None, *arrows]  # by rn
 
     def of(self, p: Path) -> int:
         return reduce(lambda k, name: k * self.base + self.rank[name], p.arrows, 0)
 
     def path(self, k: int) -> Path:
-        """The nonempty path with the id k > 0.  Each id is decoded once
-        and kept, so the words of a row space share the decoding of their
-        prefixes."""
-        paths = self._paths
-        p = paths.get(k)
-        if p is None:
-            head = paths.get(k // self.base)
-            if head is None:
-                head = self.path(k // self.base)
-            p = paths[k] = Path(head.start, head.arrows + (self._names[k % self.base],))
-        return p
-
-    def paths(self, ks: Iterable[int]) -> list[Path]:
-        """[path(k) for k in ks], each k whose prefix k // B is kept
-        already decoded in place, without a call: the decoder of a whole
-        row space, whose words mostly share their prefixes."""
-        known, base, names = self._paths, self.base, self._names
-        return [
-            Path(h.start, h.arrows + (names[k % base],)) if (h := known.get(k // base)) is not None else self.path(k)
-            for k in ks
-        ]
+        """The nonempty path with the id k > 0: its base-B digits, last
+        first, are the ranks of its arrows, and the source of the arrow
+        of its leading digit is its start."""
+        base, arrows, names = self.base, self._arrows, []
+        while k:
+            k, r = divmod(k, base)
+            names.append(arrows[r].name)
+        names.reverse()
+        return Path(arrows[r].source, tuple(names))
 
 
 class AlgebraElement:

@@ -2,8 +2,9 @@
 algebra, H^0 presentations, and truncated dimension tables for
 presented algebras, whose words are core.WordIds ids, as in the J_n
 lattice of koszul, split and joined by // B^j, mod B^j and
-id(u)*B^|v| + id(v) alone, each lead decoded to its arrow word by
-WordIds.path; the slices of the cohomology are arrow-name tuples.
+id(u)*B^|v| + id(v) alone; only core.WordIds.path turns an id back
+into a path, here the lead of each Groebner rule.  The slices of the
+cohomology are arrow-name tuples.
 
 Every bidegree (hdeg, adeg) is finite dimensional because arrows carry
 adeg >= 1, so all computations here are exact at the stated truncation.
@@ -159,7 +160,8 @@ def _image_pivots(d: Differential, source: Bucket, cleared: set[int], target: li
     source word whose index is not in cleared: the lead indices of the
     images when these are pairwise distinct (apparent pairs, see
     cohomology_dims); otherwise the pivots that linalg.pivot_columns
-    finds with the target in tuple order.  Only then are words read.
+    finds with the target in its own index order.  Only then are words
+    read.
     """
     words, lead, _fixed = source
     if cleared:
@@ -171,10 +173,9 @@ def _image_pivots(d: Differential, source: Bucket, cleared: set[int], target: li
     pivots.discard(-1)
     if len(pivots) == len(lead) - lead.count(-1):
         return pivots
-    order = sorted(range(len(target)), key=target.__getitem__)
-    column = {target[j]: c for c, j in enumerate(order)}
+    column = {u: j for j, u in enumerate(target)}
     images = (d.apply_to_word(w) for w in (compress(words, keep) if cleared else words))
-    return {order[c] for c in linalg.pivot_columns({column[u]: x for u, x in img.items()} for img in images)}
+    return linalg.pivot_columns({column[u]: x for u, x in img.items()} for img in images)
 
 
 def _level_dims(
@@ -254,10 +255,11 @@ def cohomology_dims(
     as any echelon basis has the pivots of the reduced one.  Only when
     two images of a step share a least word, as must happen when they
     are dependent, are the step's images computed in full and reduced
-    exactly by linalg.pivot_columns, with the target sorted so that its
-    pivots are those of tuple order too.  After clearing, no step of the
-    criterion-3 models at hmin = -nadams needs it; their vertex
-    deletions, with H^{<0} != 0, do.
+    exactly by linalg.pivot_columns, in the target's own index order:
+    clearing needs the pivots of one echelon basis per step, under any
+    fixed total order.  After clearing, no step of the criterion-3
+    models at hmin = -nadams needs it; their vertex deletions, with
+    H^{<0} != 0, do.
 
     The least word of d(w) is never computed from d(w), by this lemma.
     Suppose no term of any d(a) is the empty word or starts with a, and

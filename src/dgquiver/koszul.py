@@ -18,7 +18,8 @@ linalg, whatever the relators' coefficients, and hands out those rows
 what they read: compute_Jn the basis it returns, minimal_model_general
 the row of each generator, for the coefficients of its d, and its
 pivot, for its name and endpoints, and cy the pivot of each row, for
-its endpoints.
+its endpoints.  Only core.WordIds.path turns an id back into a path,
+one call per id.
 """
 
 from __future__ import annotations
@@ -367,7 +368,7 @@ def compute_Jn(pres: QuadraticPresentation, n: int) -> list[AlgebraElement]:
     q = pres.quiver
     ids = WordIds(q)
     rows = map(linalg.normalize, next(islice(_jn_series(pres), n - 1, None)))
-    return [AlgebraElement(q, dict(zip(ids.paths(row), row.values()))) for row in rows]
+    return [AlgebraElement(q, {ids.path(k): c for k, c in row.items()}) for row in rows]
 
 
 def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
@@ -410,7 +411,7 @@ def minimal_model_general(pres: QuadraticPresentation, nmax: int) -> DGModel:
     arrows: list[Arrow] = []
     gen: dict[tuple[int, int], Arrow] = {}  # (n, basis position) -> generator
     for n, ks in leads.items():
-        for k, p in enumerate(ids.paths(ks)):
+        for k, p in enumerate(map(ids.path, ks)):
             name = p.arrows[0] if n == 1 else f"j{n}_{k}"
             gen[(n, k)] = Arrow(name, p.start, q.path_target(p), -n + 1, n, label=name)
             arrows.append(gen[(n, k)])

@@ -57,7 +57,8 @@ def quiver_to_json(q: GradedQuiver) -> dict:
 def _exact(value, *types):
     """value if its type is one of types: a JSON float or bool is no exact
     number, "aa" is no word; vertex ids are read as _exact(v, str, int),
-    arrow ids as _exact(a, str), paths and cycles as _exact(p, list)."""
+    arrow ids, labels and provenances as _exact(a, str), paths and
+    cycles as _exact(p, list) and metadata as _exact(m, dict)."""
     if type(value) not in types:
         raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
     return value
@@ -67,7 +68,7 @@ def quiver_from_json(doc: dict) -> GradedQuiver:
     with _reading("quiver"):
         arrows = tuple(
             Arrow(_exact(a["id"], str), _exact(a["source"], str, int), _exact(a["target"], str, int),
-                  _exact(a["hdeg"], int), _exact(a["adeg"], int), a.get("label", ""))
+                  _exact(a["hdeg"], int), _exact(a["adeg"], int), _exact(a.get("label", ""), str))
             for a in doc["arrows"]
         )
         return GradedQuiver(tuple(_exact(v, str, int) for v in doc["vertices"]), arrows)
@@ -132,7 +133,7 @@ def model_from_json(doc: dict) -> DGModel:
     with _reading("model"):
         q = quiver_from_json(doc["quiver"])
         d = differential_from_json(q, doc.get("differential", {}))
-        return DGModel(q, d, doc.get("provenance", "general"), doc.get("metadata", {}))
+        return DGModel(q, d, _exact(doc.get("provenance", "general"), str), _exact(doc.get("metadata", {}), dict))
 
 
 def presentation_to_json(p: PresentedAlgebra) -> dict:

@@ -226,6 +226,21 @@ def test_ginzburg_command(capsys, tmp_path):
     assert run(capsys, "ginzburg", "--quiver", str(qf), "--potential", str(pf), "--delete-vertex", "7")[0] == 2
 
 
+def test_ginzburg_refuses_a_label_that_is_no_string(capsys, tmp_path):
+    """A list label used to be copied into the star labels, as "[1, 2]*"."""
+    quiver_doc = {"vertices": [0], "arrows": [{"id": "a", "source": 0, "target": 0, "hdeg": 0, "adeg": 1, "label": [1, 2]}]}
+    qf, pf = tmp_path / "quiver.json", tmp_path / "potential.json"
+    qf.write_text(json.dumps(quiver_doc))
+    pf.write_text(json.dumps([{"coeff": "1", "cycle": ["a", "a", "a"]}]))
+    code, out, err = run(capsys, "ginzburg", "--quiver", str(qf), "--potential", str(pf))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed") and "Traceback" not in err
+    quiver_doc["arrows"][0]["label"] = "a"
+    qf.write_text(json.dumps(quiver_doc))
+    assert run(capsys, "ginzburg", "--quiver", str(qf), "--potential", str(pf))[0] == 0
+
+
 def test_compare_h0_command(capsys, tmp_path):
     model_path = tmp_path / "model.json"
     run(capsys, "model-mckay", "--m", "3", "--weights", "1,1,1", "--delete-zero", "--out", str(model_path))
@@ -520,6 +535,10 @@ MALFORMED_MODELS = {
     "zero denominator": _with(_poly2_doc(), lambda d: d["differential"]["x12"][0].update(coeff="1/0")),
     "differential as a list": _with(_poly2_doc(), lambda d: d.update(differential=[1])),
     "non-integer hdeg": _with(_poly2_doc(), lambda d: d["quiver"]["arrows"][0].update(hdeg="x")),
+    "list label": _with(_poly2_doc(), lambda d: d["quiver"]["arrows"][0].update(label=[1, 2])),
+    "integer provenance": _with(_poly2_doc(), lambda d: d.update(provenance=5)),
+    "integer metadata": _with(_poly2_doc(), lambda d: d.update(metadata=5)),
+    "list metadata": _with(_poly2_doc(), lambda d: d.update(metadata=[["truncated_at", 2]])),
 }
 
 

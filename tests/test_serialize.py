@@ -77,6 +77,34 @@ def test_malformed_documents_raise():
         serialize.potential_from_json(q, [{"coeff": "1", "cycle": []}])
 
 
+@pytest.mark.parametrize("label", [[1, 2], {"a": 1}, 7, None], ids=["list", "object", "int", "null"])
+def test_non_string_label_is_refused(label):
+    """An arrow label is a JSON string: a list was copied into the star
+    labels of ginzburg ("[1, 2]*"), and the loaded quiver had no hash."""
+    doc = {"vertices": [0], "arrows": [{"id": "a", "source": 0, "target": 0, "hdeg": 0, "adeg": 1, "label": label}]}
+    with pytest.raises(InvalidInputError, match="malformed quiver"):
+        serialize.quiver_from_json(doc)
+    doc["arrows"][0]["label"] = "x"
+    assert serialize.quiver_from_json(doc).arrow("a").label == "x"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("provenance", 5), ("provenance", None), ("provenance", ["general"]), ("metadata", 5), ("metadata", [1]),
+     ("metadata", "x"), ("metadata", None)],
+)
+def test_provenance_is_a_string_and_metadata_an_object(key, value):
+    """Anything else made model_to_json of the loaded model raise a
+    TypeError, or wrote back a document of another shape."""
+    doc = serialize.model_to_json(polynomial_model(2))
+    doc[key] = value
+    with pytest.raises(InvalidInputError, match="malformed model"):
+        serialize.model_from_json(doc)
+    doc.update(provenance="mine", metadata={"note": [1, {"k": "v"}]})
+    back = serialize.model_from_json(doc)
+    assert serialize.model_to_json(back) == doc
+
+
 def _verify(tmp_path, capsys, doc) -> tuple[int, str]:
     """The exit code and stderr of verify on the model document doc."""
     path = tmp_path / "model.json"
