@@ -152,7 +152,8 @@ def check_C_koszul_and_model(s: SplitModel, nadams: int) -> dict:
     ids = WordIds(c.quiver)
     for deg, basis in zip(range(1, n + 2), _jn_series(c)):
         jn: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
-        for p in (ids.path(min(b)) for b in basis):  # every word of a row has its pivot's endpoints
+        for b in basis:
+            p = ids.path(min(b))  # every word of a row has its pivot's endpoints
             jn[(p.start, c.quiver.path_target(p))] += 1
         gens: dict[tuple[Vertex, Vertex], int] = defaultdict(int)
         for a in asc.quiver.arrows:

@@ -57,18 +57,25 @@ def quiver_to_json(q: GradedQuiver) -> dict:
 def _exact(value, *types):
     """value if its type is one of types: a JSON float or bool is no exact
     number, "aa" is no word; vertex ids are read as _exact(v, str, int),
-    arrow ids, labels and provenances as _exact(a, str), paths and
-    cycles as _exact(p, list) and metadata as _exact(m, dict)."""
+    arrow ids as _exact(a, str), paths and cycles as _exact(p, list)."""
     if type(value) not in types:
         raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
     return value
+
+
+def _optional(doc: dict, key: str, default, kind: type):
+    """doc[key] read as _exact(doc[key], kind), or default where the key is
+    missing or null: arrow labels are strings, a provenance is a string
+    and metadata is an object."""
+    value = doc.get(key)
+    return default if value is None else _exact(value, kind)
 
 
 def quiver_from_json(doc: dict) -> GradedQuiver:
     with _reading("quiver"):
         arrows = tuple(
             Arrow(_exact(a["id"], str), _exact(a["source"], str, int), _exact(a["target"], str, int),
-                  _exact(a["hdeg"], int), _exact(a["adeg"], int), _exact(a.get("label", ""), str))
+                  _exact(a["hdeg"], int), _exact(a["adeg"], int), _optional(a, "label", "", str))
             for a in doc["arrows"]
         )
         return GradedQuiver(tuple(_exact(v, str, int) for v in doc["vertices"]), arrows)
@@ -133,7 +140,7 @@ def model_from_json(doc: dict) -> DGModel:
     with _reading("model"):
         q = quiver_from_json(doc["quiver"])
         d = differential_from_json(q, doc.get("differential", {}))
-        return DGModel(q, d, _exact(doc.get("provenance", "general"), str), _exact(doc.get("metadata", {}), dict))
+        return DGModel(q, d, _optional(doc, "provenance", "general", str), _optional(doc, "metadata", {}, dict))
 
 
 def presentation_to_json(p: PresentedAlgebra) -> dict:

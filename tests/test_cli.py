@@ -564,6 +564,18 @@ def test_malformed_model_exits_2(capsys, tmp_path, command, case):
     assert err.startswith("error: malformed") and "Traceback" not in err
 
 
+def test_null_label_provenance_and_metadata_still_load(capsys, tmp_path):
+    """JSON null reads as the key left out, so these documents exit 0 as before."""
+    def nulls(d):
+        d["quiver"]["arrows"][0]["label"] = None
+        d.update(provenance=None, metadata=None)
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_with(_poly2_doc(), nulls)))
+    code, out, err = run(capsys, "cohomology", "--model", str(path), "--hmin", "-2", "--adams-max", "2")
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("kind", ["model", "presentation"])
 @pytest.mark.parametrize("coeff", ["1/0", "x", None, [1], {}], ids=["1/0", "x", "null", "list", "object"])
 def test_malformed_coefficient_exits_2(capsys, tmp_path, kind, coeff):

@@ -77,7 +77,7 @@ def test_malformed_documents_raise():
         serialize.potential_from_json(q, [{"coeff": "1", "cycle": []}])
 
 
-@pytest.mark.parametrize("label", [[1, 2], {"a": 1}, 7, None], ids=["list", "object", "int", "null"])
+@pytest.mark.parametrize("label", [[1, 2], {"a": 1}, 7], ids=["list", "object", "int"])
 def test_non_string_label_is_refused(label):
     """An arrow label is a JSON string: a list was copied into the star
     labels of ginzburg ("[1, 2]*"), and the loaded quiver had no hash."""
@@ -90,8 +90,7 @@ def test_non_string_label_is_refused(label):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("provenance", 5), ("provenance", None), ("provenance", ["general"]), ("metadata", 5), ("metadata", [1]),
-     ("metadata", "x"), ("metadata", None)],
+    [("provenance", 5), ("provenance", ["general"]), ("metadata", 5), ("metadata", [1]), ("metadata", "x")],
 )
 def test_provenance_is_a_string_and_metadata_an_object(key, value):
     """Anything else made model_to_json of the loaded model raise a
@@ -103,6 +102,19 @@ def test_provenance_is_a_string_and_metadata_an_object(key, value):
     doc.update(provenance="mine", metadata={"note": [1, {"k": "v"}]})
     back = serialize.model_from_json(doc)
     assert serialize.model_to_json(back) == doc
+
+
+def test_null_label_provenance_and_metadata_read_as_missing():
+    """A null label, provenance or metadata loads as the key left out
+    does, as these documents loaded before they were type-checked."""
+    doc = serialize.model_to_json(polynomial_model(2))
+    doc["quiver"]["arrows"][0]["label"] = None
+    doc.update(provenance=None, metadata=None)
+    back = serialize.model_from_json(doc)
+    assert back.quiver.arrows[0].label == ""
+    assert (back.provenance, dict(back.metadata)) == ("general", {})
+    out = serialize.model_to_json(back)
+    assert serialize.model_to_json(serialize.model_from_json(out)) == out
 
 
 def _verify(tmp_path, capsys, doc) -> tuple[int, str]:

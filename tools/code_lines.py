@@ -5,9 +5,9 @@ string statement of a module, class or function, found with ast) and
 holds more than a comment (found with tokenize).  Prints the count of
 each module and the total.  Standard library only.
 
-    python tools/code_lines.py [DIR]
+    python tools/code_lines.py
 
-DIR defaults to the package directory src/dgquiver next to this script.
+To count another commit, run the script that commit holds.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ def code_lines(source: str) -> int:
     return len(code - skip)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "dgquiver"
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "dgquiver"
     total = 0
     for path in sorted(root.glob("*.py")):
         n = code_lines(path.read_text(encoding="utf-8"))
@@ -52,4 +52,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
