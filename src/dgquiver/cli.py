@@ -28,7 +28,7 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 def _write(args, text: str) -> None:
     """text to the --out file, or to stdout without one."""
-    if not getattr(args, "out", None):
+    if not args.out:
         sys.stdout.write(text)
         return
     try:
@@ -154,19 +154,9 @@ def cmd_compare_h0(args) -> int:
     if failed:
         _emit(args, failed)
         return 1
-    arrow_map = vertex_map = None
-    if args.map:
-        doc = _load(args.map)
-        if not isinstance(doc, dict):
-            raise InvalidInputError("malformed map document: not an object")
-        arrow_map = doc.get("arrows")
-        vertex_map = doc.get("vertices")
-        for part in (arrow_map, vertex_map):
-            # a vertex id is a string or a JSON integer, not a float or a bool, as in serialize
-            if part is not None and not (isinstance(part, dict) and all(type(v) in (int, str) for v in part.values())):
-                raise InvalidInputError("malformed map document: arrows and vertices must map ids to ids")
-        if vertex_map is not None:
-            vertex_map = {_coerce_vertex(model.quiver, k): v for k, v in vertex_map.items()}
+    arrow_map, vertex_map = serialize.map_from_json(_load(args.map)) if args.map else (None, None)
+    if vertex_map is not None:
+        vertex_map = {_coerce_vertex(model.quiver, k): v for k, v in vertex_map.items()}
     report = compare_h0(model, pres, args.adams_max, arrow_map, vertex_map)
     _emit(args, report)
     return 0 if report["status"] == "pass" else 1
@@ -196,7 +186,6 @@ def _report_status(reports) -> int:
 def _model_poly_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true", help="run the checks of verify on the model")
-    p.add_argument("--out")
 
 
 def _model_mckay_args(p: argparse.ArgumentParser) -> None:
@@ -205,7 +194,6 @@ def _model_mckay_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delete-zero", action="store_true", help="delete vertex 0")
     p.add_argument("--verify", action="store_true", help="run the checks of verify on the model")
     p.add_argument("--strict", action="store_true", help="escalate hypothesis warnings to errors")
-    p.add_argument("--out")
 
 
 def _ginzburg_args(p: argparse.ArgumentParser) -> None:
@@ -213,7 +201,6 @@ def _ginzburg_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--potential", required=True)
     p.add_argument("--delete-vertex")
     p.add_argument("--verify", action="store_true", help="run the checks of verify on the model")
-    p.add_argument("--out")
 
 
 def _cohomology_args(p: argparse.ArgumentParser) -> None:
@@ -221,7 +208,6 @@ def _cohomology_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hmin", type=int, required=True)
     p.add_argument("--adams-max", type=int, required=True)
     p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--out")
 
 
 def _compare_h0_args(p: argparse.ArgumentParser) -> None:
@@ -229,7 +215,6 @@ def _compare_h0_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--presentation", required=True)
     p.add_argument("--map", help="JSON {arrows: {...}, vertices: {...}}")
     p.add_argument("--adams-max", type=int, required=True)
-    p.add_argument("--out")
 
 
 def _cy_check_args(p: argparse.ArgumentParser) -> None:
@@ -237,12 +222,10 @@ def _cy_check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weights", required=True)
     p.add_argument("--adams-max", type=int, default=5)
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--out")
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
-    p.add_argument("--out")
 
 
 # command -> (help, handler, adder of its arguments), in the order of --help
@@ -271,6 +254,7 @@ def _parser(only: str | None = None) -> argparse.ArgumentParser:
         text, func, add_arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=text)
         add_arguments(p)
+        p.add_argument("--out")
         p.set_defaults(func=func)
     return parser
 

@@ -534,6 +534,7 @@ MALFORMED_MODELS = {
     "not an object": [1],
     "zero denominator": _with(_poly2_doc(), lambda d: d["differential"]["x12"][0].update(coeff="1/0")),
     "differential as a list": _with(_poly2_doc(), lambda d: d.update(differential=[1])),
+    "element as an object": _with(_poly2_doc(), lambda d: d["differential"].update(x12={})),
     "non-integer hdeg": _with(_poly2_doc(), lambda d: d["quiver"]["arrows"][0].update(hdeg="x")),
     "list label": _with(_poly2_doc(), lambda d: d["quiver"]["arrows"][0].update(label=[1, 2])),
     "integer provenance": _with(_poly2_doc(), lambda d: d.update(provenance=5)),
@@ -576,6 +577,16 @@ def test_null_label_provenance_and_metadata_still_load(capsys, tmp_path):
     assert code == 0 and err == ""
 
 
+def test_null_differential_loads_as_zero(capsys, tmp_path):
+    """A null differential reads as the key left out, d = 0; it used to
+    exit 2 when the reader iterated None."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_with(_poly2_doc(), lambda d: d.update(differential=None))))
+    code, out, err = run(capsys, "cohomology", "--model", str(path), "--hmin", "-1", "--adams-max", "2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["dims"]["-1,2"] == 1
+
+
 @pytest.mark.parametrize("kind", ["model", "presentation"])
 @pytest.mark.parametrize("coeff", ["1/0", "x", None, [1], {}], ids=["1/0", "x", "null", "list", "object"])
 def test_malformed_coefficient_exits_2(capsys, tmp_path, kind, coeff):
@@ -595,7 +606,11 @@ def test_malformed_coefficient_exits_2(capsys, tmp_path, kind, coeff):
     assert err.startswith("error: malformed") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("doc", [[1], {"arrows": ["x1"]}, {"arrows": {"x1": ["x1"], "x2": "x2"}}, {"vertices": {"0": {}}}])
+@pytest.mark.parametrize(
+    "doc",
+    [[1], {"arrows": ["x1"]}, {"arrows": {"x1": ["x1"], "x2": "x2"}}, {"vertices": {"0": {}}},
+     {"arrows": {"x1": 7}}],
+)
 def test_malformed_map_exits_2(capsys, tmp_path, doc):
     model = tmp_path / "model.json"
     model.write_text(serialize.dumps(_poly2_doc()))
@@ -676,6 +691,19 @@ def test_verify_stops_after_a_failed_grading_check(capsys, tmp_path):
     assert json.loads(err) == report
     code, out, _ = run(capsys, "cohomology", "--model", str(path), "--hmin", "-2", "--adams-max", "3")
     assert code == 1 and json.loads(out) == report
+
+
+def test_ginzburg_refuses_a_potential_that_is_no_array(capsys, tmp_path):
+    """A potential is an array of terms: the object {} used to load as W = 0."""
+    qf, pf = tmp_path / "quiver.json", tmp_path / "potential.json"
+    qf.write_text(json.dumps({"vertices": [0], "arrows": [{"id": "a", "source": 0, "target": 0, "hdeg": 0, "adeg": 1}]}))
+    pf.write_text("{}")
+    code, out, err = run(capsys, "ginzburg", "--quiver", str(qf), "--potential", str(pf))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed potential") and "Traceback" not in err
+    pf.write_text("[]")
+    assert run(capsys, "ginzburg", "--quiver", str(qf), "--potential", str(pf))[0] == 0
 
 
 def test_ginzburg_verify_runs_the_grading_check(capsys, tmp_path):

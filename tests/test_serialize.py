@@ -40,12 +40,17 @@ def test_element_roundtrip():
 
 
 def test_model_roundtrip_byte_identical():
-    for model in (polynomial_model(3), mckay_model(McKayData(3, (1, 1, 1)))):
-        doc = serialize.model_to_json(model)
-        back = serialize.model_from_json(doc)
+    """(4;22) has warnings: its tuple metadata is written as arrays."""
+    models = (polynomial_model(3), mckay_model(McKayData(3, (1, 1, 1))), mckay_model(McKayData(4, (2, 2))))
+    assert models[2].metadata["warnings"]
+    for model in models:
+        text = serialize.dumps(serialize.model_to_json(model))
+        back = serialize.model_from_json(json.loads(text))
         assert back.quiver == model.quiver
         assert back.differential.on_arrows == dict(model.differential.on_arrows)
-        assert serialize.dumps(serialize.model_to_json(back)) == serialize.dumps(doc)
+        assert serialize.dumps(serialize.model_to_json(back)) == text
+    metadata = json.loads(serialize.dumps(serialize.model_to_json(models[2])))["metadata"]
+    assert metadata == {"m": 4, "weights": [2, 2], "warnings": list(models[2].metadata["warnings"])}
 
 
 def test_presentation_roundtrip():
@@ -102,6 +107,50 @@ def test_provenance_is_a_string_and_metadata_an_object(key, value):
     doc.update(provenance="mine", metadata={"note": [1, {"k": "v"}]})
     back = serialize.model_from_json(doc)
     assert serialize.model_to_json(back) == doc
+
+
+def _one_loop() -> dict:
+    return {"vertices": [0], "arrows": [{"id": "a", "source": 0, "target": 0, "hdeg": 0, "adeg": 1}]}
+
+
+def _read(kind: str, doc):
+    """doc read as a quiver, or as a model, presentation, element or
+    potential over the one-loop quiver."""
+    if kind == "quiver":
+        return serialize.quiver_from_json(doc)
+    if kind in ("model", "presentation"):
+        return getattr(serialize, f"{kind}_from_json")({"quiver": _one_loop()} | doc)
+    return getattr(serialize, f"{kind}_from_json")(serialize.quiver_from_json(_one_loop()), doc)
+
+
+@pytest.mark.parametrize(
+    "kind, doc",
+    [
+        ("quiver", {"vertices": "ab", "arrows": []}),
+        ("quiver", {"vertices": {"0": 1}, "arrows": []}),
+        ("quiver", {"vertices": [0], "arrows": {}}),
+        ("element", {}),
+        ("potential", {}),
+        ("model", {"differential": {"a": {}}}),
+        ("presentation", {"relators": {}}),
+    ],
+    ids=["vertices-string", "vertices-object", "arrows-object", "element-object",
+         "potential-object", "model-element-object", "relators-object"],
+)
+def test_container_of_the_wrong_type_is_refused(kind, doc):
+    """vertices, arrows, elements, potentials and relators are arrays:
+    the string "ab" loaded as the two vertices a and b, and an object
+    as its keys or as nothing."""
+    with pytest.raises(InvalidInputError, match="malformed"):
+        _read(kind, doc)
+
+
+@pytest.mark.parametrize("key", ["differential", "relators"])
+def test_missing_or_null_differential_and_relators_read_as_empty(key):
+    kind = "model" if key == "differential" else "presentation"
+    for doc in ({}, {key: None}):
+        back = _read(kind, doc)
+        assert not (back.differential.on_arrows if kind == "model" else back.relators)
 
 
 def test_null_label_provenance_and_metadata_read_as_missing():
